@@ -42,7 +42,6 @@ from .symplectic import (
     LambdaMuReport,
     SqueezeParams,
     StandardForm,
-    SympContext,
     TwoForm,
     c_rho,
     capacity_preservation_check,

@@ -123,7 +123,7 @@ def _canonical_ellipsoids(n: int) -> list:
 
 def cmd_certify(args) -> int:
     t0 = time.perf_counter()
-    if not 0.0 <= args.eps < 1.0 / math.sqrt(2.0):
+    if not 0.0 <= args.eps < symplectic.EPS_LIMIT:
         raise InputError(f"--eps must lie in [0, 1/sqrt(2)), got {args.eps}")
     phi = _load_matrix_or_exit(args.matrix)
     n = phi.shape[0] // 2
@@ -191,6 +191,8 @@ def cmd_symplectify(args) -> int:
 
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
+    if args.n < 1:
+        raise InputError(f"--n must be >= 1, got {args.n}")
     threshold = symplectic.squeeze_eps_threshold()
     if not 0.0 <= args.eps < threshold:
         raise InputError(f"--eps must lie in [0, {threshold:.6f}), got {args.eps}")
@@ -352,10 +354,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

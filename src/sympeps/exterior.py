@@ -49,6 +49,20 @@ def check_multi_index(index: Sequence[int], m: int, k: int | None = None) -> Mul
     return idx
 
 
+def merge_sign(first: MultiIndex, second: MultiIndex) -> int:
+    """Sign of the permutation that sorts ``first + second`` (disjoint
+    increasing indices): dx_first ^ dx_second = sign * dx_sorted."""
+    inversions = sum(1 for x in first for y in second if x > y)
+    return -1 if inversions % 2 else 1
+
+
+def contraction_sign(position: int) -> int:
+    """Sign picked up by the slot at 0-based ``position`` of a multi-index
+    when a vector is contracted into it: moving the slot to the front takes
+    ``position`` transpositions."""
+    return -1 if position % 2 else 1
+
+
 @dataclass(frozen=True)
 class Covector:
     """Sparse k-covector sum_sigma f_sigma dx_sigma on R^m.
@@ -152,10 +166,8 @@ def wedge(a: Covector, b: Covector) -> Covector:
         for ib, cb in b.coeffs.items():
             if seen.intersection(ib):
                 continue
-            inversions = sum(1 for x in ia for y in ib if x > y)
             merged = tuple(sorted(ia + ib))
-            sign = -1.0 if inversions % 2 else 1.0
-            out[merged] = out.get(merged, 0.0) + sign * ca * cb
+            out[merged] = out.get(merged, 0.0) + merge_sign(ia, ib) * ca * cb
     return Covector(a.m, k, out)
 
 
@@ -281,8 +293,7 @@ def interior(v: Sequence[float], c: Covector) -> Covector:
     for index, coeff in c.coeffs.items():
         for j, i in enumerate(index):
             reduced = index[:j] + index[j + 1:]
-            sign = -1.0 if j % 2 else 1.0
-            out[reduced] = out.get(reduced, 0.0) + sign * coeff * vec[i - 1]
+            out[reduced] = out.get(reduced, 0.0) + contraction_sign(j) * coeff * vec[i - 1]
     return Covector(c.m, c.k - 1, out)
 
 

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import polyform as pfm
 from .polyform import Poly, PolyForm, poly_diff, poly_var
-from .symplectic import SympContext, _resolve_ctx, defect, standard_J
+from .symplectic import EPS_LIMIT, _as_even_matrix, _standard_J, defect
 
-EPS_LIMIT = 1.0 / math.sqrt(2.0)
 BOUND_TOL = 1e-6
 
 
@@ -49,14 +48,14 @@ class FlowConfig:
         return max(1, int(round(1.0 / self.step_size)))
 
 
-def moser_field_matrix(phi, t: float, ctx: Optional[SympContext] = None) -> np.ndarray:
+def moser_field_matrix(phi, t: float) -> np.ndarray:
     """Matrix C(t) of the linear correction field X_t(x) = C(t) x.
 
     C(t) = -1/2 (J + t M)^-1 M with M = Phi^T J Phi - J; the inverse exists
     whenever the defect is below one.
     """
-    phi, ctx = _resolve_ctx(phi, ctx)
-    J = ctx.J
+    phi, n = _as_even_matrix(phi)
+    J = _standard_J(n)
     M = phi.T @ J @ phi - J
     Mt = J + t * M
     try:
@@ -152,7 +151,6 @@ def symplectify(
     phi,
     eps: float,
     config: Optional[FlowConfig] = None,
-    ctx: Optional[SympContext] = None,
 ) -> SymplectifyReport:
     """Integrate the correction flow and verify its bounds.
 
@@ -161,19 +159,19 @@ def symplectify(
     displacement / sandwich margins at tolerance 1e-6.
     """
     config = config or FlowConfig()
-    phi, ctx = _resolve_ctx(phi, ctx)
-    d0 = defect(phi, ctx)
+    phi, n = _as_even_matrix(phi)
+    d0 = defect(phi)
     if not eps < EPS_LIMIT:
         raise ValueError(f"eps must be < 1/sqrt(2), got {eps}")
     if d0 > eps + 1e-12:
         raise ValueError(f"defect {d0:.6e} exceeds eps {eps:.6e}")
-    J = ctx.J
+    J = _standard_J(n)
     M = phi.T @ J @ phi - J
     psi = _integrate_matrix_flow(M, J, config.n_steps)
     rho_val = math.sqrt(1.0 - math.sqrt(2.0) * eps)
-    residual = defect(phi @ psi, ctx)
+    residual = defect(phi @ psi)
     svals = np.linalg.svd(psi, compute_uv=False)
-    eye = np.eye(ctx.dim)
+    eye = np.eye(2 * n)
     displacement = float(np.linalg.norm(psi - eye, 2))
     disp_bound = 1.0 / rho_val - 1.0
     disp_margin = disp_bound - displacement
@@ -376,7 +374,6 @@ def symplectify_polynomial_pointwise(
     points: Sequence[Sequence[float]],
     eps: float,
     config: Optional[FlowConfig] = None,
-    ctx: Optional[SympContext] = None,
 ) -> PointwiseFlowReport:
     """Integrate the correction flow pointwise for a polynomial map.
 
@@ -391,9 +388,7 @@ def symplectify_polynomial_pointwise(
     if not 0.0 <= eps < EPS_LIMIT:
         raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
     n = phi.m // 2
-    if ctx is not None and ctx.n != n:
-        raise ValueError(f"context has n={ctx.n} but map has n={n}")
-    J = standard_J(n)
+    J = _standard_J(n)
     beta = phi.pullback_omega0() - omega0_polyform(n)
     sigma = pfm.h(beta) if not beta.is_zero() else PolyForm.zero(phi.m, 1)
     beta_c = _CompiledTwoForm(beta, phi.m)

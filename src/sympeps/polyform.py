@@ -21,7 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exterior import Covector, check_multi_index, norm2
+from .exterior import Covector, check_multi_index, contraction_sign, merge_sign, norm2
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
@@ -29,10 +29,6 @@ MultiIndex = Tuple[int, ...]
 
 
 # -- sparse polynomial helpers ----------------------------------------------
-
-
-def poly_zero() -> Poly:
-    return {}
 
 
 def poly_const(m: int, value) -> Poly:
@@ -111,12 +107,6 @@ def poly_total_degree(a: Poly) -> int:
     if not a:
         return -1
     return max(sum(e) for e in a)
-
-
-def poly_dilate(a: Poly, r) -> Poly:
-    """Substitute x |-> r x exactly: each monomial of degree p scales by r^p."""
-    r = Fraction(r)
-    return _canonical({e: c * r ** sum(e) for e, c in a.items()})
 
 
 def poly_eval(a: Poly, x: Sequence[float]) -> float:
@@ -257,10 +247,9 @@ def pf_wedge(a: PolyForm, b: PolyForm) -> PolyForm:
         for ib, pb in b.terms.items():
             if seen.intersection(ib):
                 continue
-            inversions = sum(1 for x in ia for y in ib if x > y)
             merged = tuple(sorted(ia + ib))
             prod = poly_mul(pa, pb)
-            if inversions % 2:
+            if merge_sign(ia, ib) < 0:
                 prod = poly_neg(prod)
             out[merged] = poly_add(out.get(merged, {}), prod)
     return PolyForm(a.m, k, out)
@@ -282,8 +271,7 @@ def d(f: PolyForm) -> PolyForm:
             dp = poly_diff(poly, i)
             if not dp:
                 continue
-            position = sum(1 for j in index if j < i)
-            if position % 2:
+            if merge_sign((i,), index) < 0:
                 dp = poly_neg(dp)
             merged = tuple(sorted(index + (i,)))
             out[merged] = poly_add(out.get(merged, {}), dp)
@@ -313,7 +301,7 @@ def iota_radial(f: PolyForm) -> PolyForm:
         for j, i in enumerate(index):
             reduced = index[:j] + index[j + 1:]
             lifted = poly_mul_var(poly, i)
-            if j % 2:
+            if contraction_sign(j) < 0:
                 lifted = poly_neg(lifted)
             out[reduced] = poly_add(out.get(reduced, {}), lifted)
     return PolyForm(f.m, f.k - 1, out)

@@ -23,19 +23,19 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exterior import Covector, skew_to_covector
 
 __all__ = [
-    "SympContext",
     "TwoForm",
     "StandardForm",
     "LambdaMuReport",
     "SqueezeParams",
     "CertificateReport",
+    "EPS_LIMIT",
     "standard_J",
     "plane_scaling",
     "split_to_interleaved",
@@ -76,7 +76,7 @@ CERT_TOL = 1e-10          # additive tolerance on certified inequalities
 SIGN_TOL = 1e-12
 BALL_RADII = (0.5, 1.0, 2.0)
 
-_EPS_SQRT2 = 1.0 / math.sqrt(2.0)
+EPS_LIMIT = 1.0 / math.sqrt(2.0)   # defect bound of the eps-symplectic theory
 
 
 @lru_cache(maxsize=None)
@@ -96,42 +96,15 @@ def standard_J(n: int) -> np.ndarray:
     return _standard_J(n).copy()
 
 
-@dataclass(frozen=True)
-class SympContext:
-    """Half-dimension and coordinate convention of the ambient R^(2n)."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("half-dimension n must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
-    @property
-    def J(self) -> np.ndarray:
-        return standard_J(self.n)
-
-    def omega_covector(self) -> Covector:
-        return omega0_covector(self.n)
-
-
 def _as_even_matrix(A, what: str = "matrix") -> Tuple[np.ndarray, int]:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{what} must be square, got shape {A.shape}")
     if A.shape[0] % 2:
         raise ValueError(f"{what} must have even dimension, got {A.shape[0]}")
+    if A.shape[0] == 0:
+        raise ValueError("half-dimension n must be >= 1")
     return A, A.shape[0] // 2
-
-
-def _resolve_ctx(A, ctx: Optional[SympContext], what: str = "matrix") -> Tuple[np.ndarray, SympContext]:
-    A, n = _as_even_matrix(A, what)
-    if ctx is not None and ctx.n != n:
-        raise ValueError(f"context has n={ctx.n} but {what} has n={n}")
-    return A, (ctx or SympContext(n))
 
 
 def omega0_covector(n: int) -> Covector:
@@ -197,10 +170,10 @@ def asymmetric_defect_map(eps: float, K: float, n: int = 2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def defect(phi, ctx: Optional[SympContext] = None) -> float:
+def defect(phi) -> float:
     """Coefficient Euclidean norm of Phi^T J Phi - J."""
-    phi, ctx = _resolve_ctx(phi, ctx)
-    J = ctx.J
+    phi, n = _as_even_matrix(phi)
+    J = _standard_J(n)
     M = phi.T @ J @ phi - J
     return float(np.linalg.norm(M, "fro") / math.sqrt(2.0))
 
@@ -230,12 +203,6 @@ class TwoForm:
 
     def covector(self) -> Covector:
         return skew_to_covector(self.matrix)
-
-    @classmethod
-    def from_covector(cls, c: Covector) -> "TwoForm":
-        from .exterior import covector_to_skew
-
-        return cls(covector_to_skew(c))
 
 
 @dataclass(frozen=True)
@@ -274,6 +241,28 @@ class StandardForm:
         for lam2, uj, vj in zip(self.lambda_sq, self.u.T, self.v.T):
             W += lam2 * (np.outer(vj, uj) - np.outer(uj, vj))
         return W
+
+
+def _pair_planes(
+    Q: np.ndarray, partner: Callable[[np.ndarray], np.ndarray]
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Split the span of the orthonormal columns of Q into planes (u, v).
+
+    u is the first column of Q and v = partner(u) a unit vector of the span
+    orthogonal to u; both are projected out of Q, which is re-orthonormalised
+    by SVD before the next plane.  Each plane is yielded before partner is
+    called again, so partner may depend on the planes seen so far.
+    """
+    while Q.shape[1] > 0:
+        u = Q[:, 0]
+        v = partner(u)
+        yield u, v
+        rest = Q.shape[1] - 2
+        if rest <= 0:
+            return
+        Q = Q - np.outer(u, u @ Q) - np.outer(v, v @ Q)
+        left, _, _ = np.linalg.svd(Q, full_matrices=False)
+        Q = left[:, :rest]
 
 
 def standard_form(w) -> StandardForm:
@@ -320,25 +309,18 @@ def standard_form(w) -> StandardForm:
     if merged and len(merged[-1]) % 2:
         raise np.linalg.LinAlgError("could not pair the nonzero spectrum of a skew matrix")
 
+    def partner(u: np.ndarray) -> np.ndarray:
+        Mu = M @ u
+        return Mu / float(np.linalg.norm(Mu))
+
     us: List[np.ndarray] = []
     vs: List[np.ndarray] = []
     lam2: List[float] = []
     for cl in merged:
-        Q = vecs[:, cl]
-        while Q.shape[1] > 0:
-            uj = Q[:, 0]
-            Mu = M @ uj
-            nz = float(np.linalg.norm(Mu))
-            vj = Mu / nz
+        for uj, vj in _pair_planes(vecs[:, cl], partner):
             us.append(uj)
             vs.append(vj)
-            lam2.append(float(vj @ Mu))
-            rest = Q.shape[1] - 2
-            if rest <= 0:
-                break
-            Q = Q - np.outer(uj, uj @ Q) - np.outer(vj, vj @ Q)
-            left, _, _ = np.linalg.svd(Q, full_matrices=False)
-            Q = left[:, :rest]
+            lam2.append(float(vj @ (M @ uj)))
 
     order = np.argsort(lam2, kind="stable")
     lam2_arr = np.asarray(lam2)[order]
@@ -352,24 +334,32 @@ def standard_form(w) -> StandardForm:
     return result
 
 
-def _singular_values(A: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(A, compute_uv=False)
+class _Conditioning(NamedTuple):
+    svals: np.ndarray   # descending
+    cond: float
+    singular: bool      # sigma_min <= SINGULAR_RTOL * sigma_max
+
+    def require_nonsingular(self, what: str) -> np.ndarray:
+        if self.singular:
+            raise ValueError(f"singular {what} (condition number {self.cond:.3e})")
+        return self.svals
 
 
-def _require_nonsingular(A: np.ndarray, what: str = "matrix") -> np.ndarray:
-    svals = _singular_values(A)
-    if svals[0] == 0.0 or svals[-1] <= SINGULAR_RTOL * svals[0]:
-        cond = math.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
-        raise ValueError(f"singular {what} (condition number {cond:.3e})")
-    return svals
+def _conditioning(A: np.ndarray) -> _Conditioning:
+    """Singular values and condition number of A, and whether A counts as
+    singular at SINGULAR_RTOL."""
+    svals = np.linalg.svd(A, compute_uv=False)
+    cond = math.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
+    singular = bool(svals[0] == 0.0 or svals[-1] <= SINGULAR_RTOL * svals[0])
+    return _Conditioning(svals, cond, singular)
 
 
-def symplectic_spectrum(A, ctx: Optional[SympContext] = None) -> np.ndarray:
+def symplectic_spectrum(A) -> np.ndarray:
     """Ascending tuple (r_1, ..., r_n) with r_j^2 the absolute eigenvalue pairs
     of A^T J A; r_1 is the linear symplectic width of the ellipsoid A B_1."""
-    A, ctx = _resolve_ctx(A, ctx)
-    _require_nonsingular(A)
-    M = A.T @ ctx.J @ A
+    A, n = _as_even_matrix(A)
+    _conditioning(A).require_nonsingular("matrix")
+    M = A.T @ _standard_J(n) @ A
     S = -(M @ M)
     S = (S + S.T) / 2.0
     evals = np.linalg.eigvalsh(S)
@@ -378,9 +368,9 @@ def symplectic_spectrum(A, ctx: Optional[SympContext] = None) -> np.ndarray:
     return np.sqrt(paired)
 
 
-def ellipsoid_capacity(A, ctx: Optional[SympContext] = None) -> float:
+def ellipsoid_capacity(A) -> float:
     """pi times the squared linear symplectic width of the ellipsoid A B_1."""
-    r1 = symplectic_spectrum(A, ctx)[0]
+    r1 = symplectic_spectrum(A)[0]
     return math.pi * float(r1) ** 2
 
 
@@ -402,16 +392,15 @@ class LambdaMuReport:
     form: Optional[StandardForm] = None
 
 
-def lambda_mu_invariants(phi, ctx: Optional[SympContext] = None) -> LambdaMuReport:
-    phi, ctx = _resolve_ctx(phi, ctx)
-    svals = _singular_values(phi)
-    cond = math.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
+def lambda_mu_invariants(phi) -> LambdaMuReport:
+    phi, n = _as_even_matrix(phi)
+    _, cond, singular = _conditioning(phi)
     empty = np.zeros(0)
-    if svals[0] == 0.0 or svals[-1] <= SINGULAR_RTOL * svals[0]:
+    if singular:
         return LambdaMuReport(empty, empty, empty.astype(int), "singular", cond, None)
-    J = ctx.J
+    J = _standard_J(n)
     sf = standard_form(phi.T @ J @ phi)
-    if sf.rank < ctx.dim:
+    if sf.rank < 2 * n:
         return LambdaMuReport(empty, empty, empty.astype(int), "singular", cond, sf)
     om = np.einsum("ij,ij->j", J @ sf.u, sf.v)  # omega0(u_j, v_j)
     signs = np.where(np.abs(om) <= SIGN_TOL, 0, np.sign(om)).astype(int)
@@ -430,17 +419,17 @@ class DecompositionCheck(NamedTuple):
     rel_error: float
 
 
-def defect_decomposition_check(phi, ctx: Optional[SympContext] = None) -> DecompositionCheck:
+def defect_decomposition_check(phi) -> DecompositionCheck:
     """Compare defect(Phi)^2 with its lambda/mu decomposition
     sum_j (lambda_j^2 - sign_j mu_j^2)^2 + n - sum_j mu_j^4."""
-    phi, ctx = _resolve_ctx(phi, ctx)
-    rep = lambda_mu_invariants(phi, ctx)
+    phi, n = _as_even_matrix(phi)
+    rep = lambda_mu_invariants(phi)
     if rep.classification == "singular":
         raise ValueError(f"singular matrix (condition number {rep.condition:.3e})")
-    lhs = defect(phi, ctx) ** 2
+    lhs = defect(phi) ** 2
     lam2 = rep.lambdas**2
     mu2 = rep.mus**2
-    rhs = float(np.sum((lam2 - rep.signs * mu2) ** 2) + ctx.n - np.sum(mu2**2))
+    rhs = float(np.sum((lam2 - rep.signs * mu2) ** 2) + n - np.sum(mu2**2))
     rel = abs(lhs - rhs) / max(lhs, abs(rhs), 1e-12)
     return DecompositionCheck(lhs, rhs, rel)
 
@@ -454,7 +443,7 @@ def rho(eps: float, n: int, linear_case: bool = False) -> float:
     """Radius factor of the symplectifying correction of an eps-symplectic map:
     (1 - sqrt(2) eps)^sqrt(2n), or its square root power sqrt(1 - sqrt(2) eps)
     in the linear case."""
-    if not 0.0 <= eps < _EPS_SQRT2:
+    if not 0.0 <= eps < EPS_LIMIT:
         raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
     base = 1.0 - math.sqrt(2.0) * eps
     if linear_case:
@@ -491,15 +480,10 @@ class SqueezeParams:
     e_A: Optional[float]
 
 
-def squeezing_params(
-    A,
-    eps: float,
-    ctx: Optional[SympContext] = None,
-    linear_case: bool = True,
-) -> SqueezeParams:
-    A, ctx = _resolve_ctx(A, ctx, "ellipsoid matrix")
-    svals = _require_nonsingular(A, "ellipsoid matrix")
-    rho_val = _width_rho(eps, ctx.n, linear_case)
+def squeezing_params(A, eps: float, linear_case: bool = True) -> SqueezeParams:
+    A, n = _as_even_matrix(A, "ellipsoid matrix")
+    svals = _conditioning(A).require_nonsingular("ellipsoid matrix")
+    rho_val = _width_rho(eps, n, linear_case)
     r_A = float(svals[0])
     inv_norm = float(1.0 / svals[-1])
     q = inv_norm * (1.0 / rho_val - 1.0) * r_A
@@ -535,39 +519,50 @@ class CertificateReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _phi_or_singular_report(phi, ctx, eps, kind, linear_case):
-    phi, ctx = _resolve_ctx(phi, ctx)
-    svals = _singular_values(phi)
-    if svals[0] == 0.0 or svals[-1] <= SINGULAR_RTOL * svals[0]:
-        report = CertificateReport(
-            kind,
-            eps,
-            _width_rho(eps, ctx.n, linear_case),
-            passed=False,
-            note="singular map: fails unconditionally (arbitrarily thin image ellipsoids)",
-        )
-        return phi, ctx, report
-    return phi, ctx, None
+_Width = Tuple[np.ndarray, SqueezeParams, float, float]
+
+
+def _width_certificate(
+    phi, eps: float, ellipsoids: Sequence, kind: str, linear_case: bool
+) -> Tuple[np.ndarray, CertificateReport, Optional[Iterator[_Width]]]:
+    """Report shell of a width or capacity check, and the widths it certifies.
+
+    The widths are (A, squeezing_params, r1, R1) per ellipsoid A, with r1 and
+    R1 the linear symplectic widths of A B_1 and of phi(A B_1).  A singular phi
+    fails unconditionally (arbitrarily thin image ellipsoids): its report is
+    final and there are no widths.
+    """
+    phi, n = _as_even_matrix(phi)
+    singular = _conditioning(phi).singular
+    report = CertificateReport(kind, eps, _width_rho(eps, n, linear_case))
+    if singular:
+        report.passed = False
+        report.note = "singular map: fails unconditionally (arbitrarily thin image ellipsoids)"
+        return phi, report, None
+
+    def widths() -> Iterator[_Width]:
+        for A in ellipsoids:
+            A = np.asarray(A, dtype=float)
+            params = squeezing_params(A, eps, linear_case)
+            r1 = float(symplectic_spectrum(A)[0])
+            R1 = float(symplectic_spectrum(phi @ A)[0])
+            yield A, params, r1, R1
+
+    return phi, report, widths()
 
 
 def check_eps_nonsqueezing(
     phi,
     eps: float,
     ellipsoids: Sequence,
-    ctx: Optional[SympContext] = None,
     linear_case: bool = True,
 ) -> CertificateReport:
     """Check s_A * r_1 <= R_1 for each ellipsoid A, where r_1 and R_1 are the
     linear symplectic widths of A B_1 and of its image under phi."""
-    phi, ctx, short = _phi_or_singular_report(phi, ctx, eps, "nonsqueezing", linear_case)
-    if short is not None:
-        return short
-    report = CertificateReport("nonsqueezing", eps, _width_rho(eps, ctx.n, linear_case))
-    for i, A in enumerate(ellipsoids):
-        A = np.asarray(A, dtype=float)
-        params = squeezing_params(A, eps, ctx, linear_case)
-        r1 = float(symplectic_spectrum(A, ctx)[0])
-        R1 = float(symplectic_spectrum(phi @ A, ctx)[0])
+    phi, report, widths = _width_certificate(phi, eps, ellipsoids, "nonsqueezing", linear_case)
+    if widths is None:
+        return report
+    for i, (A, params, r1, R1) in enumerate(widths):
         margin = R1 - params.s_A * r1
         ok = margin >= -CERT_TOL
         report.records.append(
@@ -589,23 +584,16 @@ def check_eps_nonexpanding(
     phi,
     eps: float,
     ellipsoids: Sequence,
-    ctx: Optional[SympContext] = None,
     linear_case: bool = True,
     ball_radii: Sequence[float] = BALL_RADII,
 ) -> CertificateReport:
     """Check R_1 <= e_A * r_1 on eligible ellipsoids (those with e_A defined;
     the rest are skipped and reported) plus the ball clause: the width of
     phi(B_r) is at most r / rho."""
-    phi, ctx, short = _phi_or_singular_report(phi, ctx, eps, "nonexpanding", linear_case)
-    if short is not None:
-        return short
-    rho_val = _width_rho(eps, ctx.n, linear_case)
-    report = CertificateReport("nonexpanding", eps, rho_val)
-    for i, A in enumerate(ellipsoids):
-        A = np.asarray(A, dtype=float)
-        params = squeezing_params(A, eps, ctx, linear_case)
-        r1 = float(symplectic_spectrum(A, ctx)[0])
-        R1 = float(symplectic_spectrum(phi @ A, ctx)[0])
+    phi, report, widths = _width_certificate(phi, eps, ellipsoids, "nonexpanding", linear_case)
+    if widths is None:
+        return report
+    for i, (A, params, r1, R1) in enumerate(widths):
         record = {
             "index": i,
             "A": A.tolist(),
@@ -621,13 +609,13 @@ def check_eps_nonexpanding(
             record.update({"skipped": False, "pass": bool(ok), "margin": margin})
             report.passed = report.passed and ok
         report.records.append(record)
-    eye = np.eye(ctx.dim)
+    eye = np.eye(phi.shape[0])
     for r in ball_radii:
-        width = float(symplectic_spectrum(phi @ (r * eye), ctx)[0])
-        margin = r / rho_val - width
+        width = float(symplectic_spectrum(phi @ (r * eye))[0])
+        margin = r / report.rho - width
         ok = margin >= -CERT_TOL
         report.ball_checks.append(
-            {"radius": r, "image_width": width, "bound": r / rho_val, "pass": bool(ok)}
+            {"radius": r, "image_width": width, "bound": r / report.rho, "pass": bool(ok)}
         )
         report.passed = report.passed and ok
     return report
@@ -637,20 +625,16 @@ def capacity_preservation_check(
     phi,
     eps: float,
     ellipsoids: Sequence,
-    ctx: Optional[SympContext] = None,
     linear_case: bool = True,
 ) -> CertificateReport:
     """Two-sided check s_A^2 c(E) <= c(phi E) <= e_A^2 c(E) on each ellipsoid,
     with capacity pi * width^2; the upper inequality applies when e_A is defined."""
-    phi, ctx, short = _phi_or_singular_report(phi, ctx, eps, "capacity", linear_case)
-    if short is not None:
-        return short
-    report = CertificateReport("capacity", eps, _width_rho(eps, ctx.n, linear_case))
-    for i, A in enumerate(ellipsoids):
-        A = np.asarray(A, dtype=float)
-        params = squeezing_params(A, eps, ctx, linear_case)
-        cap = ellipsoid_capacity(A, ctx)
-        cap_img = ellipsoid_capacity(phi @ A, ctx)
+    phi, report, widths = _width_certificate(phi, eps, ellipsoids, "capacity", linear_case)
+    if widths is None:
+        return report
+    for i, (A, params, r1, R1) in enumerate(widths):
+        cap = math.pi * r1**2
+        cap_img = math.pi * R1**2
         lower_margin = cap_img - params.s_A**2 * cap
         lower_ok = lower_margin >= -CERT_TOL
         record = {
@@ -682,6 +666,21 @@ def capacity_preservation_check(
 # ---------------------------------------------------------------------------
 
 
+def _bisect(root_above: Callable[[float], bool], lo: float, hi: float) -> float:
+    """Midpoint of the bracket [lo, hi] after halving it until its midpoint
+    is an endpoint (at most 200 halvings); ``root_above(mid)`` says whether
+    the root lies above mid."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if root_above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def cubic_z0() -> Tuple[float, float]:
     """Root of z^3 + (27/4) z = 27/4 in (0, 1): (bisection value, closed form).
 
@@ -692,16 +691,7 @@ def cubic_z0() -> Tuple[float, float]:
     def f(z: float) -> float:
         return z * z * z + 6.75 * z - 6.75
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+    root = _bisect(lambda z: f(z) < 0.0, 0.0, 1.0)
     s2 = math.sqrt(2.0)
     closed = 1.5 * ((1.0 + s2) ** (1.0 / 3.0) - (s2 - 1.0) ** (1.0 / 3.0))
     return root, closed
@@ -731,16 +721,8 @@ def c_rho(rho_val: float) -> float:
     def g(c: float) -> float:
         return c * c * c - c * c + s
 
-    lo, hi = 2.0 / 3.0, 1.0  # g(lo) = s - 4/27 < 0, g(hi) = s > 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # g(2/3) = s - 4/27 < 0, g(1) = s > 0
+    return _bisect(lambda c: g(c) < 0.0, 2.0 / 3.0, 1.0)
 
 
 def rigidity_bound(eps: float, n: int) -> float:
@@ -773,7 +755,7 @@ def rigidity_bound(eps: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def hyperplane_squeeze(u, bound: float, R: float, ctx: Optional[SympContext] = None) -> np.ndarray:
+def hyperplane_squeeze(u, bound: float, R: float) -> np.ndarray:
     """Symplectic map squeezing a bounded hyperplane slab into B_R^2 x R^(2n-2).
 
     ``u`` is the hyperplane normal and ``bound`` caps the scalar projection of
@@ -786,35 +768,28 @@ def hyperplane_squeeze(u, bound: float, R: float, ctx: Optional[SympContext] = N
     if vec.ndim != 1 or vec.size % 2:
         raise ValueError("normal vector must live in an even-dimensional space")
     n = vec.size // 2
-    if ctx is not None and ctx.n != n:
-        raise ValueError(f"context has n={ctx.n} but vector has n={n}")
     nu = float(np.linalg.norm(vec))
     if nu == 0.0:
         raise ValueError("zero normal vector")
     if bound <= 0 or R <= 0:
         raise ValueError("bound and R must be positive")
-    J = standard_J(n)
+    J = _standard_J(n)
     uhat = vec / nu
     vhat = J @ uhat
     columns = [(R / bound) * uhat, (bound / R) * vhat]
     ortho = [uhat, vhat]
-    if n > 1:
-        _, _, vh = np.linalg.svd(np.vstack([uhat, vhat]))
-        Q = vh[2:].T  # orthonormal complement of span(uhat, vhat)
-        while Q.shape[1] > 0:
-            wj = Q[:, 0]
-            zj = J @ wj
-            for b in ortho:
-                zj = zj - (b @ zj) * b
-            zj = zj / np.linalg.norm(zj)
-            columns.extend([wj, zj])
-            ortho.extend([wj, zj])
-            rest = Q.shape[1] - 2
-            if rest <= 0:
-                break
-            Q = Q - np.outer(wj, wj @ Q) - np.outer(zj, zj @ Q)
-            left, _, _ = np.linalg.svd(Q, full_matrices=False)
-            Q = left[:, :rest]
+
+    def partner(w: np.ndarray) -> np.ndarray:
+        z = J @ w
+        for b in ortho:
+            z = z - (b @ z) * b
+        return z / np.linalg.norm(z)
+
+    _, _, vh = np.linalg.svd(np.vstack([uhat, vhat]))
+    # vh[2:] spans the orthogonal complement of span(uhat, vhat)
+    for wj, zj in _pair_planes(vh[2:].T, partner):
+        columns.extend([wj, zj])
+        ortho.extend([wj, zj])
     B = np.column_stack(columns)
     psi = np.linalg.inv(B)
     dev = np.linalg.norm(psi.T @ J @ psi - J, "fro")
@@ -881,7 +856,7 @@ def random_symplectic(n: int, rng: np.random.Generator, factors: int = 4) -> np.
 def random_eps_symplectic(n: int, eps: float, seed: int) -> np.ndarray:
     """Seeded matrix Phi = S (I + t N) with S random symplectic and t tuned by
     bisection so that defect(Phi) equals eps to within 1e-9."""
-    if not 0.0 <= eps < _EPS_SQRT2:
+    if not 0.0 <= eps < EPS_LIMIT:
         raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
     rng = np.random.default_rng(seed)
     S = random_symplectic(n, rng)
@@ -901,16 +876,7 @@ def random_eps_symplectic(n: int, eps: float, seed: int) -> np.ndarray:
         hi *= 2.0
     else:
         raise RuntimeError("could not bracket the requested defect")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if g(mid) < eps:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
+    t = _bisect(lambda t: g(t) < eps, 0.0, hi)
     phi = S @ (eye + t * N)
     achieved = defect(phi)
     if abs(achieved - eps) > 1e-9:

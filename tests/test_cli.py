@@ -166,6 +166,14 @@ def test_bounds_eps_above_threshold(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_bounds_rejects_nonpositive_n(capsys, n):
+    code, out, err = run_cli(capsys, "bounds", "--eps", "0.1", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "--n must be >= 1" in err
+
+
 def test_homotopy_area_form(capsys, tmp_path):
     form = pf.PolyForm.basis(4, (1, 2))
     form_path = tmp_path / "form.json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -276,3 +277,58 @@ def test_polyform_validation():
         pf.PolyForm(3, 1, {(1,): {(0, 0): Fraction(1)}})
     # zero polynomials are dropped
     assert pf.PolyForm(3, 1, {(1,): {}}).is_zero()
+
+
+def _sorting_parity(seq):
+    """Sign of the permutation that sorts seq, from its cycle count."""
+    order = sorted(range(len(seq)), key=lambda p: seq[p])
+    seen = [False] * len(seq)
+    cycles = 0
+    for start in range(len(seq)):
+        if not seen[start]:
+            cycles += 1
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                p = order[p]
+    return -1 if (len(seq) - cycles) % 2 else 1
+
+
+def _disjoint_index_pairs(m):
+    """Every pair (I, J) of disjoint increasing 1-based indices in 1..m."""
+    for labels in itertools.product((0, 1, 2), repeat=m):
+        I = tuple(i for i, lab in enumerate(labels, start=1) if lab == 1)
+        J = tuple(i for i, lab in enumerate(labels, start=1) if lab == 2)
+        yield I, J
+
+
+def test_wedge_sign_is_sorting_parity_and_pf_wedge_agrees():
+    pairs = 0
+    for m in range(1, 6):
+        for I, J in _disjoint_index_pairs(m):
+            merged = tuple(sorted(I + J))
+            sign = _sorting_parity(I + J)
+            assert ex.wedge(ex.Covector.basis(m, I), ex.Covector.basis(m, J)).coeffs == {merged: float(sign)}
+            a = pf.PolyForm.term(m, I, pf.poly_const(m, Fraction(3, 2)))
+            b = pf.PolyForm.term(m, J, pf.poly_const(m, Fraction(-1, 4)))
+            ab = pf.pf_wedge(a, b)
+            assert ab == pf.PolyForm.term(m, merged, pf.poly_const(m, sign * Fraction(-3, 8)))
+            assert ex.wedge(pf.evaluate(a, np.zeros(m)), pf.evaluate(b, np.zeros(m))).coeffs == {
+                idx: float(p[(0,) * m]) for idx, p in ab.terms.items()
+            }
+            pairs += 1
+    assert pairs == 3 + 9 + 27 + 81 + 243
+
+
+def test_contraction_sign_agrees_between_interior_and_iota_radial():
+    x = np.array([0.5, -1.25, 2.0, 0.75, -3.0])
+    for m in range(1, 6):
+        for k in range(1, m + 1):
+            for index in itertools.combinations(range(1, m + 1), k):
+                expected = {
+                    index[:j] + index[j + 1:]: (-1.0) ** j * x[i - 1] for j, i in enumerate(index)
+                }
+                contracted = ex.interior(x[:m], ex.Covector.basis(m, index))
+                assert contracted.coeffs == expected
+                radial = pf.evaluate(pf.iota_radial(pf.PolyForm.basis(m, index)), x[:m])
+                assert radial.coeffs == expected

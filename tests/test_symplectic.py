@@ -25,6 +25,12 @@ def test_defect_odd_dimension_rejected():
         sy.defect(np.eye(3))
 
 
+def test_empty_matrix_rejected():
+    for func in (sy.defect, sy.symplectic_spectrum):
+        with pytest.raises(ValueError, match="half-dimension n must be >= 1"):
+            func(np.zeros((0, 0)))
+
+
 def test_two_form_rejects_non_skew():
     with pytest.raises(ValueError, match="skew"):
         sy.TwoForm(np.eye(4))
