@@ -38,7 +38,7 @@ def _sha256_params(text: str) -> str:
 
 
 def _emit(report: dict, human_lines, fmt: str = "json", out_path=None, t0=None) -> None:
-    payload = json.dumps(report, indent=2)
+    payload = json.dumps(report, indent=2, allow_nan=False)
     if fmt == "json":
         sys.stdout.write(payload + "\n")
         for line in human_lines:
@@ -87,7 +87,7 @@ def cmd_analyze(args) -> int:
         report["within_eps"] = bool(dft <= args.eps)
     human = [f"defect           {dft:.12g}", f"classification   {rep.classification}"]
     if rep.classification != "singular":
-        check = symplectic.defect_decomposition_check(phi)
+        check = symplectic._decomposition_identity(n, dft, rep)
         report["decomposition"] = {
             "lhs": check.lhs,
             "rhs": check.rhs,
@@ -126,6 +126,7 @@ def cmd_certify(args) -> int:
     if not 0.0 <= args.eps < symplectic.EPS_LIMIT:
         raise InputError(f"--eps must lie in [0, 1/sqrt(2)), got {args.eps}")
     phi = _load_matrix_or_exit(args.matrix)
+    dft = symplectic.defect(phi)  # first, so that an overflowing map is refused
     n = phi.shape[0] // 2
     eps_prime = math.sqrt(2.0) * args.eps
     rng = np.random.default_rng(args.seed)
@@ -142,7 +143,7 @@ def cmd_certify(args) -> int:
         "eps_prime": eps_prime,
         "seed": args.seed,
         "ellipsoids": len(ellipsoids),
-        "defect": symplectic.defect(phi),
+        "defect": dft,
         "nonsqueezing": sq.to_dict(),
         "nonexpanding": ex.to_dict(),
         "capacity": cap.to_dict(),

@@ -52,6 +52,10 @@ SCALES: Dict[str, Dict[str, int]] = {
 # one pair in 150 is redrawn.
 SCALING_DRAWS = 100
 
+# Draws of random_defective before giving up on its defect window; about 96%
+# of draws land in the window [0.01, 0.98] that the suites ask for.
+DEFECTIVE_DRAWS = 100
+
 
 # -- random object generators -------------------------------------------------
 
@@ -207,9 +211,10 @@ def spectrum_suite(rng: np.random.Generator, pairs: int) -> dict:
 
 def random_defective(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
     """Random non-singular matrix with defect in [lo, hi] (covers defects past
-    the 1/sqrt(2) cap of the tuned generator); rejection-sampled."""
+    the 1/sqrt(2) cap of the tuned generator); rejection-sampled, at most
+    DEFECTIVE_DRAWS draws."""
     eye = np.eye(2 * n)
-    while True:
+    for _ in range(DEFECTIVE_DRAWS):
         S = symplectic.random_symplectic(n, rng)
         N = rng.standard_normal((2 * n, 2 * n))
         N = N / np.linalg.norm(N, 2)
@@ -218,6 +223,7 @@ def random_defective(rng: np.random.Generator, n: int, lo: float, hi: float) -> 
         d = symplectic.defect(phi)
         if lo <= d <= hi and np.linalg.cond(phi) < 1e6:
             return phi
+    raise RuntimeError(f"no matrix with defect in [{lo}, {hi}] in {DEFECTIVE_DRAWS} draws")
 
 
 def decomposition_suite(rng: np.random.Generator, count: int) -> dict:

@@ -96,15 +96,16 @@ def standard_J(n: int) -> np.ndarray:
     return _standard_J(n).copy()
 
 
-def _as_even_matrix(A, what: str = "matrix") -> Tuple[np.ndarray, int]:
+def _as_even_matrix(A, what: str = "matrix", stacked: bool = False) -> Tuple[np.ndarray, int]:
+    """A as a float array of shape (2n, 2n), or (..., 2n, 2n) if stacked, and n."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or (A.ndim > 2 and not stacked) or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"{what} must be square, got shape {A.shape}")
-    if A.shape[0] % 2:
-        raise ValueError(f"{what} must have even dimension, got {A.shape[0]}")
-    if A.shape[0] == 0:
+    if A.shape[-1] % 2:
+        raise ValueError(f"{what} must have even dimension, got {A.shape[-1]}")
+    if A.shape[-1] == 0:
         raise ValueError("half-dimension n must be >= 1")
-    return A, A.shape[0] // 2
+    return A, A.shape[-1] // 2
 
 
 def omega0_covector(n: int) -> Covector:
@@ -171,11 +172,16 @@ def asymmetric_defect_map(eps: float, K: float, n: int = 2) -> np.ndarray:
 
 
 def defect(phi) -> float:
-    """Coefficient Euclidean norm of Phi^T J Phi - J."""
+    """Coefficient Euclidean norm of Phi^T J Phi - J; a ValueError when it is
+    not finite (the product overflows)."""
     phi, n = _as_even_matrix(phi)
     J = _standard_J(n)
-    M = phi.T @ J @ phi - J
-    return float(np.linalg.norm(M, "fro") / math.sqrt(2.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = phi.T @ J @ phi - J
+        value = float(np.linalg.norm(M, "fro") / math.sqrt(2.0))
+    if not math.isfinite(value):
+        raise ValueError("Phi^T J Phi - J overflows: the defect is not finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -335,36 +341,47 @@ def standard_form(w) -> StandardForm:
 
 
 class _Conditioning(NamedTuple):
-    svals: np.ndarray   # descending
-    cond: float
-    singular: bool      # sigma_min <= SINGULAR_RTOL * sigma_max
+    """Per matrix of a stack (..., m, m); 0-d fields for a single matrix."""
+
+    svals: np.ndarray     # descending along the last axis
+    cond: np.ndarray
+    singular: np.ndarray  # sigma_min <= SINGULAR_RTOL * sigma_max
+
+    def at(self, index) -> "_Conditioning":
+        return _Conditioning(self.svals[index], self.cond[index], self.singular[index])
 
     def require_nonsingular(self, what: str) -> np.ndarray:
-        if self.singular:
-            raise ValueError(f"singular {what} (condition number {self.cond:.3e})")
+        """The singular values; a ValueError naming the first singular matrix."""
+        bad = np.flatnonzero(self.singular)
+        if bad.size:
+            raise ValueError(f"singular {what} (condition number {self.cond.flat[bad[0]]:.3e})")
         return self.svals
 
 
 def _conditioning(A: np.ndarray) -> _Conditioning:
-    """Singular values and condition number of A, and whether A counts as
-    singular at SINGULAR_RTOL."""
+    """Singular values and condition number of A, or of each matrix of a
+    stack, and whether it counts as singular at SINGULAR_RTOL."""
     svals = np.linalg.svd(A, compute_uv=False)
-    cond = math.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
-    singular = bool(svals[0] == 0.0 or svals[-1] <= SINGULAR_RTOL * svals[0])
+    top, low = svals[..., 0], svals[..., -1]
+    cond = np.divide(top, low, out=np.full_like(top, np.inf), where=low != 0.0)
+    singular = (top == 0.0) | (low <= SINGULAR_RTOL * top)
     return _Conditioning(svals, cond, singular)
 
 
 def symplectic_spectrum(A) -> np.ndarray:
     """Ascending tuple (r_1, ..., r_n) with r_j^2 the absolute eigenvalue pairs
-    of A^T J A; r_1 is the linear symplectic width of the ellipsoid A B_1."""
-    A, n = _as_even_matrix(A)
+    of A^T J A; r_1 is the linear symplectic width of the ellipsoid A B_1.
+
+    A stack of shape (..., 2n, 2n) gives the spectra stacked the same way.
+    """
+    A, n = _as_even_matrix(A, stacked=True)
     _conditioning(A).require_nonsingular("matrix")
-    M = A.T @ _standard_J(n) @ A
+    M = A.swapaxes(-1, -2) @ _standard_J(n) @ A
     S = -(M @ M)
-    S = (S + S.T) / 2.0
+    S = (S + S.swapaxes(-1, -2)) / 2.0
     evals = np.linalg.eigvalsh(S)
     alpha = np.sqrt(np.clip(evals, 0.0, None))
-    paired = (alpha[0::2] + alpha[1::2]) / 2.0
+    paired = (alpha[..., 0::2] + alpha[..., 1::2]) / 2.0
     return np.sqrt(paired)
 
 
@@ -395,6 +412,7 @@ class LambdaMuReport:
 def lambda_mu_invariants(phi) -> LambdaMuReport:
     phi, n = _as_even_matrix(phi)
     _, cond, singular = _conditioning(phi)
+    cond = float(cond)
     empty = np.zeros(0)
     if singular:
         return LambdaMuReport(empty, empty, empty.astype(int), "singular", cond, None)
@@ -426,7 +444,13 @@ def defect_decomposition_check(phi) -> DecompositionCheck:
     rep = lambda_mu_invariants(phi)
     if rep.classification == "singular":
         raise ValueError(f"singular matrix (condition number {rep.condition:.3e})")
-    lhs = defect(phi) ** 2
+    return _decomposition_identity(n, defect(phi), rep)
+
+
+def _decomposition_identity(n: int, dft: float, rep: LambdaMuReport) -> DecompositionCheck:
+    """The decomposition check from a map's defect and its nonsingular
+    lambda/mu invariants."""
+    lhs = dft**2
     lam2 = rep.lambdas**2
     mu2 = rep.mus**2
     rhs = float(np.sum((lam2 - rep.signs * mu2) ** 2) + n - np.sum(mu2**2))
@@ -480,16 +504,25 @@ class SqueezeParams:
     e_A: Optional[float]
 
 
+def _squeeze_bounds(svals: np.ndarray, rho_val: float) -> Tuple[np.ndarray, ...]:
+    """r_A, inv_norm, s_A and e_A (NaN where undefined) of SqueezeParams from
+    the singular values of A, or of each matrix of a stack, descending along
+    the last axis."""
+    r_A = svals[..., 0]
+    inv_norm = 1.0 / svals[..., -1]
+    q = inv_norm * (1.0 / rho_val - 1.0) * r_A
+    s_A = 1.0 / (1.0 + q)
+    e_A = np.divide(1.0, 1.0 - q, out=np.full_like(q, np.nan), where=q < 1.0)
+    return r_A, inv_norm, s_A, e_A
+
+
 def squeezing_params(A, eps: float, linear_case: bool = True) -> SqueezeParams:
     A, n = _as_even_matrix(A, "ellipsoid matrix")
     svals = _conditioning(A).require_nonsingular("ellipsoid matrix")
     rho_val = _width_rho(eps, n, linear_case)
-    r_A = float(svals[0])
-    inv_norm = float(1.0 / svals[-1])
-    q = inv_norm * (1.0 / rho_val - 1.0) * r_A
-    s_A = 1.0 / (1.0 + q)
-    e_A = 1.0 / (1.0 - q) if q < 1.0 else None
-    return SqueezeParams(r_A, inv_norm, rho_val, s_A, e_A)
+    r_A, inv_norm, s_A, e_A = _squeeze_bounds(svals, rho_val)
+    e_A = float(e_A)
+    return SqueezeParams(float(r_A), float(inv_norm), rho_val, float(s_A), None if math.isnan(e_A) else e_A)
 
 
 @dataclass
@@ -519,18 +552,39 @@ class CertificateReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-_Width = Tuple[np.ndarray, SqueezeParams, float, float]
+# One row per ellipsoid A: A as nested lists, the linear symplectic widths
+# r1 of A B_1 and R1 of phi(A B_1), and s_A and e_A (None where undefined).
+_Width = Tuple[list, float, float, float, Optional[float]]
+
+
+def _width_table(phi: np.ndarray, rho_val: float, ellipsoids: Sequence) -> List[_Width]:
+    """The widths of a batch of ellipsoids, computed on the stack of them."""
+    dim = phi.shape[0]
+    mats = [np.asarray(A, dtype=float) for A in ellipsoids]
+    for i, A in enumerate(mats):
+        if A.shape != (dim, dim):
+            raise ValueError(f"ellipsoid {i} has shape {A.shape}, expected ({dim}, {dim})")
+    stack = np.array(mats).reshape(len(mats), dim, dim)
+    image = phi @ stack
+    own, img = _conditioning(stack), _conditioning(image)
+    # Fail as a loop over the batch would: at the first ellipsoid with a
+    # singular A or phi A, checking A first.
+    first = np.flatnonzero(own.singular | img.singular)[:1]
+    own.at(first).require_nonsingular("ellipsoid matrix")
+    img.at(first).require_nonsingular("matrix")
+    r1 = symplectic_spectrum(stack)[:, 0]
+    R1 = symplectic_spectrum(image)[:, 0]
+    _, _, s_A, e_A = _squeeze_bounds(own.svals, rho_val)
+    e_A = [None if math.isnan(e) else e for e in e_A.tolist()]
+    return list(zip(stack.tolist(), r1.tolist(), R1.tolist(), s_A.tolist(), e_A))
 
 
 def _width_certificate(
     phi, eps: float, ellipsoids: Sequence, kind: str, linear_case: bool
-) -> Tuple[np.ndarray, CertificateReport, Optional[Iterator[_Width]]]:
-    """Report shell of a width or capacity check, and the widths it certifies.
-
-    The widths are (A, squeezing_params, r1, R1) per ellipsoid A, with r1 and
-    R1 the linear symplectic widths of A B_1 and of phi(A B_1).  A singular phi
-    fails unconditionally (arbitrarily thin image ellipsoids): its report is
-    final and there are no widths.
+) -> Tuple[np.ndarray, CertificateReport, Optional[List[_Width]]]:
+    """Report shell of a width or capacity check, and the width table it
+    certifies.  A singular phi fails unconditionally (arbitrarily thin image
+    ellipsoids): its report is final and there is no table.
     """
     phi, n = _as_even_matrix(phi)
     singular = _conditioning(phi).singular
@@ -539,16 +593,7 @@ def _width_certificate(
         report.passed = False
         report.note = "singular map: fails unconditionally (arbitrarily thin image ellipsoids)"
         return phi, report, None
-
-    def widths() -> Iterator[_Width]:
-        for A in ellipsoids:
-            A = np.asarray(A, dtype=float)
-            params = squeezing_params(A, eps, linear_case)
-            r1 = float(symplectic_spectrum(A)[0])
-            R1 = float(symplectic_spectrum(phi @ A)[0])
-            yield A, params, r1, R1
-
-    return phi, report, widths()
+    return phi, report, _width_table(phi, report.rho, ellipsoids)
 
 
 def check_eps_nonsqueezing(
@@ -562,16 +607,16 @@ def check_eps_nonsqueezing(
     phi, report, widths = _width_certificate(phi, eps, ellipsoids, "nonsqueezing", linear_case)
     if widths is None:
         return report
-    for i, (A, params, r1, R1) in enumerate(widths):
-        margin = R1 - params.s_A * r1
+    for i, (A, r1, R1, s_A, _) in enumerate(widths):
+        margin = R1 - s_A * r1
         ok = margin >= -CERT_TOL
         report.records.append(
             {
                 "index": i,
-                "A": A.tolist(),
+                "A": A,
                 "r1": r1,
                 "R1": R1,
-                "s_A": params.s_A,
+                "s_A": s_A,
                 "margin": margin,
                 "pass": bool(ok),
             }
@@ -593,25 +638,26 @@ def check_eps_nonexpanding(
     phi, report, widths = _width_certificate(phi, eps, ellipsoids, "nonexpanding", linear_case)
     if widths is None:
         return report
-    for i, (A, params, r1, R1) in enumerate(widths):
+    for i, (A, r1, R1, _, e_A) in enumerate(widths):
         record = {
             "index": i,
-            "A": A.tolist(),
+            "A": A,
             "r1": r1,
             "R1": R1,
-            "e_A": params.e_A,
+            "e_A": e_A,
         }
-        if params.e_A is None:
+        if e_A is None:
             record.update({"skipped": True, "pass": True, "margin": None})
         else:
-            margin = params.e_A * r1 - R1
+            margin = e_A * r1 - R1
             ok = margin >= -CERT_TOL
             record.update({"skipped": False, "pass": bool(ok), "margin": margin})
             report.passed = report.passed and ok
         report.records.append(record)
-    eye = np.eye(phi.shape[0])
-    for r in ball_radii:
-        width = float(symplectic_spectrum(phi @ (r * eye))[0])
+    radii = list(ball_radii)
+    balls = np.multiply.outer(np.asarray(radii, dtype=float), np.eye(phi.shape[0]))
+    ball_widths = symplectic_spectrum(phi @ balls)[:, 0].tolist()
+    for r, width in zip(radii, ball_widths):
         margin = r / report.rho - width
         ok = margin >= -CERT_TOL
         report.ball_checks.append(
@@ -632,24 +678,24 @@ def capacity_preservation_check(
     phi, report, widths = _width_certificate(phi, eps, ellipsoids, "capacity", linear_case)
     if widths is None:
         return report
-    for i, (A, params, r1, R1) in enumerate(widths):
+    for i, (A, r1, R1, s_A, e_A) in enumerate(widths):
         cap = math.pi * r1**2
         cap_img = math.pi * R1**2
-        lower_margin = cap_img - params.s_A**2 * cap
+        lower_margin = cap_img - s_A**2 * cap
         lower_ok = lower_margin >= -CERT_TOL
         record = {
             "index": i,
-            "A": A.tolist(),
+            "A": A,
             "capacity": cap,
             "image_capacity": cap_img,
-            "s_A": params.s_A,
-            "e_A": params.e_A,
+            "s_A": s_A,
+            "e_A": e_A,
             "lower_margin": lower_margin,
             "lower_pass": bool(lower_ok),
         }
         ok = lower_ok
-        if params.e_A is not None:
-            upper_margin = params.e_A**2 * cap - cap_img
+        if e_A is not None:
+            upper_margin = e_A**2 * cap - cap_img
             upper_ok = upper_margin >= -CERT_TOL
             record.update({"upper_margin": upper_margin, "upper_pass": bool(upper_ok)})
             ok = ok and upper_ok
@@ -889,6 +935,14 @@ def random_eps_symplectic(n: int, eps: float, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(A: np.ndarray) -> np.ndarray:
+    bad = np.argwhere(~np.isfinite(A))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"non-finite entry {float(A[r, c])} at row {r + 1}, column {c + 1}")
+    return A
+
+
 def parse_matrix_text(text: str) -> np.ndarray:
     """Parse the text format: a header line ``n <int>`` followed by 2n rows
     of 2n whitespace-separated floats."""
@@ -913,7 +967,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
         if len(values) != dim:
             raise ValueError(f"expected {dim} entries per row, got {len(values)}")
         rows.append(values)
-    return np.array(rows)
+    return _require_finite(np.array(rows))
 
 
 def format_matrix_text(A) -> str:
@@ -936,7 +990,7 @@ def matrix_from_json_dict(data) -> np.ndarray:
     A = np.array(data["rows"], dtype=float)
     if A.shape != (2 * n, 2 * n):
         raise ValueError(f"rows have shape {A.shape}, expected ({2*n}, {2*n})")
-    return A
+    return _require_finite(A)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -73,6 +73,47 @@ def test_analyze_malformed_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["certify", "--eps", "0.1"]])
+def test_overflowing_map_is_refused(capsys, tmp_path, command):
+    path = tmp_path / "huge.txt"
+    path.write_text("n 1\n1e308 0\n0 1e308\n")
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
+    assert "Warning" not in err
+
+
+def test_non_finite_entry_is_refused(capsys, tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("n 1\n1 0\nnan 1\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert "non-finite entry nan at row 2, column 1" in err
+
+
+def test_emit_refuses_non_finite_json():
+    with pytest.raises(ValueError):
+        cli._emit({"defect": float("inf")}, [])
+
+
+def test_analyze_builds_the_standard_form_once(capsys, fixture_file, monkeypatch):
+    calls = {"standard_form": 0, "defect": 0}
+    for name in calls:
+        original = getattr(sy, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(sy, name, counted)
+    code, out, _ = run_cli(capsys, "analyze", fixture_file)
+    assert code == 0
+    assert json.loads(out)["decomposition"]["rel_error"] <= 1e-8
+    assert calls == {"standard_form": 1, "defect": 1}
+
+
 def test_certify_symplectic_passes(capsys, tmp_path):
     rng = np.random.default_rng(2)
     path = tmp_path / "symp.txt"

@@ -13,3 +13,8 @@ def test_moser_suite_redraws_plane_scaling_past_the_defect_limit(seed):
     result = suite.moser_suite(rng, suite.SCALES["smoke"]["moser_maps"])
     assert result["passed"] is True
     assert result["plane_scaling_error"] <= 1e-6
+
+
+def test_random_defective_gives_up_on_an_empty_window():
+    with pytest.raises(RuntimeError, match=f"in {suite.DEFECTIVE_DRAWS} draws"):
+        suite.random_defective(np.random.default_rng(0), 1, 0.5, 0.4)

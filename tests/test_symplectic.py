@@ -472,3 +472,100 @@ def test_matrix_text_parse_errors():
         sy.parse_matrix_text("n 1\n1 0\n0 1 0\n")
     with pytest.raises(ValueError, match="empty"):
         sy.parse_matrix_text("")
+
+
+# -- the stacked width table ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_spectrum_equals_per_slice_calls(n):
+    rng = np.random.default_rng(70 + n)
+    stack = np.array([random_ellipsoid(rng, n) for _ in range(6)])
+    spectra = sy.symplectic_spectrum(stack)
+    assert spectra.shape == (6, n)
+    for A, row in zip(stack, spectra):
+        assert np.array_equal(sy.symplectic_spectrum(A), row)
+    grid = sy.symplectic_spectrum(stack.reshape(2, 3, 2 * n, 2 * n))
+    assert np.array_equal(grid.reshape(6, n), spectra)
+    assert sy.symplectic_spectrum(stack[:0]).shape == (0, n)
+
+
+def test_stacked_spectrum_names_the_first_singular_matrix():
+    stack = np.array([np.eye(4), np.diag([1.0, 1.0, 1e-13, 1.0]), np.zeros((4, 4))])
+    with pytest.raises(ValueError) as exc:
+        sy.symplectic_spectrum(stack)
+    assert str(exc.value) == "singular matrix (condition number 1.000e+13)"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("size", [0, 1, 9])
+def test_certificate_widths_equal_per_ellipsoid_calls(n, size):
+    rng = np.random.default_rng(80 + 10 * n + size)
+    phi = sy.random_eps_symplectic(n, 0.1, seed=n)
+    batch = [random_ellipsoid(rng, n) for _ in range(size)]
+    if size > 1:
+        batch[1] = np.diag(np.linspace(0.05, 1.0, 2 * n))  # thin: e_A undefined
+    eps_prime = math.sqrt(2.0) * 0.1
+    sq = sy.check_eps_nonsqueezing(phi, eps_prime, batch)
+    ex = sy.check_eps_nonexpanding(phi, eps_prime, batch)
+    cap = sy.capacity_preservation_check(phi, eps_prime, batch)
+    assert len(sq.records) == len(ex.records) == len(cap.records) == size
+    undefined = 0
+    for A, rs, rx, rc in zip(batch, sq.records, ex.records, cap.records):
+        params = sy.squeezing_params(A, eps_prime)
+        r1 = float(sy.symplectic_spectrum(A)[0])
+        R1 = float(sy.symplectic_spectrum(phi @ A)[0])
+        assert rs["A"] == rx["A"] == rc["A"] == A.tolist()
+        assert (rs["r1"], rs["R1"], rs["s_A"]) == (r1, R1, params.s_A)
+        assert (rx["r1"], rx["R1"], rx["e_A"]) == (r1, R1, params.e_A)
+        assert (rc["capacity"], rc["image_capacity"]) == (math.pi * r1**2, math.pi * R1**2)
+        assert (rc["s_A"], rc["e_A"]) == (params.s_A, params.e_A)
+        undefined += params.e_A is None
+    assert undefined == (1 if size > 1 else 0)
+
+
+def test_ball_clause_widths_equal_per_radius_calls():
+    phi = sy.random_eps_symplectic(2, 0.1, seed=3)
+    for radii in ((0.5, 1.0, 2.0), (1, 3), ()):
+        report = sy.check_eps_nonexpanding(phi, 0.1, [np.eye(4)], ball_radii=radii)
+        assert [b["radius"] for b in report.ball_checks] == list(radii)
+        for r, ball in zip(radii, report.ball_checks):
+            assert ball["image_width"] == float(sy.symplectic_spectrum(phi @ (r * np.eye(4)))[0])
+
+
+def test_certificates_name_the_first_singular_ellipsoid():
+    batch = [np.eye(4)] * 3 + [np.diag([1.0, 1.0, 1e-13, 1.0]), np.zeros((4, 4))]
+    for checker in (sy.check_eps_nonsqueezing, sy.check_eps_nonexpanding, sy.capacity_preservation_check):
+        with pytest.raises(ValueError) as exc:
+            checker(np.eye(4), 0.1, batch)
+        assert str(exc.value) == "singular ellipsoid matrix (condition number 1.000e+13)"
+    # phi A singular (condition 1e14) before any singular A
+    phi = np.diag([1e7, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError) as exc:
+        sy.check_eps_nonsqueezing(phi, 0.1, [np.eye(4), phi, np.zeros((4, 4))])
+    assert str(exc.value) == "singular matrix (condition number 1.000e+14)"
+
+
+def test_certificates_name_a_misshapen_ellipsoid():
+    batch = [np.eye(4), np.eye(4), np.eye(2)]
+    for checker in (sy.check_eps_nonsqueezing, sy.check_eps_nonexpanding, sy.capacity_preservation_check):
+        with pytest.raises(ValueError, match=r"ellipsoid 2 has shape \(2, 2\), expected \(4, 4\)"):
+            checker(np.eye(4), 0.1, batch)
+
+
+# -- finite or refused ---------------------------------------------------------
+
+
+def test_defect_refuses_overflow():
+    # entries overflow in Phi^T J Phi, and (at 1e100) in the norm of a finite difference
+    for scale in (1e308, 1e100):
+        with pytest.raises(ValueError, match="overflows"):
+            sy.defect(scale * np.eye(2))
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+def test_parse_rejects_non_finite_entries(token):
+    with pytest.raises(ValueError, match=r"non-finite entry .* at row 2, column 1"):
+        sy.parse_matrix_text(f"n 1\n1 0\n{token} 1\n")
+    with pytest.raises(ValueError, match=r"non-finite entry .* at row 1, column 2"):
+        sy.matrix_from_json_dict({"n": 1, "rows": [[1.0, float(token)], [0.0, 1.0]]})
