@@ -199,8 +199,11 @@ def cmd_bounds(args) -> int:
         raise InputError(f"--eps must lie in [0, {threshold:.6f}), got {args.eps}")
     z0_bisect, z0_closed = symplectic.cubic_z0()
     rho_def = math.sqrt(1.0 - args.eps)
-    eye = np.eye(2 * args.n)
-    params = symplectic.squeezing_params(eye, args.eps)
+    # squeezing_params of the identity, whose singular values are exactly 1:
+    # no 2n x 2n matrix, so any n is answered in constant memory.
+    rho_I = symplectic._width_rho(args.eps, args.n, linear_case=True)
+    _, _, s_I, e_I = (float(v) for v in symplectic._squeeze_bounds(np.ones(1), rho_I))
+    e_I = None if math.isnan(e_I) else e_I
     report = {
         "command": "bounds",
         "inputs": {"sha256": _sha256_params(f"bounds eps={args.eps!r} n={args.n}")},
@@ -212,8 +215,8 @@ def cmd_bounds(args) -> int:
         "z0_bisect": z0_bisect,
         "threshold": threshold,
         "c_rho": symplectic.c_rho(rho_def),
-        "s_I": params.s_A,
-        "e_I": params.e_A,
+        "s_I": s_I,
+        "e_I": e_I,
         "K": symplectic.rigidity_bound(args.eps, args.n),
     }
     human = [
@@ -222,7 +225,7 @@ def cmd_bounds(args) -> int:
         f"z0                               {z0_closed:.12f}",
         f"width threshold 1 - z0^2         {threshold:.12f}",
         f"c_rho at rho=sqrt(1-eps)         {report['c_rho']:.12f}",
-        f"s_I, e_I                         {params.s_A:.9f}, {params.e_A if params.e_A is not None else 'undefined'}",
+        f"s_I, e_I                         {s_I:.9f}, {e_I if e_I is not None else 'undefined'}",
         f"K(eps)                           {report['K']:.9f}",
     ]
     _emit(report, human, args.format, args.out, t0)

@@ -76,17 +76,27 @@ def _flow_field_grid(M: np.ndarray, J: np.ndarray, n_steps: int) -> np.ndarray:
 
 
 def _integrate_matrix_flow(M: np.ndarray, J: np.ndarray, n_steps: int) -> np.ndarray:
+    """Y(1) of Y' = C(t) Y, Y(0) = I, by n_steps classical RK4 steps.
+
+    The field is linear, so step i is the fixed matrix I + D_i: its stages run
+    on Y = I, for all steps at once.  The steps are then multiplied in time
+    order by pairing neighbours, (I + A)(I + B) = I + (A + B + A B) with A the
+    later one, in about log2(n_steps) stacked levels.  Carrying the increments
+    D rather than I + D spares their small entries a rounding against the unit
+    diagonal.
+    """
     C = _flow_field_grid(M, J, n_steps)
     h = 1.0 / n_steps
-    Y = np.eye(M.shape[0])
-    for i in range(n_steps):
-        c0, cm, c1 = C[2 * i], C[2 * i + 1], C[2 * i + 2]
-        k1 = c0 @ Y
-        k2 = cm @ (Y + (0.5 * h) * k1)
-        k3 = cm @ (Y + (0.5 * h) * k2)
-        k4 = c1 @ (Y + h * k3)
-        Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return Y
+    c0, cm, c1 = C[0:-1:2], C[1::2], C[2::2]
+    k2 = cm + (0.5 * h) * (cm @ c0)
+    k3 = cm + (0.5 * h) * (cm @ k2)
+    k4 = c1 + h * (c1 @ k3)
+    D = (h / 6.0) * (c0 + 2.0 * k2 + 2.0 * k3 + k4)
+    while len(D) > 1:
+        even = len(D) - len(D) % 2
+        earlier, later = D[0:even:2], D[1:even:2]
+        D = np.concatenate([later + earlier + later @ earlier, D[even:]])
+    return np.eye(M.shape[0]) + D[0]
 
 
 @dataclass
@@ -141,6 +151,7 @@ class SymplectifyReport:
             "sandwich_ok": bool(self.sandwich_ok),
             "steps": self.steps,
             "step_size": self.config.step_size,
+            "effective_step": 1.0 / self.steps,
             "method": self.config.method,
             "max_defect_tol": self.config.max_defect_tol,
             "passed": self.passed,

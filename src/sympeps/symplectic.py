@@ -374,9 +374,15 @@ def symplectic_spectrum(A) -> np.ndarray:
 
     A stack of shape (..., 2n, 2n) gives the spectra stacked the same way.
     """
-    A, n = _as_even_matrix(A, stacked=True)
+    A, _ = _as_even_matrix(A, stacked=True)
     _conditioning(A).require_nonsingular("matrix")
-    M = A.swapaxes(-1, -2) @ _standard_J(n) @ A
+    return _spectrum(A)
+
+
+def _spectrum(A: np.ndarray) -> np.ndarray:
+    """symplectic_spectrum of A, or of each matrix of a stack, without the
+    singularity check: for callers that hold the conditioning already."""
+    M = A.swapaxes(-1, -2) @ _standard_J(A.shape[-1] // 2) @ A
     S = -(M @ M)
     S = (S + S.swapaxes(-1, -2)) / 2.0
     evals = np.linalg.eigvalsh(S)
@@ -572,8 +578,8 @@ def _width_table(phi: np.ndarray, rho_val: float, ellipsoids: Sequence) -> List[
     first = np.flatnonzero(own.singular | img.singular)[:1]
     own.at(first).require_nonsingular("ellipsoid matrix")
     img.at(first).require_nonsingular("matrix")
-    r1 = symplectic_spectrum(stack)[:, 0]
-    R1 = symplectic_spectrum(image)[:, 0]
+    r1 = _spectrum(stack)[:, 0]
+    R1 = _spectrum(image)[:, 0]
     _, _, s_A, e_A = _squeeze_bounds(own.svals, rho_val)
     e_A = [None if math.isnan(e) else e for e in e_A.tolist()]
     return list(zip(stack.tolist(), r1.tolist(), R1.tolist(), s_A.tolist(), e_A))

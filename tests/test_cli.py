@@ -178,6 +178,18 @@ def test_symplectify_plane_scaling(capsys, tmp_path):
     np.testing.assert_allclose(psi, sy.plane_scaling([1 / 0.9, 1 / 1.1]), atol=1e-6)
 
 
+def test_symplectify_reports_the_effective_step(capsys, identity_file, tmp_path):
+    psi_path = str(tmp_path / "psi.txt")
+    code, out, _ = run_cli(
+        capsys, "symplectify", identity_file, "--eps", "0", "--step", "0.003", "--out", psi_path
+    )
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["steps"] == 333
+    assert report["step_size"] == 0.003
+    assert report["effective_step"] == 1.0 / 333
+
+
 def test_symplectify_rejects_defect_above_eps(capsys, fixture_file):
     code, _, err = run_cli(capsys, "symplectify", fixture_file, "--eps", "0.01")
     assert code == 1
@@ -200,6 +212,24 @@ def test_bounds_worked_values(capsys):
     report = json.loads(out)
     assert report["rho_nonlinear"] == pytest.approx(0.7372, abs=1e-4)
     assert report["z0"] == pytest.approx(0.894, abs=5e-4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bounds_identity_params_match_squeezing_params(capsys, n):
+    code, out, _ = run_cli(capsys, "bounds", "--eps", "0.15", "--n", str(n))
+    assert code == 0
+    report = json.loads(out)
+    params = sy.squeezing_params(np.eye(2 * n), 0.15)
+    assert (report["s_I"], report["e_I"]) == (params.s_A, params.e_A)
+
+
+def test_bounds_huge_n_is_answered_without_a_matrix(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--eps", "0.1", "--n", "1000000000000")
+    assert code == 0
+    report = json.loads(out)
+    assert report["n"] == 10**12
+    numbers = [v for v in report.values() if isinstance(v, float)]
+    assert numbers and all(np.isfinite(numbers))
 
 
 def test_bounds_eps_above_threshold(capsys):

@@ -100,6 +100,45 @@ def test_step_halving_is_fourth_order():
     assert abs(ratio - 16.0) <= 2.0
 
 
+def _rk4_reference_flow(M, J, n_steps):
+    """Stage-by-stage classical RK4 for Y' = C(t) Y, one step at a time."""
+    C = mo._flow_field_grid(M, J, n_steps)
+    h = 1.0 / n_steps
+    Y = np.eye(M.shape[0])
+    for i in range(n_steps):
+        c0, cm, c1 = C[2 * i], C[2 * i + 1], C[2 * i + 2]
+        k1 = c0 @ Y
+        k2 = cm @ (Y + (0.5 * h) * k1)
+        k3 = cm @ (Y + (0.5 * h) * k2)
+        k4 = c1 @ (Y + h * k3)
+        Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return Y
+
+
+def _defect_matrix(n, eps, seed):
+    phi = sy.random_eps_symplectic(n, eps, seed=seed)
+    J = sy.standard_J(n)
+    return phi, phi.T @ J @ phi - J, J
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_flow_matches_stepwise_rk4(n):
+    for seed, eps in enumerate((0.0, 0.05, 0.3, 0.6, 0.68)):
+        _, M, J = _defect_matrix(n, eps, seed)
+        for n_steps in (1, 2, 3, 7, 100, 101, 333, 1000):
+            stacked = mo._integrate_matrix_flow(M, J, n_steps)
+            reference = _rk4_reference_flow(M, J, n_steps)
+            assert np.max(np.abs(stacked - reference)) <= 1e-13, (eps, n_steps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_flow_residual_defect(n):
+    for seed, eps in enumerate((0.0, 0.1, 0.3, 0.45, 0.6)):
+        phi, M, J = _defect_matrix(n, eps, 100 + seed)
+        psi = mo._integrate_matrix_flow(M, J, mo.FlowConfig().n_steps)
+        assert sy.defect(phi @ psi) <= 1e-13, eps
+
+
 def test_report_serializes():
     rep = mo.symplectify(np.eye(4), 0.0)
     data = rep.to_dict()
