@@ -66,6 +66,8 @@ class InputError(Exception):
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
+    if args.eps is not None and not math.isfinite(args.eps):
+        raise InputError(f"--eps must be finite, got {args.eps}")
     phi = _load_matrix_or_exit(args.matrix)
     dim = phi.shape[0]
     n = dim // 2
@@ -164,12 +166,11 @@ def cmd_certify(args) -> int:
 def cmd_symplectify(args) -> int:
     t0 = time.perf_counter()
     phi = _load_matrix_or_exit(args.matrix)
-    dft = symplectic.defect(phi)
-    if dft > args.eps + 1e-12:
-        sys.stderr.write(f"defect {dft:.6e} exceeds eps {args.eps:.6e}\n")
+    try:
+        rep = moser.symplectify(phi, args.eps, moser.FlowConfig(step_size=args.step))
+    except moser.DefectAboveBudget as exc:
+        sys.stderr.write(f"{exc}\n")
         return 1
-    config = moser.FlowConfig(step_size=args.step)
-    rep = moser.symplectify(phi, args.eps, config)
     psi_path = args.out or (args.matrix + ".psi.txt")
     symplectic.save_matrix(psi_path, rep.psi)
     report = {
@@ -180,7 +181,7 @@ def cmd_symplectify(args) -> int:
     }
     human = [
         f"input defect     {rep.input_defect:.6e}",
-        f"residual defect  {rep.residual_defect:.6e}  (tol {config.max_defect_tol:g})",
+        f"residual defect  {rep.residual_defect:.6e}  (tol {moser.MAX_DEFECT_TOL:g})",
         f"displacement     {rep.displacement:.6e}  <=  {rep.displacement_bound:.6e}",
         f"singular values  [{rep.sv_min:.9f}, {rep.sv_max:.9f}]  within  [{rep.rho:.9f}, {1/rep.rho:.9f}]",
         f"psi written to   {psi_path}",
@@ -257,9 +258,14 @@ def cmd_homotopy(args) -> int:
             with open(args.points, "r", encoding="utf-8") as fh:
                 pts = json.load(fh)
             pts = [np.asarray(p, dtype=float) for p in pts]
+            for i, p in enumerate(pts, start=1):
+                bad = np.flatnonzero(~np.isfinite(p))
+                if bad.size:
+                    raise ValueError(f"non-finite entry {p.flat[bad[0]]} at point {i}, coordinate {bad[0] + 1}")
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read points file {args.points!r}: {exc}") from exc
-        radius = max(float(np.linalg.norm(p)) for p in pts) if pts else 1.0
+        with np.errstate(over="ignore"):  # h_bound_check names a point whose norm overflows
+            radius = max(float(np.linalg.norm(p)) for p in pts) if pts else 1.0
         bound_rep = polyform.h_bound_check(form, pts, s=radius)
         report["bounds"] = bound_rep.to_dict()
         human.append(f"norm bounds at {len(pts)} points: {'PASS' if bound_rep.passed else 'FAIL'}")

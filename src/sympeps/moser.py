@@ -25,6 +25,12 @@ from .polyform import Poly, PolyForm, poly_diff, poly_var
 from .symplectic import EPS_LIMIT, _as_even_matrix, _standard_J, defect
 
 BOUND_TOL = 1e-6
+METHOD = "rk4-classical"
+MAX_DEFECT_TOL = 1e-6  # bound on the residual defect of phi @ psi
+
+
+class DefectAboveBudget(ValueError):
+    """The map's defect exceeds the budget eps: a verdict, not an input error."""
 
 
 @dataclass(frozen=True)
@@ -32,16 +38,10 @@ class FlowConfig:
     """Fixed-step integrator settings for the correction flow."""
 
     step_size: float = 1e-3
-    method: str = "rk4-classical"
-    max_defect_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if not 0.0 < self.step_size <= 1e-2:
             raise ValueError(f"step size must lie in (0, 1e-2], got {self.step_size}")
-        if self.method != "rk4-classical":
-            raise ValueError(f"unsupported method {self.method!r}")
-        if self.max_defect_tol <= 0:
-            raise ValueError("max_defect_tol must be positive")
 
     @property
     def n_steps(self) -> int:
@@ -152,8 +152,8 @@ class SymplectifyReport:
             "steps": self.steps,
             "step_size": self.config.step_size,
             "effective_step": 1.0 / self.steps,
-            "method": self.config.method,
-            "max_defect_tol": self.config.max_defect_tol,
+            "method": METHOD,
+            "max_defect_tol": MAX_DEFECT_TOL,
             "passed": self.passed,
         }
 
@@ -165,17 +165,18 @@ def symplectify(
 ) -> SymplectifyReport:
     """Integrate the correction flow and verify its bounds.
 
-    Requires defect(phi) <= eps < 1/sqrt(2).  Returns psi = Y(1) of the matrix
-    ODE Y' = C(t) Y, Y(0) = I, with the residual defect of phi @ psi and the
-    displacement / sandwich margins at tolerance 1e-6.
+    Requires defect(phi) <= eps (else DefectAboveBudget) and eps < 1/sqrt(2).
+    Returns psi = Y(1) of the matrix ODE Y' = C(t) Y, Y(0) = I, with the
+    residual defect of phi @ psi and the displacement / sandwich margins at
+    tolerance 1e-6.
     """
     config = config or FlowConfig()
     phi, n = _as_even_matrix(phi)
     d0 = defect(phi)
+    if d0 > eps + 1e-12:
+        raise DefectAboveBudget(f"defect {d0:.6e} exceeds eps {eps:.6e}")
     if not eps < EPS_LIMIT:
         raise ValueError(f"eps must be < 1/sqrt(2), got {eps}")
-    if d0 > eps + 1e-12:
-        raise ValueError(f"defect {d0:.6e} exceeds eps {eps:.6e}")
     J = _standard_J(n)
     M = phi.T @ J @ phi - J
     psi = _integrate_matrix_flow(M, J, config.n_steps)
@@ -194,7 +195,7 @@ def symplectify(
         rho=rho_val,
         input_defect=d0,
         residual_defect=residual,
-        residual_ok=residual <= config.max_defect_tol,
+        residual_ok=residual <= MAX_DEFECT_TOL,
         displacement=displacement,
         displacement_bound=disp_bound,
         displacement_margin=disp_margin,
@@ -289,62 +290,6 @@ def omega0_polyform(n: int) -> PolyForm:
     return PolyForm(m, 2, terms)
 
 
-class _CompiledForm:
-    """Monomial table of a polynomial form for fast repeated evaluation."""
-
-    def __init__(self, form: PolyForm):
-        self.indices: List[Tuple[int, ...]] = []
-        exps: List[Tuple[int, ...]] = []
-        coeffs: List[float] = []
-        seg: List[int] = []
-        for pos, (idx, poly) in enumerate(sorted(form.terms.items())):
-            self.indices.append(idx)
-            for e, c in poly.items():
-                exps.append(e)
-                coeffs.append(float(c))
-                seg.append(pos)
-        self.n_indices = len(self.indices)
-        self.exps = np.array(exps, dtype=float) if exps else np.zeros((0, form.m))
-        self.coeffs = np.array(coeffs)
-        self.seg = np.array(seg, dtype=int)
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        if self.n_indices == 0:
-            return np.zeros(0)
-        mono = self.coeffs * np.prod(x[None, :] ** self.exps, axis=1)
-        return np.bincount(self.seg, weights=mono, minlength=self.n_indices)
-
-
-class _CompiledTwoForm(_CompiledForm):
-    def __init__(self, form: PolyForm, dim: int):
-        super().__init__(form)
-        self.dim = dim
-        self.rows = np.array([idx[0] - 1 for idx in self.indices], dtype=int)
-        self.cols = np.array([idx[1] - 1 for idx in self.indices], dtype=int)
-
-    def matrix(self, x: np.ndarray) -> np.ndarray:
-        vals = self.values(x)
-        W = np.zeros((self.dim, self.dim))
-        W[self.cols, self.rows] = vals
-        W[self.rows, self.cols] = -vals
-        return W
-
-    def coeff_norm(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.values(x)))
-
-
-class _CompiledOneForm(_CompiledForm):
-    def __init__(self, form: PolyForm, dim: int):
-        super().__init__(form)
-        self.dim = dim
-        self.slots = np.array([idx[0] - 1 for idx in self.indices], dtype=int)
-
-    def vector(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.slots] = self.values(x)
-        return out
-
-
 @dataclass
 class PointwiseFlowReport:
     """Trajectories of the pointwise correction flow with radius/displacement margins."""
@@ -401,16 +346,22 @@ def symplectify_polynomial_pointwise(
     n = phi.m // 2
     J = _standard_J(n)
     beta = phi.pullback_omega0() - omega0_polyform(n)
-    sigma = pfm.h(beta) if not beta.is_zero() else PolyForm.zero(phi.m, 1)
-    beta_c = _CompiledTwoForm(beta, phi.m)
-    sigma_c = _CompiledOneForm(sigma, phi.m)
+    sigma = pfm.h(beta)
+    beta_table = pfm.MonomialTable(beta)
+    sigma_table = pfm.MonomialTable(sigma)
+    rows, cols = np.array(beta_table.indices, dtype=int).reshape(-1, 2).T - 1
+    slots = np.array(sigma_table.indices, dtype=int).reshape(-1) - 1
 
     def vector_field(t: float, x: np.ndarray) -> np.ndarray:
-        rhs = -sigma_c.vector(x)
+        rhs = np.zeros(phi.m)
+        rhs[slots] = -sigma_table.values(x[None, :])[0]
         if not rhs.any():
             return rhs
+        B = np.zeros((phi.m, phi.m))
+        B[cols, rows] = beta_table.values(x[None, :])[0]
+        B[rows, cols] = -B[cols, rows]
         try:
-            return np.linalg.solve(J + t * beta_c.matrix(x), rhs)
+            return np.linalg.solve(J + t * B, rhs)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"interpolated two-form degenerates at t={t}, x={x.tolist()}") from exc
 
@@ -438,9 +389,9 @@ def symplectify_polynomial_pointwise(
         x0 = np.asarray(point, dtype=float)
         if x0.shape != (phi.m,):
             raise ValueError(f"point dimension {x0.shape} does not match m={phi.m}")
-        local_defect = beta_c.coeff_norm(x0)
+        local_defect = float(beta_table.norms(x0[None, :])[0])
         if local_defect > eps + 1e-9:
-            raise ValueError(
+            raise DefectAboveBudget(
                 f"defect {local_defect:.6e} at point {x0.tolist()} exceeds eps {eps:.6e}"
             )
         traj = np.empty((n_steps + 1, phi.m))

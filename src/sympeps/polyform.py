@@ -8,8 +8,9 @@ p on a degree-k form by 1/(k + p).
 
 Polynomials are sparse dicts mapping exponent tuples (one entry per variable)
 to Fraction coefficients; zero terms are never stored, so dict equality is
-exact polynomial identity.  Floats enter only at the evaluation boundary and
-in the norm-bound checks.
+exact polynomial identity.  Floats enter in one place: a ``MonomialTable``
+evaluates a form at points, for ``evaluate``, the norm-bound checks and the
+pointwise Moser flow.
 """
 
 from __future__ import annotations
@@ -107,31 +108,6 @@ def poly_total_degree(a: Poly) -> int:
     if not a:
         return -1
     return max(sum(e) for e in a)
-
-
-def poly_eval(a: Poly, x: Sequence[float]) -> float:
-    xv = np.asarray(x, dtype=float)
-    total = 0.0
-    for e, c in a.items():
-        term = float(c)
-        for xi, p in zip(xv, e):
-            if p:
-                term *= xi**p
-        total += term
-    return total
-
-
-def poly_eval_many(a: Poly, X: np.ndarray) -> np.ndarray:
-    """Evaluate at a stack of points, shape (T, m)."""
-    X = np.asarray(X, dtype=float)
-    total = np.zeros(X.shape[0])
-    for e, c in a.items():
-        term = np.full(X.shape[0], float(c))
-        for i, p in enumerate(e):
-            if p:
-                term = term * X[:, i] ** p
-        total += term
-    return total
 
 
 # -- polynomial differential forms ------------------------------------------
@@ -335,22 +311,57 @@ def dilate(f: PolyForm, r) -> PolyForm:
     return PolyForm(f.m, f.k, out)
 
 
+class MonomialTable:
+    """A form's monomials as float arrays, built once and evaluated at many points.
+
+    The indices are sorted; the monomials of index j are rows starts[j] up to
+    starts[j + 1] of the integer exponent matrix and of the coefficients.
+    """
+
+    def __init__(self, f: PolyForm):
+        self.indices: List[MultiIndex] = sorted(f.terms)
+        polys = [f.terms[idx] for idx in self.indices]
+        self.starts = np.cumsum([0] + [len(p) for p in polys[:-1]])
+        self.exps = np.array([e for p in polys for e in p], dtype=int).reshape(-1, f.m)
+        self.coeffs = np.array([float(c) for p in polys for c in p.values()])
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """Coefficient values at the points X, shape (T, m) -> (T, len(indices)).
+
+        Each monomial is its coefficient times x_1^e_1, x_2^e_2, ... in turn,
+        with powers by repeated multiplication; each index sums its monomials
+        in order.  Overflow gives inf or nan without a warning.
+        """
+        X = np.asarray(X, dtype=float)
+        if not self.indices:
+            return np.zeros((len(X), 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = [np.ones_like(X.T)]
+            for _ in range(self.exps.max()):
+                powers.append(powers[-1] * X.T)
+            powers = np.array(powers)  # (degree + 1, m, T)
+            mono = np.repeat(self.coeffs[:, None], len(X), axis=1)
+            for i, column in enumerate(self.exps.T):
+                if column.any():
+                    mono *= powers[column, i]
+            return np.add.reduceat(mono, self.starts, axis=0).T
+
+    def norms(self, X: np.ndarray) -> np.ndarray:
+        """Euclidean norm of the coefficient values at each point of X."""
+        total = np.zeros(len(X))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for column in self.values(X).T:
+                total += column * column
+        return np.sqrt(total)
+
+
 def evaluate(f: PolyForm, x: Sequence[float]) -> Covector:
     """Floating-point covector of coefficient values at the point x."""
     xv = np.asarray(x, dtype=float)
     if xv.shape != (f.m,):
         raise ValueError(f"point dimension {xv.shape} does not match m={f.m}")
-    return Covector(f.m, f.k, {idx: poly_eval(p, xv) for idx, p in f.terms.items()})
-
-
-def _norm_at_scaled_points(f: PolyForm, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """||f(t x)||_2 for each t in ts (vectorized over the ray)."""
-    X = ts[:, None] * x[None, :]
-    total = np.zeros(ts.shape[0])
-    for poly in f.terms.values():
-        vals = poly_eval_many(poly, X)
-        total += vals * vals
-    return np.sqrt(total)
+    table = MonomialTable(f)
+    return Covector(f.m, f.k, dict(zip(table.indices, table.values(xv[None, :])[0])))
 
 
 @dataclass
@@ -419,30 +430,40 @@ def h_bound_check(
         ray_rhs=[] if ray_case else None,
         ray_margins=[] if ray_case else None,
     )
-    ts = np.linspace(0.0, 1.0, t_samples)
     if f.k > 1:
         factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1)
     else:
         factor = math.sqrt(f.m)
+    xs, radii = [], []
     for point in points:
         x = np.asarray(point, dtype=float)
         if x.shape != (f.m,):
             raise ValueError(f"point dimension {x.shape} does not match m={f.m}")
-        r = float(np.linalg.norm(x))
+        with np.errstate(over="ignore"):  # an infinite norm is refused below, naming the point
+            r = float(np.linalg.norm(x))
         if r > s + 1e-12:
             raise ValueError(f"point with norm {r} outside the star-shaped domain of radius {s}")
-        lhs = norm2(evaluate(hf, x))
-        if ray_case:
-            max_beta = norm2(evaluate(f, x))
-        else:
-            max_beta = float(np.max(_norm_at_scaled_points(f, x, ts)))
+        xs.append(x)
+        radii.append(r)
+    X = np.array(xs).reshape(len(xs), f.m)
+    lhs_all = MonomialTable(hf).norms(X)
+    if ray_case:
+        # constant coefficients: ||f(t x)|| is the same at every t and x
+        max_betas = [norm2(evaluate(f, np.zeros(f.m)))] * len(X)
+    else:
+        f_table = MonomialTable(f)
+        ts = np.linspace(0.0, 1.0, t_samples)
+        max_betas = [float(np.max(f_table.norms(ts[:, None] * x))) for x in X]
+    for x, r, lhs, max_beta in zip(X, radii, lhs_all.tolist(), max_betas):
         rhs = r * factor * max_beta
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise ValueError(f"norm bounds at point {x.tolist()} overflow")
         report.points.append([float(v) for v in x])
         report.lhs.append(lhs)
         report.rhs.append(rhs)
         report.margins.append(rhs - lhs)
         if ray_case:
-            ray_rhs = r / math.sqrt(f.k) * norm2(evaluate(f, x))
+            ray_rhs = r / math.sqrt(f.k) * max_beta
             report.ray_rhs.append(ray_rhs)
             report.ray_margins.append(ray_rhs - lhs)
     worst = min(report.margins, default=0.0)

@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from sympeps import cli
+from sympeps import moser as mo
 from sympeps import polyform as pf
 from sympeps import symplectic as sy
 
@@ -112,6 +114,22 @@ def test_analyze_builds_the_standard_form_once(capsys, fixture_file, monkeypatch
     assert code == 0
     assert json.loads(out)["decomposition"]["rel_error"] <= 1e-8
     assert calls == {"standard_form": 1, "defect": 1}
+
+
+def test_symplectify_computes_the_defect_twice(capsys, identity_file, tmp_path, monkeypatch):
+    calls = []
+    original = sy.defect
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sy, "defect", counted)
+    monkeypatch.setattr(mo, "defect", counted)
+    psi_path = str(tmp_path / "psi.txt")
+    code, _, _ = run_cli(capsys, "symplectify", identity_file, "--eps", "0", "--out", psi_path)
+    assert code == 0
+    assert len(calls) == 2  # the input defect and the residual defect of phi @ psi
 
 
 def test_certify_symplectic_passes(capsys, tmp_path):
@@ -261,6 +279,43 @@ def test_homotopy_area_form(capsys, tmp_path):
     assert report["bounds"]["passed"] is True
     written = pf.PolyForm.from_json_dict(json.loads(out_path.read_text()))
     assert written == pf.h(form)
+
+
+def run_cli_without_warnings(capsys, *argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(capsys, *argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return result
+
+
+@pytest.mark.parametrize(
+    "form, points, message",
+    [
+        (pf.PolyForm.basis(4, (1, 2)), "[[0.1, NaN, 0.0, 0.0]]", "non-finite entry nan at point 1, coordinate 2"),
+        (pf.PolyForm.term(3, (1,), {(2, 0, 0): 1}), "[[0.5, 0, 0], [1e200, 0, 0]]",
+         "norm bounds at point [1e+200, 0.0, 0.0] overflow"),
+        (pf.PolyForm.term(3, (1,), {(2, 0, 0): 1}), "[[1e160, 0, 0]]", "norm bounds at point [1e+160, 0.0, 0.0] overflow"),
+    ],
+    ids=["nan-point", "overflowing-norm", "overflowing-values"],
+)
+def test_homotopy_refuses_non_finite_points_and_bounds(capsys, tmp_path, form, points, message):
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(form.to_json_dict()))
+    points_path = tmp_path / "points.json"
+    points_path.write_text(points)
+    code, out, err = run_cli_without_warnings(capsys, "homotopy", str(form_path), str(points_path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_analyze_refuses_non_finite_eps(capsys, identity_file, eps):
+    code, out, err = run_cli_without_warnings(capsys, "analyze", identity_file, "--eps", eps)
+    assert code == 2
+    assert out == ""
+    assert f"--eps must be finite, got {eps}" in err
 
 
 def test_homotopy_parse_error(capsys, tmp_path):

@@ -13,9 +13,9 @@ def test_flow_config_validation():
         mo.FlowConfig(step_size=0.05)
     with pytest.raises(ValueError, match="step size"):
         mo.FlowConfig(step_size=0.0)
-    with pytest.raises(ValueError, match="method"):
-        mo.FlowConfig(method="euler")
     assert mo.FlowConfig(step_size=2e-3).n_steps == 500
+    data = mo.symplectify(np.eye(2), 0.0, mo.FlowConfig(step_size=1e-2)).to_dict()
+    assert (data["method"], data["max_defect_tol"]) == ("rk4-classical", 1e-6)
 
 
 def test_field_vanishes_for_symplectic_input():
@@ -82,7 +82,7 @@ def test_symplectify_composition_is_symplectic():
 
 def test_symplectify_preconditions():
     phi = sy.asymmetric_defect_map(0.3, 2.0)
-    with pytest.raises(ValueError, match="exceeds eps"):
+    with pytest.raises(mo.DefectAboveBudget, match="exceeds eps"):
         mo.symplectify(phi, 0.1)
     with pytest.raises(ValueError, match="sqrt"):
         mo.symplectify(np.eye(4), 0.8)
@@ -195,7 +195,7 @@ def test_pointwise_plane_scaling_rescales_by_inverse_factors():
 
 def test_pointwise_rejects_defect_above_budget():
     pm = mo.PolyMap.plane_scaling([Fraction(2), Fraction(1)])
-    with pytest.raises(ValueError, match="exceeds eps"):
+    with pytest.raises(mo.DefectAboveBudget, match="exceeds eps"):
         mo.symplectify_polynomial_pointwise(pm, [np.zeros(4)], 0.01)
 
 

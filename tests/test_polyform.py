@@ -217,6 +217,31 @@ def test_evaluate():
         pf.evaluate(f, np.zeros(2))
 
 
+def _exact_value_and_scale(poly, x):
+    """Sum of c x^e and sum of |c x^e| over the monomials, in exact rationals."""
+    terms = [c * math.prod(xi**p for xi, p in zip(x, e)) for e, c in poly.items()]
+    return sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
+
+
+def test_monomial_table_against_exact_values():
+    # forms of the homotopy command's shapes and their primitives, at float points
+    rng = np.random.default_rng(17)
+    compared = 0
+    while compared < 3000:
+        f = random_polyform(rng, max_m=7, max_k=3, max_degree=4)
+        if f.m < 5:
+            continue
+        X = rng.normal(size=(6, f.m)) * rng.uniform(0.1, 3.0)
+        for form in (f, pf.h(f)):
+            table = pf.MonomialTable(form)
+            for x, row in zip(X, table.values(X)):
+                exact_x = [Fraction(float(v)) for v in x]
+                for idx, got in zip(table.indices, row):
+                    exact, scale = _exact_value_and_scale(form.terms[idx], exact_x)
+                    assert abs(Fraction(float(got)) - exact) <= Fraction(1e-14) * scale
+                    compared += 1
+
+
 def test_h_bound_constant_two_form():
     f = pf.PolyForm.basis(4, (1, 2))
     report = pf.h_bound_check(f, [np.array([1.0, 0.0, 0.0, 0.0])], s=2.0)
