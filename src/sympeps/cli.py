@@ -64,6 +64,11 @@ class InputError(Exception):
     """Raised for unreadable or malformed inputs (exit code 2)."""
 
 
+def _require_nonnegative(option: str, value: int) -> None:
+    if value < 0:
+        raise InputError(f"{option} must be >= 0, got {value}")
+
+
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     if args.eps is not None and not math.isfinite(args.eps):
@@ -127,6 +132,8 @@ def cmd_certify(args) -> int:
     t0 = time.perf_counter()
     if not 0.0 <= args.eps < symplectic.EPS_LIMIT:
         raise InputError(f"--eps must lie in [0, 1/sqrt(2)), got {args.eps}")
+    _require_nonnegative("--trials", args.trials)
+    _require_nonnegative("--seed", args.seed)
     phi = _load_matrix_or_exit(args.matrix)
     dft = symplectic.defect(phi)  # first, so that an overflowing map is refused
     n = phi.shape[0] // 2
@@ -140,6 +147,7 @@ def cmd_certify(args) -> int:
     passed = sq.passed and ex.passed and cap.passed
     report = {
         "command": "certify",
+        "schema": 2,
         "inputs": {"matrix": args.matrix, "sha256": _sha256_file(args.matrix)},
         "eps": args.eps,
         "eps_prime": eps_prime,
@@ -150,6 +158,7 @@ def cmd_certify(args) -> int:
         "nonexpanding": ex.to_dict(),
         "capacity": cap.to_dict(),
         "passed": bool(passed),
+        "ellipsoid_matrices": [A.tolist() for A in ellipsoids],
     }
     human = [
         f"eps = {args.eps}  (width parameter eps' = sqrt(2) eps = {eps_prime:.6g})",
@@ -282,6 +291,7 @@ def cmd_homotopy(args) -> int:
 
 def cmd_suite(args) -> int:
     t0 = time.perf_counter()
+    _require_nonnegative("--seed", args.seed)
     result = suite.run_suite(args.seed, args.scale)
     report = {
         "command": "suite",

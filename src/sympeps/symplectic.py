@@ -533,7 +533,12 @@ def squeezing_params(A, eps: float, linear_case: bool = True) -> SqueezeParams:
 
 @dataclass
 class CertificateReport:
-    """Pass/fail record of a width or capacity inequality over ellipsoid batches."""
+    """Pass/fail record of a width or capacity inequality over ellipsoid batches.
+
+    Records refer to the ellipsoids of the batch by ``index``; ``worst`` is
+    the index and value of the smallest certified margin, or None when no
+    margin is defined (an empty batch, every record skipped, a singular map).
+    """
 
     kind: str
     eps: float
@@ -542,6 +547,7 @@ class CertificateReport:
     ball_checks: List[dict] = field(default_factory=list)
     passed: bool = True
     note: str = ""
+    worst: Optional[dict] = None
 
     def to_dict(self) -> dict:
         return {
@@ -550,6 +556,7 @@ class CertificateReport:
             "rho": self.rho,
             "passed": bool(self.passed),
             "note": self.note,
+            "worst": self.worst,
             "records": self.records,
             "ball_checks": self.ball_checks,
         }
@@ -558,12 +565,17 @@ class CertificateReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-# One row per ellipsoid A: A as nested lists, the linear symplectic widths
-# r1 of A B_1 and R1 of phi(A B_1), and s_A and e_A (None where undefined).
-_Width = Tuple[list, float, float, float, Optional[float]]
+class _Widths(NamedTuple):
+    """Per ellipsoid A of a batch: the linear symplectic widths r1 of A B_1
+    and R1 of phi(A B_1), and s_A and e_A (NaN where undefined)."""
+
+    r1: np.ndarray
+    R1: np.ndarray
+    s_A: np.ndarray
+    e_A: np.ndarray
 
 
-def _width_table(phi: np.ndarray, rho_val: float, ellipsoids: Sequence) -> List[_Width]:
+def _width_table(phi: np.ndarray, rho_val: float, ellipsoids: Sequence) -> _Widths:
     """The widths of a batch of ellipsoids, computed on the stack of them."""
     dim = phi.shape[0]
     mats = [np.asarray(A, dtype=float) for A in ellipsoids]
@@ -578,16 +590,13 @@ def _width_table(phi: np.ndarray, rho_val: float, ellipsoids: Sequence) -> List[
     first = np.flatnonzero(own.singular | img.singular)[:1]
     own.at(first).require_nonsingular("ellipsoid matrix")
     img.at(first).require_nonsingular("matrix")
-    r1 = _spectrum(stack)[:, 0]
-    R1 = _spectrum(image)[:, 0]
     _, _, s_A, e_A = _squeeze_bounds(own.svals, rho_val)
-    e_A = [None if math.isnan(e) else e for e in e_A.tolist()]
-    return list(zip(stack.tolist(), r1.tolist(), R1.tolist(), s_A.tolist(), e_A))
+    return _Widths(_spectrum(stack)[:, 0], _spectrum(image)[:, 0], s_A, e_A)
 
 
 def _width_certificate(
     phi, eps: float, ellipsoids: Sequence, kind: str, linear_case: bool
-) -> Tuple[np.ndarray, CertificateReport, Optional[List[_Width]]]:
+) -> Tuple[np.ndarray, CertificateReport, Optional[_Widths]]:
     """Report shell of a width or capacity check, and the width table it
     certifies.  A singular phi fails unconditionally (arbitrarily thin image
     ellipsoids): its report is final and there is no table.
@@ -602,6 +611,33 @@ def _width_certificate(
     return phi, report, _width_table(phi, report.rho, ellipsoids)
 
 
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x**2 per entry as a Python float computes it (libm pow), which can
+    differ in the last bit from numpy's x * x; the certificates keep the bits
+    of their scalar formulas."""
+    return np.array([v**2 for v in x.tolist()], dtype=float)
+
+
+def _records(columns: dict) -> List[dict]:
+    """One record per ellipsoid: its index, then each column's entry as a
+    Python value, None where the entry is NaN (undefined)."""
+    rows = zip(*(c.tolist() for c in columns.values()))
+    return [
+        {"index": i, **{k: None if v != v else v for k, v in zip(columns, row)}}  # v != v: NaN
+        for i, row in enumerate(rows)
+    ]
+
+
+def _worst(margins: np.ndarray) -> Optional[dict]:
+    """Index and value of the smallest margin, NaN (undefined) ignored and
+    ties to the first index; None when no margin is defined."""
+    defined = np.flatnonzero(~np.isnan(margins))
+    if not defined.size:
+        return None
+    i = int(defined[np.argmin(margins[defined])])
+    return {"index": i, "margin": float(margins[i])}
+
+
 def check_eps_nonsqueezing(
     phi,
     eps: float,
@@ -610,24 +646,14 @@ def check_eps_nonsqueezing(
 ) -> CertificateReport:
     """Check s_A * r_1 <= R_1 for each ellipsoid A, where r_1 and R_1 are the
     linear symplectic widths of A B_1 and of its image under phi."""
-    phi, report, widths = _width_certificate(phi, eps, ellipsoids, "nonsqueezing", linear_case)
-    if widths is None:
+    phi, report, t = _width_certificate(phi, eps, ellipsoids, "nonsqueezing", linear_case)
+    if t is None:
         return report
-    for i, (A, r1, R1, s_A, _) in enumerate(widths):
-        margin = R1 - s_A * r1
-        ok = margin >= -CERT_TOL
-        report.records.append(
-            {
-                "index": i,
-                "A": A,
-                "r1": r1,
-                "R1": R1,
-                "s_A": s_A,
-                "margin": margin,
-                "pass": bool(ok),
-            }
-        )
-        report.passed = report.passed and ok
+    margin = t.R1 - t.s_A * t.r1
+    ok = margin >= -CERT_TOL
+    report.records = _records({"r1": t.r1, "R1": t.R1, "s_A": t.s_A, "margin": margin, "pass": ok})
+    report.passed = bool(ok.all())
+    report.worst = _worst(margin)
     return report
 
 
@@ -641,35 +667,26 @@ def check_eps_nonexpanding(
     """Check R_1 <= e_A * r_1 on eligible ellipsoids (those with e_A defined;
     the rest are skipped and reported) plus the ball clause: the width of
     phi(B_r) is at most r / rho."""
-    phi, report, widths = _width_certificate(phi, eps, ellipsoids, "nonexpanding", linear_case)
-    if widths is None:
+    phi, report, t = _width_certificate(phi, eps, ellipsoids, "nonexpanding", linear_case)
+    if t is None:
         return report
-    for i, (A, r1, R1, _, e_A) in enumerate(widths):
-        record = {
-            "index": i,
-            "A": A,
-            "r1": r1,
-            "R1": R1,
-            "e_A": e_A,
-        }
-        if e_A is None:
-            record.update({"skipped": True, "pass": True, "margin": None})
-        else:
-            margin = e_A * r1 - R1
-            ok = margin >= -CERT_TOL
-            record.update({"skipped": False, "pass": bool(ok), "margin": margin})
-            report.passed = report.passed and ok
-        report.records.append(record)
+    margin = t.e_A * t.r1 - t.R1  # NaN where e_A is undefined
+    skipped = np.isnan(t.e_A)
+    ok = skipped | (margin >= -CERT_TOL)
+    report.records = _records(
+        {"r1": t.r1, "R1": t.R1, "e_A": t.e_A, "skipped": skipped, "pass": ok, "margin": margin}
+    )
     radii = list(ball_radii)
     balls = np.multiply.outer(np.asarray(radii, dtype=float), np.eye(phi.shape[0]))
-    ball_widths = symplectic_spectrum(phi @ balls)[:, 0].tolist()
-    for r, width in zip(radii, ball_widths):
-        margin = r / report.rho - width
-        ok = margin >= -CERT_TOL
-        report.ball_checks.append(
-            {"radius": r, "image_width": width, "bound": r / report.rho, "pass": bool(ok)}
-        )
-        report.passed = report.passed and ok
+    ball_widths = symplectic_spectrum(phi @ balls)[:, 0]
+    bounds = np.asarray(radii, dtype=float) / report.rho
+    ball_ok = bounds - ball_widths >= -CERT_TOL
+    report.ball_checks = [
+        {"radius": r, "image_width": w, "bound": b, "pass": p}
+        for r, w, b, p in zip(radii, ball_widths.tolist(), bounds.tolist(), ball_ok.tolist())
+    ]
+    report.passed = bool(ok.all() and ball_ok.all())
+    report.worst = _worst(margin)
     return report
 
 
@@ -681,35 +698,25 @@ def capacity_preservation_check(
 ) -> CertificateReport:
     """Two-sided check s_A^2 c(E) <= c(phi E) <= e_A^2 c(E) on each ellipsoid,
     with capacity pi * width^2; the upper inequality applies when e_A is defined."""
-    phi, report, widths = _width_certificate(phi, eps, ellipsoids, "capacity", linear_case)
-    if widths is None:
+    phi, report, t = _width_certificate(phi, eps, ellipsoids, "capacity", linear_case)
+    if t is None:
         return report
-    for i, (A, r1, R1, s_A, e_A) in enumerate(widths):
-        cap = math.pi * r1**2
-        cap_img = math.pi * R1**2
-        lower_margin = cap_img - s_A**2 * cap
-        lower_ok = lower_margin >= -CERT_TOL
-        record = {
-            "index": i,
-            "A": A,
-            "capacity": cap,
-            "image_capacity": cap_img,
-            "s_A": s_A,
-            "e_A": e_A,
-            "lower_margin": lower_margin,
-            "lower_pass": bool(lower_ok),
-        }
-        ok = lower_ok
-        if e_A is not None:
-            upper_margin = e_A**2 * cap - cap_img
-            upper_ok = upper_margin >= -CERT_TOL
-            record.update({"upper_margin": upper_margin, "upper_pass": bool(upper_ok)})
-            ok = ok and upper_ok
-        else:
-            record.update({"upper_margin": None, "upper_pass": None})
-        record["pass"] = bool(ok)
-        report.records.append(record)
-        report.passed = report.passed and ok
+    cap = math.pi * _squares(t.r1)
+    cap_img = math.pi * _squares(t.R1)
+    lower = cap_img - _squares(t.s_A) * cap
+    upper = _squares(t.e_A) * cap - cap_img  # NaN where e_A is undefined
+    undefined = np.isnan(upper)
+    lower_ok = lower >= -CERT_TOL
+    upper_ok = upper >= -CERT_TOL
+    ok = lower_ok & (upper_ok | undefined)
+    report.records = _records({
+        "capacity": cap, "image_capacity": cap_img, "s_A": t.s_A, "e_A": t.e_A,
+        "lower_margin": lower, "lower_pass": lower_ok,
+        "upper_margin": upper, "upper_pass": np.where(undefined, None, upper_ok),
+        "pass": ok,
+    })
+    report.passed = bool(ok.all())
+    report.worst = _worst(np.fmin(lower, upper))
     return report
 
 

@@ -8,6 +8,7 @@ from sympeps import cli
 from sympeps import moser as mo
 from sympeps import polyform as pf
 from sympeps import symplectic as sy
+from sympeps.suite import random_ellipsoid
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +171,39 @@ def test_certify_deterministic(capsys, tmp_path):
     _, out1, _ = run_cli(capsys, "certify", str(path), "--eps", "0.02", "--seed", "9")
     _, out2, _ = run_cli(capsys, "certify", str(path), "--eps", "0.02", "--seed", "9")
     assert out1 == out2
+
+
+def test_certify_writes_each_ellipsoid_once(capsys, tmp_path):
+    path = tmp_path / "eps.txt"
+    sy.save_matrix(path, sy.random_eps_symplectic(2, 0.02, seed=3))
+    code, out, _ = run_cli(capsys, "certify", str(path), "--eps", "0.02", "--trials", "3", "--seed", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["schema"] == 2
+    rng = np.random.default_rng(5)
+    batch = cli._canonical_ellipsoids(2) + [random_ellipsoid(rng, 2) for _ in range(3)]
+    assert report["ellipsoids"] == len(report["ellipsoid_matrices"]) == len(batch) == 12
+    assert report["ellipsoid_matrices"] == [A.tolist() for A in batch]
+    for key in ("nonsqueezing", "nonexpanding", "capacity"):
+        records = report[key]["records"]
+        assert [rec["index"] for rec in records] == list(range(12))
+        assert not any("A" in rec for rec in records)
+
+
+def test_certify_rejects_negative_trials(capsys, identity_file):
+    code, out, err = run_cli(capsys, "certify", identity_file, "--eps", "0.1", "--trials", "-3")
+    assert code == 2
+    assert out == ""
+    assert "--trials must be >= 0, got -3" in err
+
+
+@pytest.mark.parametrize("command", [["certify", "MATRIX", "--eps", "0.1"], ["suite"]])
+def test_negative_seed_is_refused_by_name(capsys, identity_file, command):
+    argv = [identity_file if arg == "MATRIX" else arg for arg in command]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--seed must be >= 0, got -1" in err
 
 
 def test_symplectify_identity(capsys, identity_file, tmp_path):
