@@ -174,6 +174,8 @@ def cmd_certify(args) -> int:
 
 def cmd_symplectify(args) -> int:
     t0 = time.perf_counter()
+    if not 0.0 <= args.eps < math.inf:
+        raise InputError(f"--eps must be finite and >= 0, got {args.eps}")
     phi = _load_matrix_or_exit(args.matrix)
     try:
         rep = moser.symplectify(phi, args.eps, moser.FlowConfig(step_size=args.step))
@@ -208,7 +210,6 @@ def cmd_bounds(args) -> int:
     if not 0.0 <= args.eps < threshold:
         raise InputError(f"--eps must lie in [0, {threshold:.6f}), got {args.eps}")
     z0_bisect, z0_closed = symplectic.cubic_z0()
-    rho_def = math.sqrt(1.0 - args.eps)
     # squeezing_params of the identity, whose singular values are exactly 1:
     # no 2n x 2n matrix, so any n is answered in constant memory.
     rho_I = symplectic._width_rho(args.eps, args.n, linear_case=True)
@@ -224,7 +225,7 @@ def cmd_bounds(args) -> int:
         "z0": z0_closed,
         "z0_bisect": z0_bisect,
         "threshold": threshold,
-        "c_rho": symplectic.c_rho(rho_def),
+        "c_rho": symplectic.c_rho(rho_I),
         "s_I": s_I,
         "e_I": e_I,
         "K": symplectic.rigidity_bound(args.eps, args.n),
@@ -266,6 +267,8 @@ def cmd_homotopy(args) -> int:
         try:
             with open(args.points, "r", encoding="utf-8") as fh:
                 pts = json.load(fh)
+            if not isinstance(pts, list):
+                raise ValueError(f"points JSON must be a list of points, got {type(pts).__name__}")
             pts = [np.asarray(p, dtype=float) for p in pts]
             for i, p in enumerate(pts, start=1):
                 bad = np.flatnonzero(~np.isfinite(p))

@@ -49,6 +49,17 @@ def check_multi_index(index: Sequence[int], m: int, k: int | None = None) -> Mul
     return idx
 
 
+def json_int(value, key: str) -> int:
+    """An integer read from the JSON field ``key``: an integer, or a string of
+    one.  A float (even 2.0) or a boolean is refused by name, not truncated."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"JSON field {key!r} must hold integers, got {value!r}")
+
+
 def merge_sign(first: MultiIndex, second: MultiIndex) -> int:
     """Sign of the permutation that sorts ``first + second`` (disjoint
     increasing indices): dx_first ^ dx_second = sign * dx_sorted."""

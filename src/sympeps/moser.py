@@ -22,7 +22,7 @@ import numpy as np
 
 from . import polyform as pfm
 from .polyform import Poly, PolyForm, poly_diff, poly_var
-from .symplectic import EPS_LIMIT, _as_even_matrix, _standard_J, defect
+from .symplectic import EPS_LIMIT, _as_even_matrix, _standard_J, defect, rho
 
 BOUND_TOL = 1e-6
 METHOD = "rk4-classical"
@@ -180,7 +180,7 @@ def symplectify(
     J = _standard_J(n)
     M = phi.T @ J @ phi - J
     psi = _integrate_matrix_flow(M, J, config.n_steps)
-    rho_val = math.sqrt(1.0 - math.sqrt(2.0) * eps)
+    rho_val = rho(eps, n, linear_case=True)
     residual = defect(phi @ psi)
     svals = np.linalg.svd(psi, compute_uv=False)
     eye = np.eye(2 * n)

@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exterior import Covector, check_multi_index, contraction_sign, merge_sign, norm2
+from .exterior import Covector, check_multi_index, contraction_sign, json_int, merge_sign, norm2
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
@@ -197,17 +197,27 @@ class PolyForm:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PolyForm":
-        m = int(data["m"])
-        k = int(data["k"])
-        terms: Dict[MultiIndex, Poly] = {}
-        for term in data.get("terms", []):
-            idx = check_multi_index(term["index"], m, k)
-            poly: Poly = {}
-            for entry in term["poly"]:
-                e = tuple(int(p) for p in entry["exp"])
-                coeff = Fraction(int(entry["num"]), int(entry["den"]))
-                poly[e] = poly.get(e, Fraction(0)) + coeff
-            terms[idx] = poly_add(terms.get(idx, {}), poly)
+        """Inverse of to_json_dict.  Integer fields follow ``json_int``; a
+        malformed value or layout raises ValueError."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"polyform JSON must be an object, got {type(data).__name__}")
+        try:
+            m = json_int(data["m"], "m")
+            k = json_int(data["k"], "k")
+            terms: Dict[MultiIndex, Poly] = {}
+            for term in data.get("terms", []):
+                idx = check_multi_index([json_int(i, "index") for i in term["index"]], m, k)
+                poly: Poly = {}
+                for entry in term["poly"]:
+                    e = tuple(json_int(p, "exp") for p in entry["exp"])
+                    den = json_int(entry["den"], "den")
+                    if den == 0:
+                        raise ValueError("JSON field 'den' must be nonzero")
+                    coeff = Fraction(json_int(entry["num"], "num"), den)
+                    poly[e] = poly.get(e, Fraction(0)) + coeff
+                terms[idx] = poly_add(terms.get(idx, {}), poly)
+        except TypeError as exc:
+            raise ValueError(f"malformed polyform JSON: {exc}") from exc
         return cls(m, k, terms)
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .exterior import Covector, skew_to_covector
+from .exterior import Covector, json_int, skew_to_covector
 
 __all__ = [
     "TwoForm",
@@ -60,6 +60,7 @@ __all__ = [
     "rigidity_bound",
     "hyperplane_squeeze",
     "random_symplectic",
+    "random_defective",
     "random_eps_symplectic",
     "parse_matrix_text",
     "format_matrix_text",
@@ -798,7 +799,7 @@ def rigidity_bound(eps: float, n: int) -> float:
     threshold = squeeze_eps_threshold()
     if not 0.0 <= eps < threshold:
         raise ValueError(f"eps must lie in [0, {threshold:.6f}), got {eps}")
-    rho_val = math.sqrt(1.0 - eps)
+    rho_val = _width_rho(eps, n, linear_case=True)
     lam = 1.0 / c_rho(rho_val)
     if eps < 1.0 - 0.5**0.25:
         lam = min(lam, rho_val**-2)
@@ -912,14 +913,14 @@ def random_symplectic(n: int, rng: np.random.Generator, factors: int = 4) -> np.
     return A @ _random_unitary_factor(n, rng)
 
 
-def random_eps_symplectic(n: int, eps: float, seed: int) -> np.ndarray:
-    """Seeded matrix Phi = S (I + t N) with S random symplectic and t tuned by
-    bisection so that defect(Phi) equals eps to within 1e-9."""
-    if not 0.0 <= eps < EPS_LIMIT:
-        raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
-    rng = np.random.default_rng(seed)
+def random_defective(n: int, target: float, rng: np.random.Generator) -> np.ndarray:
+    """Random matrix Phi = S (I + t N) with S random symplectic and t tuned by
+    bisection so that defect(Phi) equals target (any finite target >= 0) to
+    within 1e-9."""
+    if not 0.0 <= target < math.inf:
+        raise ValueError(f"target defect must be finite and >= 0, got {target}")
     S = random_symplectic(n, rng)
-    if eps == 0.0:
+    if target == 0.0:
         return S
     N = rng.standard_normal((2 * n, 2 * n))
     N = N / np.linalg.norm(N, 2)
@@ -928,19 +929,26 @@ def random_eps_symplectic(n: int, eps: float, seed: int) -> np.ndarray:
     def g(t: float) -> float:
         return defect(S @ (eye + t * N))
 
-    hi = max(eps, 1e-3)
+    hi = max(target, 1e-3)
     for _ in range(80):
-        if g(hi) >= eps:
+        if g(hi) >= target:
             break
         hi *= 2.0
     else:
         raise RuntimeError("could not bracket the requested defect")
-    t = _bisect(lambda t: g(t) < eps, 0.0, hi)
+    t = _bisect(lambda t: g(t) < target, 0.0, hi)
     phi = S @ (eye + t * N)
     achieved = defect(phi)
-    if abs(achieved - eps) > 1e-9:
-        raise RuntimeError(f"defect tuning failed: requested {eps}, achieved {achieved}")
+    if abs(achieved - target) > 1e-9:
+        raise RuntimeError(f"defect tuning failed: requested {target}, achieved {achieved}")
     return phi
+
+
+def random_eps_symplectic(n: int, eps: float, seed: int) -> np.ndarray:
+    """random_defective(n, eps, default_rng(seed)) with eps in [0, 1/sqrt(2))."""
+    if not 0.0 <= eps < EPS_LIMIT:
+        raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
+    return random_defective(n, eps, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -999,7 +1007,7 @@ def matrix_to_json_dict(A) -> dict:
 def matrix_from_json_dict(data) -> np.ndarray:
     if not isinstance(data, dict) or "n" not in data or "rows" not in data:
         raise ValueError("matrix JSON must have keys 'n' and 'rows'")
-    n = int(data["n"])
+    n = json_int(data["n"], "n")
     A = np.array(data["rows"], dtype=float)
     if A.shape != (2 * n, 2 * n):
         raise ValueError(f"rows have shape {A.shape}, expected ({2*n}, {2*n})")

@@ -248,6 +248,14 @@ def test_symplectify_rejects_defect_above_eps(capsys, fixture_file):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("eps", ["-0.5", "nan", "inf"])
+def test_symplectify_refuses_negative_or_non_finite_eps(capsys, identity_file, eps):
+    code, out, err = run_cli(capsys, "symplectify", identity_file, "--eps", eps)
+    assert code == 2
+    assert out == ""
+    assert f"--eps must be finite and >= 0, got {float(eps)}" in err
+
+
 def test_bounds_at_zero(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--eps", "0", "--n", "2")
     assert code == 0
@@ -350,6 +358,51 @@ def test_analyze_refuses_non_finite_eps(capsys, identity_file, eps):
     assert code == 2
     assert out == ""
     assert f"--eps must be finite, got {eps}" in err
+
+
+_FORM = {"m": 2, "k": 1, "terms": [{"index": [1], "poly": [{"exp": [1, 0], "num": "3", "den": "2"}]}]}
+
+
+def _form_with(path, value):
+    """_FORM with the field at ``path`` (keys and list positions) set to value."""
+    form = json.loads(json.dumps(_FORM))
+    node = form
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return form
+
+
+@pytest.mark.parametrize(
+    "kind, content, message",
+    [
+        ("polyform", [_FORM], "polyform JSON must be an object, got list"),
+        ("polyform", _form_with(["terms"], 5), "malformed polyform JSON"),
+        ("polyform", _form_with(["terms", 0, "poly", 0, "den"], "0"), "JSON field 'den' must be nonzero"),
+        ("polyform", _form_with(["terms", 0, "poly", 0, "num"], 1.5), "JSON field 'num' must hold integers, got 1.5"),
+        ("polyform", _form_with(["terms", 0, "poly", 0, "exp"], [1.7, 0]), "JSON field 'exp' must hold integers, got 1.7"),
+        ("polyform", _form_with(["terms", 0, "index"], [1.9]), "JSON field 'index' must hold integers, got 1.9"),
+        ("polyform", _form_with(["m"], 2.9), "JSON field 'm' must hold integers, got 2.9"),
+        ("points", 5, "points JSON must be a list of points, got int"),
+        ("matrix", {"n": 1.5, "rows": [[1, 0], [0, 1]]}, "JSON field 'n' must hold integers, got 1.5"),
+        ("matrix", {"n": True, "rows": [[1, 0], [0, 1]]}, "JSON field 'n' must hold integers, got True"),
+    ],
+    ids=["form-list", "terms-int", "den-zero", "num-float", "exp-float", "index-float", "m-float",
+         "points-int", "n-float", "n-bool"],
+)
+def test_malformed_json_inputs_are_refused_by_name(capsys, tmp_path, kind, content, message):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(content))
+    if kind == "matrix":
+        argv = ["analyze", str(path)]
+    else:
+        form_path = tmp_path / "form.json"
+        form_path.write_text(json.dumps(_FORM))
+        argv = ["homotopy", str(path)] if kind == "polyform" else ["homotopy", str(form_path), str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"cannot read {kind} file {str(path)!r}: {message}" in err
 
 
 def test_homotopy_parse_error(capsys, tmp_path):

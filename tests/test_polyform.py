@@ -295,6 +295,14 @@ def test_polyform_json_big_integers_survive():
     assert pf.PolyForm.from_json_dict(f.to_json_dict()) == f
 
 
+def test_polyform_json_integer_fields_take_integers_or_their_strings():
+    data = {"m": "2", "k": 1, "terms": [{"index": ["1"], "poly": [{"exp": [1, "0"], "num": 3, "den": "-2"}]}]}
+    assert pf.PolyForm.from_json_dict(data) == pf.PolyForm.term(2, (1,), {(1, 0): Fraction(-3, 2)})
+    for bad in (2.0, True, "2.5", None):
+        with pytest.raises(ValueError, match="JSON field 'm' must hold integers"):
+            pf.PolyForm.from_json_dict({**data, "m": bad})
+
+
 def test_polyform_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         pf.PolyForm(3, 2, {(2, 1): pf.poly_const(3, 1)})

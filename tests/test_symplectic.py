@@ -1,11 +1,12 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sympeps import symplectic as sy
-from sympeps.suite import random_defective, random_ellipsoid
+from sympeps.suite import random_ellipsoid
 
 
 def test_defect_identity_is_zero():
@@ -18,6 +19,47 @@ def test_defect_worked_fixture():
     assert sy.defect(phi) == pytest.approx(0.1, abs=1e-12)
     assert sy.defect(phi.T) == pytest.approx(0.2, abs=1e-12)
     assert sy.defect(np.linalg.inv(phi)) == pytest.approx(0.2, abs=1e-12)
+
+
+def _exact_defect_sq(phi) -> Fraction:
+    """||Phi^T J Phi - J||_F^2 / 2 in exact arithmetic on the float entries."""
+    dim = phi.shape[0]
+    P = [[Fraction(float(x)) for x in row] for row in phi]
+    J = sy.standard_J(dim // 2)
+    JP = [[sum(Fraction(int(J[i, k])) * P[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
+    total = Fraction(0)
+    for i in range(dim):
+        for j in range(dim):
+            entry = sum(P[k][i] * JP[k][j] for k in range(dim)) - int(J[i, j])
+            total += entry * entry
+    return total / 2
+
+
+def test_defect_forward_error_against_exact_oracle():
+    # First-order worst case: Phi^T J is exact (one signed product per entry);
+    # the length-2n inner products of (Phi^T J) Phi err by at most
+    # 2n u ||Phi||_F^2; subtracting J adds u (||Phi||_F^2 + sqrt(2n)); the
+    # norm (at most 36 squares summed, a square root) and the division by
+    # sqrt(2) add under 9u relative.  In all (2n + 10) u (||Phi||_F^2 +
+    # sqrt(2n)) / sqrt(2), at most 12 n u (||Phi||_F^2 + 1) for n = 1..3:
+    # hence C = 12.  The largest ratio measured on these maps is about 1.5.
+    # The maps s S (I + t N) are built without defect itself, with s in
+    # {1e-3, 1, 1e3} and t leaning small (a tenth below 1e-4): at s = 1 a
+    # defect that cancels, such as one expanding the square, misses the bound.
+    C = 12
+    u = 2.0**-53
+    rng = np.random.default_rng(91)
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        S = sy.random_symplectic(n, rng)
+        t = float(rng.uniform()) ** 4
+        phi = S @ (np.eye(2 * n) + t * rng.standard_normal((2 * n, 2 * n)))
+        phi = phi * 10.0 ** (3 * int(rng.integers(-1, 2)))
+        got = sy.defect(phi)
+        bound = C * n * u * (float(np.sum(phi * phi)) + 1.0)
+        exact_sq = _exact_defect_sq(phi)
+        lo, hi = Fraction(max(got - bound, 0.0)), Fraction(got + bound)
+        assert lo * lo <= exact_sq <= hi * hi, (n, got, bound, math.sqrt(exact_sq))
 
 
 def test_defect_odd_dimension_rejected():
@@ -189,7 +231,7 @@ def test_defect_decomposition_random_maps():
     rng = np.random.default_rng(55)
     for _ in range(100):
         n = int(rng.integers(1, 4))
-        phi = random_defective(rng, n, 0.01, 0.98)
+        phi = sy.random_defective(n, float(rng.uniform(0.01, 0.98)), rng)
         assert sy.defect_decomposition_check(phi).rel_error <= 1e-8
 
 
@@ -198,7 +240,7 @@ def test_lambda_mu_mus_never_exceed_one():
     rng = np.random.default_rng(56)
     for _ in range(50):
         n = int(rng.integers(1, 4))
-        phi = random_defective(rng, n, 0.01, 0.98)
+        phi = sy.random_defective(n, float(rng.uniform(0.01, 0.98)), rng)
         rep = sy.lambda_mu_invariants(phi)
         assert np.all(rep.mus <= 1.0 + 1e-9)
 
@@ -439,6 +481,66 @@ def test_random_eps_symplectic_deterministic():
 def test_random_eps_symplectic_domain():
     with pytest.raises(ValueError, match="eps"):
         sy.random_eps_symplectic(2, 0.8, seed=0)
+
+
+def _reference_random_eps_symplectic(n, eps, seed):
+    # The body random_eps_symplectic had before it delegated to
+    # random_defective, kept verbatim as the bit-for-bit reference.
+    if not 0.0 <= eps < sy.EPS_LIMIT:
+        raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
+    rng = np.random.default_rng(seed)
+    S = sy.random_symplectic(n, rng)
+    if eps == 0.0:
+        return S
+    N = rng.standard_normal((2 * n, 2 * n))
+    N = N / np.linalg.norm(N, 2)
+    eye = np.eye(2 * n)
+
+    def g(t: float) -> float:
+        return sy.defect(S @ (eye + t * N))
+
+    hi = max(eps, 1e-3)
+    for _ in range(80):
+        if g(hi) >= eps:
+            break
+        hi *= 2.0
+    else:
+        raise RuntimeError("could not bracket the requested defect")
+    t = sy._bisect(lambda t: g(t) < eps, 0.0, hi)
+    phi = S @ (eye + t * N)
+    achieved = sy.defect(phi)
+    if abs(achieved - eps) > 1e-9:
+        raise RuntimeError(f"defect tuning failed: requested {eps}, achieved {achieved}")
+    return phi
+
+
+def test_random_eps_symplectic_is_unchanged_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    cases = [(2, 0.68, 4), (2, 0.65, 3), (3, 0.0, 4), (2, 0.1, 3)]
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        eps = float(rng.uniform(0.0, sy.EPS_LIMIT))
+        cases.append((n, eps, int(rng.integers(2**32))))
+    for n, eps, seed in cases:
+        np.testing.assert_array_equal(
+            sy.random_eps_symplectic(n, eps, seed), _reference_random_eps_symplectic(n, eps, seed)
+        )
+
+
+def test_random_defective_hits_any_target():
+    for n in (1, 2, 3, 4):
+        for i, target in enumerate(np.linspace(0.0, 0.98, 15)):
+            phi = sy.random_defective(n, float(target), np.random.default_rng(100 * n + i))
+            assert abs(sy.defect(phi) - target) <= 1e-9
+            assert np.linalg.cond(phi) < 1e6
+            again = sy.random_defective(n, float(target), np.random.default_rng(100 * n + i))
+            np.testing.assert_array_equal(phi, again)
+
+
+@pytest.mark.parametrize("target", [-0.1, float("nan"), float("inf")])
+def test_random_defective_refuses_bad_targets(target):
+    with pytest.raises(ValueError, match=f"target defect must be finite and >= 0, got {target}"):
+        sy.random_defective(2, target, np.random.default_rng(0))
 
 
 def test_split_interleaved_conversions():
