@@ -176,6 +176,8 @@ def cmd_symplectify(args) -> int:
     t0 = time.perf_counter()
     if not 0.0 <= args.eps < math.inf:
         raise InputError(f"--eps must be finite and >= 0, got {args.eps}")
+    if not args.eps < symplectic.EPS_LIMIT:
+        raise InputError(f"--eps must be < 1/sqrt(2), got {args.eps}")
     phi = _load_matrix_or_exit(args.matrix)
     try:
         rep = moser.symplectify(phi, args.eps, moser.FlowConfig(step_size=args.step))

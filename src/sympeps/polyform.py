@@ -365,13 +365,20 @@ class MonomialTable:
         return np.sqrt(total)
 
 
+def point_block(points: Sequence[Sequence[float]], m: int) -> np.ndarray:
+    """The points as one (P, m) float array; the first point of another
+    shape is refused by name."""
+    xs = [np.asarray(p, dtype=float) for p in points]
+    for x in xs:
+        if x.shape != (m,):
+            raise ValueError(f"point dimension {x.shape} does not match m={m}")
+    return np.array(xs).reshape(len(xs), m)
+
+
 def evaluate(f: PolyForm, x: Sequence[float]) -> Covector:
     """Floating-point covector of coefficient values at the point x."""
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (f.m,):
-        raise ValueError(f"point dimension {xv.shape} does not match m={f.m}")
     table = MonomialTable(f)
-    return Covector(f.m, f.k, dict(zip(table.indices, table.values(xv[None, :])[0])))
+    return Covector(f.m, f.k, dict(zip(table.indices, table.values(point_block([x], f.m))[0])))
 
 
 @dataclass
@@ -392,30 +399,21 @@ class HBoundReport:
     t_samples: int
     rhs_sampled: bool
     ray_constant: bool
-    points: List[List[float]] = field(default_factory=list)
-    lhs: List[float] = field(default_factory=list)
-    rhs: List[float] = field(default_factory=list)
-    margins: List[float] = field(default_factory=list)
-    ray_rhs: Optional[List[float]] = None
-    ray_margins: Optional[List[float]] = None
-    passed: bool = True
+    points: List[List[float]]
+    lhs: List[float]
+    rhs: List[float]
+    margins: List[float]
+    ray_rhs: Optional[List[float]]
+    ray_margins: Optional[List[float]]
+
+    @property
+    def passed(self) -> bool:
+        return min(self.margins + (self.ray_margins or []), default=0.0) >= -1e-9
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "s": self.s,
-            "t_samples": self.t_samples,
-            "rhs_sampled": self.rhs_sampled,
-            "ray_constant": self.ray_constant,
-            "passed": bool(self.passed),
-            "points": self.points,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margins": self.margins,
-            "ray_rhs": self.ray_rhs,
-            "ray_margins": self.ray_margins,
-        }
+        keys = ("m", "k", "s", "t_samples", "rhs_sampled", "ray_constant", "passed",
+                "points", "lhs", "rhs", "margins", "ray_rhs", "ray_margins")
+        return {key: getattr(self, key) for key in keys}
 
 
 def h_bound_check(
@@ -423,61 +421,48 @@ def h_bound_check(
     points: Sequence[Sequence[float]],
     s: float,
     t_samples: int = 1000,
-    tol: float = 1e-9,
 ) -> HBoundReport:
     """Evaluate both sides of the homotopy-operator norm bounds at each point."""
     if f.k < 1:
         raise ValueError("norm bounds apply to degrees k >= 1")
-    hf = h(f)
+    X = point_block(points, f.m)
+    with np.errstate(over="ignore"):  # an infinite norm is refused below, naming the point
+        # 1-D norms: the axis form can differ in the last bit, and radii reach stdout
+        radii = np.array([np.linalg.norm(x) for x in X])
+    outside = np.flatnonzero(radii > s + 1e-12)
+    if outside.size:
+        r = float(radii[outside[0]])
+        raise ValueError(f"point with norm {r} outside the star-shaped domain of radius {s}")
+    if f.k > 1:
+        factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1)
+    else:
+        factor = math.sqrt(f.m)
+    lhs = MonomialTable(h(f)).norms(X)
     ray_case = f.has_constant_coefficients()
-    report = HBoundReport(
+    if ray_case:
+        # constant coefficients: ||f(t x)|| is the same at every t and x
+        max_beta = np.full(len(X), norm2(evaluate(f, np.zeros(f.m))))
+    else:
+        f_table = MonomialTable(f)
+        ts = np.linspace(0.0, 1.0, t_samples)
+        max_beta = np.array([np.max(f_table.norms(ts[:, None] * x)) for x in X])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = radii * factor * max_beta
+    bad = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs)))
+    if bad.size:
+        raise ValueError(f"norm bounds at point {X[bad[0]].tolist()} overflow")
+    ray_rhs = radii / math.sqrt(f.k) * max_beta  # at most rhs, so finite
+    return HBoundReport(
         m=f.m,
         k=f.k,
         s=float(s),
         t_samples=t_samples,
         rhs_sampled=not ray_case,
         ray_constant=ray_case,
-        ray_rhs=[] if ray_case else None,
-        ray_margins=[] if ray_case else None,
+        points=X.tolist(),
+        lhs=lhs.tolist(),
+        rhs=rhs.tolist(),
+        margins=(rhs - lhs).tolist(),
+        ray_rhs=ray_rhs.tolist() if ray_case else None,
+        ray_margins=(ray_rhs - lhs).tolist() if ray_case else None,
     )
-    if f.k > 1:
-        factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1)
-    else:
-        factor = math.sqrt(f.m)
-    xs, radii = [], []
-    for point in points:
-        x = np.asarray(point, dtype=float)
-        if x.shape != (f.m,):
-            raise ValueError(f"point dimension {x.shape} does not match m={f.m}")
-        with np.errstate(over="ignore"):  # an infinite norm is refused below, naming the point
-            r = float(np.linalg.norm(x))
-        if r > s + 1e-12:
-            raise ValueError(f"point with norm {r} outside the star-shaped domain of radius {s}")
-        xs.append(x)
-        radii.append(r)
-    X = np.array(xs).reshape(len(xs), f.m)
-    lhs_all = MonomialTable(hf).norms(X)
-    if ray_case:
-        # constant coefficients: ||f(t x)|| is the same at every t and x
-        max_betas = [norm2(evaluate(f, np.zeros(f.m)))] * len(X)
-    else:
-        f_table = MonomialTable(f)
-        ts = np.linspace(0.0, 1.0, t_samples)
-        max_betas = [float(np.max(f_table.norms(ts[:, None] * x))) for x in X]
-    for x, r, lhs, max_beta in zip(X, radii, lhs_all.tolist(), max_betas):
-        rhs = r * factor * max_beta
-        if not (math.isfinite(lhs) and math.isfinite(rhs)):
-            raise ValueError(f"norm bounds at point {x.tolist()} overflow")
-        report.points.append([float(v) for v in x])
-        report.lhs.append(lhs)
-        report.rhs.append(rhs)
-        report.margins.append(rhs - lhs)
-        if ray_case:
-            ray_rhs = r / math.sqrt(f.k) * max_beta
-            report.ray_rhs.append(ray_rhs)
-            report.ray_margins.append(ray_rhs - lhs)
-    worst = min(report.margins, default=0.0)
-    if ray_case and report.ray_margins:
-        worst = min(worst, min(report.ray_margins))
-    report.passed = worst >= -tol
-    return report

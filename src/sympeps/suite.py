@@ -52,9 +52,10 @@ SCALES: Dict[str, Dict[str, int]] = {
 # -- random object generators -------------------------------------------------
 
 
-def random_covector(rng: np.random.Generator, max_m: int = 8, max_k: int = 4) -> exterior.Covector:
-    m = int(rng.integers(2, max_m + 1))
-    k = int(rng.integers(1, min(max_k, m) + 1))
+def random_covector(rng: np.random.Generator) -> exterior.Covector:
+    """Random k-covector on R^m with m in 2..8, k in 1..min(4, m), 1-4 terms."""
+    m = int(rng.integers(2, 9))
+    k = int(rng.integers(1, min(4, m) + 1))
     n_slots = math.comb(m, k)
     n_terms = int(rng.integers(1, min(4, n_slots) + 1))
     all_indices = list(itertools.combinations(range(1, m + 1), k))
@@ -94,12 +95,12 @@ def random_polyform(
     return polyform.PolyForm(m, k, terms)
 
 
-def random_ellipsoid(rng: np.random.Generator, n: int, spread: float = 2.0) -> np.ndarray:
-    """Random non-singular matrix with singular values in [1/spread, spread]."""
+def random_ellipsoid(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random non-singular matrix with singular values in [1/2, 2]."""
     dim = 2 * n
     q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    svals = np.exp(rng.uniform(-math.log(spread), math.log(spread), size=dim))
+    svals = np.exp(rng.uniform(-math.log(2.0), math.log(2.0), size=dim))
     return q1 @ np.diag(svals) @ q2
 
 

@@ -881,8 +881,8 @@ def _random_unitary_factor(n: int, rng: np.random.Generator) -> np.ndarray:
     return _embed_unitary(Q * phases.conj()[None, :])
 
 
-def _random_shear_factor(n: int, rng: np.random.Generator, scale: float = 0.3) -> np.ndarray:
-    B = rng.standard_normal((n, n)) * scale
+def _random_shear_factor(n: int, rng: np.random.Generator) -> np.ndarray:
+    B = rng.standard_normal((n, n)) * 0.3
     B = (B + B.T) / 2.0
     S = np.eye(2 * n)
     if rng.integers(2):
@@ -892,17 +892,17 @@ def _random_shear_factor(n: int, rng: np.random.Generator, scale: float = 0.3) -
     return split_to_interleaved(S)
 
 
-def _random_plane_diagonal_factor(n: int, rng: np.random.Generator, scale: float = 0.25) -> np.ndarray:
-    d = np.exp(rng.normal(0.0, scale, size=n))
+def _random_plane_diagonal_factor(n: int, rng: np.random.Generator) -> np.ndarray:
+    d = np.exp(rng.normal(0.0, 0.25, size=n))
     S = np.diag(np.concatenate([d, 1.0 / d]))
     return split_to_interleaved(S)
 
 
-def random_symplectic(n: int, rng: np.random.Generator, factors: int = 4) -> np.ndarray:
+def random_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded random symplectic matrix: a product of unitary rotations,
     symplectic shears, and plane rescalings with moderate conditioning."""
     A = _random_unitary_factor(n, rng)
-    for _ in range(factors):
+    for _ in range(4):
         kind = rng.integers(3)
         if kind == 0:
             A = A @ _random_unitary_factor(n, rng)
@@ -1023,10 +1023,10 @@ def load_matrix(path) -> np.ndarray:
     return parse_matrix_text(text)
 
 
-def save_matrix(path, A, fmt: Optional[str] = None) -> None:
-    fmt = fmt or ("json" if str(path).endswith(".json") else "text")
+def save_matrix(path, A) -> None:
+    """Write A as JSON when path ends in .json, else in the text format."""
     with open(path, "w", encoding="utf-8") as fh:
-        if fmt == "json":
+        if str(path).endswith(".json"):
             json.dump(matrix_to_json_dict(A), fh, indent=2)
             fh.write("\n")
         else:

@@ -256,6 +256,23 @@ def test_symplectify_refuses_negative_or_non_finite_eps(capsys, identity_file, e
     assert f"--eps must be finite and >= 0, got {float(eps)}" in err
 
 
+@pytest.mark.parametrize("matrix", ["identity", "defect-1.25"])
+@pytest.mark.parametrize("eps", ["0.8", repr(sy.EPS_LIMIT)])
+def test_symplectify_refuses_eps_at_or_above_the_limit(capsys, tmp_path, identity_file, matrix, eps):
+    # refused by name before the matrix is read: a map whose defect exceeds
+    # such a budget gets no "exceeds" verdict
+    path = identity_file
+    if matrix == "defect-1.25":
+        path = str(tmp_path / "steep.txt")
+        sy.save_matrix(path, sy.plane_scaling([1.5, 1.0]))
+        assert sy.defect(sy.plane_scaling([1.5, 1.0])) == 1.25
+    code, out, err = run_cli(capsys, "symplectify", path, "--eps", eps)
+    assert code == 2
+    assert out == ""
+    assert f"--eps must be < 1/sqrt(2), got {float(eps)}" in err
+    assert "exceeds" not in err
+
+
 def test_bounds_at_zero(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--eps", "0", "--n", "2")
     assert code == 0

@@ -1,6 +1,9 @@
 import itertools
+import json
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -365,3 +368,136 @@ def test_contraction_sign_agrees_between_interior_and_iota_radial():
                 assert contracted.coeffs == expected
                 radial = pf.evaluate(pf.iota_radial(pf.PolyForm.basis(m, index)), x[:m])
                 assert radial.coeffs == expected
+
+
+@dataclass
+class _ReferenceHBoundReport:
+    """The norm-bound report that ``_h_bound_reference`` fills by appends."""
+
+    m: int
+    k: int
+    s: float
+    t_samples: int
+    rhs_sampled: bool
+    ray_constant: bool
+    points: list = field(default_factory=list)
+    lhs: list = field(default_factory=list)
+    rhs: list = field(default_factory=list)
+    margins: list = field(default_factory=list)
+    ray_rhs: Optional[list] = None
+    ray_margins: Optional[list] = None
+    passed: bool = True
+
+    def to_dict(self) -> dict:
+        return {
+            "m": self.m,
+            "k": self.k,
+            "s": self.s,
+            "t_samples": self.t_samples,
+            "rhs_sampled": self.rhs_sampled,
+            "ray_constant": self.ray_constant,
+            "passed": bool(self.passed),
+            "points": self.points,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "margins": self.margins,
+            "ray_rhs": self.ray_rhs,
+            "ray_margins": self.ray_margins,
+        }
+
+
+def _h_bound_reference(f, points, s, t_samples=1000, tol=1e-9):
+    """The per-point norm-bound check before the columnar rewrite, kept as the
+    reference for ``h_bound_check``."""
+    if f.k < 1:
+        raise ValueError("norm bounds apply to degrees k >= 1")
+    hf = pf.h(f)
+    ray_case = f.has_constant_coefficients()
+    report = _ReferenceHBoundReport(
+        m=f.m,
+        k=f.k,
+        s=float(s),
+        t_samples=t_samples,
+        rhs_sampled=not ray_case,
+        ray_constant=ray_case,
+        ray_rhs=[] if ray_case else None,
+        ray_margins=[] if ray_case else None,
+    )
+    if f.k > 1:
+        factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1)
+    else:
+        factor = math.sqrt(f.m)
+    xs, radii = [], []
+    for point in points:
+        x = np.asarray(point, dtype=float)
+        if x.shape != (f.m,):
+            raise ValueError(f"point dimension {x.shape} does not match m={f.m}")
+        with np.errstate(over="ignore"):  # an infinite norm is refused below, naming the point
+            r = float(np.linalg.norm(x))
+        if r > s + 1e-12:
+            raise ValueError(f"point with norm {r} outside the star-shaped domain of radius {s}")
+        xs.append(x)
+        radii.append(r)
+    X = np.array(xs).reshape(len(xs), f.m)
+    lhs_all = pf.MonomialTable(hf).norms(X)
+    if ray_case:
+        # constant coefficients: ||f(t x)|| is the same at every t and x
+        max_betas = [ex.norm2(pf.evaluate(f, np.zeros(f.m)))] * len(X)
+    else:
+        f_table = pf.MonomialTable(f)
+        ts = np.linspace(0.0, 1.0, t_samples)
+        max_betas = [float(np.max(f_table.norms(ts[:, None] * x))) for x in X]
+    for x, r, lhs, max_beta in zip(X, radii, lhs_all.tolist(), max_betas):
+        rhs = r * factor * max_beta
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise ValueError(f"norm bounds at point {x.tolist()} overflow")
+        report.points.append([float(v) for v in x])
+        report.lhs.append(lhs)
+        report.rhs.append(rhs)
+        report.margins.append(rhs - lhs)
+        if ray_case:
+            ray_rhs = r / math.sqrt(f.k) * max_beta
+            report.ray_rhs.append(ray_rhs)
+            report.ray_margins.append(ray_rhs - lhs)
+    worst = min(report.margins, default=0.0)
+    if ray_case and report.ray_margins:
+        worst = min(worst, min(report.ray_margins))
+    report.passed = worst >= -tol
+    return report
+
+
+def test_h_bound_check_matches_per_point_reference():
+    rng = np.random.default_rng(21)
+    covered = set()
+    for _ in range(80):
+        f = random_polyform(rng, max_m=7, max_k=3, max_degree=int(rng.integers(0, 4)))
+        pts = rng.normal(size=(int(rng.integers(1, 6)), f.m)) * rng.uniform(0.1, 2.0)
+        radius = float(np.max(np.linalg.norm(pts, axis=1))) + 0.1
+        for points in (pts, []):
+            got = pf.h_bound_check(f, points, s=radius, t_samples=200).to_dict()
+            ref = _h_bound_reference(f, points, s=radius, t_samples=200).to_dict()
+            assert json.dumps(got) == json.dumps(ref)
+        covered.add((f.m, f.k, f.has_constant_coefficients()))
+    assert {m for m, _, _ in covered} == set(range(2, 8))
+    assert {k for _, k, _ in covered} == {1, 2, 3}
+    assert {c for _, _, c in covered} == {False, True}
+    for m, k in ((2, 1), (4, 2), (5, 3)):
+        zero = pf.PolyForm.zero(m, k)
+        pts = rng.normal(size=(3, m))
+        got = pf.h_bound_check(zero, pts, s=10.0).to_dict()
+        assert json.dumps(got) == json.dumps(_h_bound_reference(zero, pts, s=10.0).to_dict())
+
+
+def test_h_bound_check_refuses_points_like_the_reference():
+    square = pf.PolyForm.term(3, (1,), {(2, 0, 0): 1})
+    cases = [
+        ([np.zeros(3), np.zeros(2)], 1.0, r"point dimension \(2,\) does not match m=3"),
+        ([np.zeros(3), np.array([2.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0])], 1.0,
+         "point with norm 2.0 outside the star-shaped domain of radius 1.0"),
+        ([np.zeros(3), np.array([1e160, 0.0, 0.0]), np.array([1e170, 0.0, 0.0])], math.inf,
+         r"norm bounds at point \[1e\+160, 0.0, 0.0\] overflow"),
+    ]
+    for points, s, message in cases:
+        for run in (pf.h_bound_check, _h_bound_reference):
+            with pytest.raises(ValueError, match=message):
+                run(square, points, s=s)
