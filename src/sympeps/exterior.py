@@ -316,12 +316,8 @@ def pullback(L: np.ndarray, c: Covector) -> Covector:
     if c.k == 0:
         return c
     combos = list(itertools.combinations(range(c.m), c.k))
-    cols = np.array(combos)  # (n_combos, k)
-    acc = np.zeros(len(combos))
-    for index, coeff in c.coeffs.items():
-        rows = [i - 1 for i in index]
-        subs = mat[rows][:, cols].transpose(1, 0, 2)  # (n_combos, k, k)
-        acc += coeff * np.linalg.det(subs)
+    # Frame j holds the columns combos[j] of L: its value is the coefficient.
+    acc = _evaluate_frames(c, mat[:, np.array(combos)].transpose(1, 0, 2))
     out = {
         tuple(i + 1 for i in combo): val
         for combo, val in zip(combos, acc)

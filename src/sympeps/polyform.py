@@ -326,6 +326,8 @@ class MonomialTable:
 
     The indices are sorted; the monomials of index j are rows starts[j] up to
     starts[j + 1] of the integer exponent matrix and of the coefficients.
+    ``degree`` is the largest exponent and ``used`` pairs each variable that
+    occurs with its exponent column.
     """
 
     def __init__(self, f: PolyForm):
@@ -334,6 +336,8 @@ class MonomialTable:
         self.starts = np.cumsum([0] + [len(p) for p in polys[:-1]])
         self.exps = np.array([e for p in polys for e in p], dtype=int).reshape(-1, f.m)
         self.coeffs = np.array([float(c) for p in polys for c in p.values()])
+        self.degree = int(self.exps.max(initial=0))
+        self.used = [(i, column) for i, column in enumerate(self.exps.T) if column.any()]
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Coefficient values at the points X, shape (T, m) -> (T, len(indices)).
@@ -347,13 +351,12 @@ class MonomialTable:
             return np.zeros((len(X), 0))
         with np.errstate(over="ignore", invalid="ignore"):
             powers = [np.ones_like(X.T)]
-            for _ in range(self.exps.max()):
+            for _ in range(self.degree):
                 powers.append(powers[-1] * X.T)
             powers = np.array(powers)  # (degree + 1, m, T)
             mono = np.repeat(self.coeffs[:, None], len(X), axis=1)
-            for i, column in enumerate(self.exps.T):
-                if column.any():
-                    mono *= powers[column, i]
+            for i, column in self.used:
+                mono *= powers[column, i]
             return np.add.reduceat(mono, self.starts, axis=0).T
 
     def norms(self, X: np.ndarray) -> np.ndarray:

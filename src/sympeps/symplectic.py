@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -250,90 +250,35 @@ class StandardForm:
         return W
 
 
-def _pair_planes(
-    Q: np.ndarray, partner: Callable[[np.ndarray], np.ndarray]
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Split the span of the orthonormal columns of Q into planes (u, v).
-
-    u is the first column of Q and v = partner(u) a unit vector of the span
-    orthogonal to u; both are projected out of Q, which is re-orthonormalised
-    by SVD before the next plane.  Each plane is yielded before partner is
-    called again, so partner may depend on the planes seen so far.
-    """
-    while Q.shape[1] > 0:
-        u = Q[:, 0]
-        v = partner(u)
-        yield u, v
-        rest = Q.shape[1] - 2
-        if rest <= 0:
-            return
-        Q = Q - np.outer(u, u @ Q) - np.outer(v, v @ Q)
-        left, _, _ = np.linalg.svd(Q, full_matrices=False)
-        Q = left[:, :rest]
-
-
 def standard_form(w) -> StandardForm:
     """Orthonormal basis and spectral coefficients of a skew two-form.
 
-    Route: eigendecompose the symmetric PSD matrix -M^2; within each
-    eigenvalue cluster repeatedly pick a unit u, set v = M u / ||M u||, and
-    deflate the cluster off span(u, v).
+    Route: the Hermitian matrix iM has the eigenvalues +-lambda_j^2 and 0.  An
+    eigenvector a + ib of a positive eigenvalue lambda^2 is one plane, with
+    M a = lambda^2 b and M b = -lambda^2 a; set u = a / ||a|| and
+    v = M u / ||M u||.  Orthonormal eigenvectors w, w' of positive
+    eigenvalues give orthogonal planes, since w is also orthogonal to the
+    conjugate of w', an eigenvector of a negative one; so planes with equal
+    lambda need no pairing.  The kernel is the planes' orthogonal complement.
     """
     form = w if isinstance(w, TwoForm) else TwoForm(np.asarray(w, dtype=float))
     M = form.matrix
-    dim = form.dim
-    S = -(M @ M)
-    S = (S + S.T) / 2.0
-    _, vecs = np.linalg.eigh(S)
-    # ||M u|| measured directly is far more accurate near the kernel than the
-    # square root of an eigenvalue of -M^2.
-    alpha = np.linalg.norm(M @ vecs, axis=0)
-    scale = float(alpha.max()) if dim else 0.0
-    if scale == 0.0:
-        return StandardForm(np.zeros(0), np.zeros((dim, 0)), np.zeros((dim, 0)), vecs)
-
-    kernel_mask = alpha <= KERNEL_RTOL * scale
-    kernel = vecs[:, kernel_mask]
-    live = [int(i) for i in np.argsort(alpha, kind="stable") if not kernel_mask[i]]
-
-    # Cluster consecutive eigenvalues.  The tolerance balances two error
-    # sources: the eigensolver mixes eigenvectors of pairs closer than about
-    # sqrt(machine eps) * scale, while deflation inside a merged cluster is
-    # accurate to the cluster's spread; sqrt(eps) * scale keeps both at ~1e-8.
-    cluster_tol = 1e-8 * scale
-    clusters: List[List[int]] = []
-    for i in live:
-        if clusters and alpha[i] - alpha[clusters[-1][-1]] <= cluster_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    merged: List[List[int]] = []
-    for cl in clusters:
-        if merged and len(merged[-1]) % 2:
-            merged[-1].extend(cl)
-        else:
-            merged.append(cl)
-    if merged and len(merged[-1]) % 2:
-        raise np.linalg.LinAlgError("could not pair the nonzero spectrum of a skew matrix")
-
-    def partner(u: np.ndarray) -> np.ndarray:
-        Mu = M @ u
-        return Mu / float(np.linalg.norm(Mu))
-
-    us: List[np.ndarray] = []
-    vs: List[np.ndarray] = []
-    lam2: List[float] = []
-    for cl in merged:
-        for uj, vj in _pair_planes(vecs[:, cl], partner):
-            us.append(uj)
-            vs.append(vj)
-            lam2.append(float(vj @ (M @ uj)))
-
+    evals, vecs = np.linalg.eigh(1j * M)
+    scale = float(np.abs(evals).max(initial=0.0))
+    planes = vecs[:, evals > KERNEL_RTOL * scale]
+    # Fix the phase of each eigenvector: its largest-magnitude entry is real
+    # and positive.  (A 0 x 0 form has no entries to take the argmax of.)
+    top = np.abs(planes).argmax(axis=0) if form.dim else np.zeros(0, dtype=int)
+    peak = planes[top, np.arange(planes.shape[1])]
+    a = (planes * (peak.conj() / np.abs(peak))).real
+    u = a / np.linalg.norm(a, axis=0)
+    Mu = M @ u
+    v = Mu / np.linalg.norm(Mu, axis=0)
+    lam2 = np.einsum("ij,ij->j", v, Mu)
     order = np.argsort(lam2, kind="stable")
-    lam2_arr = np.asarray(lam2)[order]
-    u_arr = np.column_stack([us[i] for i in order]) if us else np.zeros((dim, 0))
-    v_arr = np.column_stack([vs[i] for i in order]) if vs else np.zeros((dim, 0))
-    result = StandardForm(lam2_arr, u_arr, v_arr, kernel)
+    u, v = u[:, order], v[:, order]
+    kernel = np.linalg.svd(np.hstack([u, v]))[0][:, 2 * u.shape[1]:]
+    result = StandardForm(lam2[order], u, v, kernel)
 
     rel = np.linalg.norm(result.reconstruct() - M, "fro") / max(np.linalg.norm(M, "fro"), 1e-300)
     if rel > 1e-6:
@@ -383,13 +328,12 @@ def symplectic_spectrum(A) -> np.ndarray:
 def _spectrum(A: np.ndarray) -> np.ndarray:
     """symplectic_spectrum of A, or of each matrix of a stack, without the
     singularity check: for callers that hold the conditioning already."""
-    M = A.swapaxes(-1, -2) @ _standard_J(A.shape[-1] // 2) @ A
-    S = -(M @ M)
-    S = (S + S.swapaxes(-1, -2)) / 2.0
-    evals = np.linalg.eigvalsh(S)
-    alpha = np.sqrt(np.clip(evals, 0.0, None))
-    paired = (alpha[..., 0::2] + alpha[..., 1::2]) / 2.0
-    return np.sqrt(paired)
+    n = A.shape[-1] // 2
+    M = A.swapaxes(-1, -2) @ _standard_J(n) @ A
+    # iM is Hermitian with the eigenvalues +-r_j^2, so its top n are the
+    # squared spectrum, ascending.  Near SINGULAR_RTOL, r_1^2 / ||M|| falls
+    # below the solver's resolution and the n-th can come out negative: clip.
+    return np.sqrt(np.clip(np.linalg.eigvalsh(1j * M)[..., n:], 0.0, None))
 
 
 def ellipsoid_capacity(A) -> float:
@@ -835,22 +779,13 @@ def hyperplane_squeeze(u, bound: float, R: float) -> np.ndarray:
         raise ValueError("bound and R must be positive")
     J = _standard_J(n)
     uhat = vec / nu
-    vhat = J @ uhat
-    columns = [(R / bound) * uhat, (bound / R) * vhat]
-    ortho = [uhat, vhat]
-
-    def partner(w: np.ndarray) -> np.ndarray:
-        z = J @ w
-        for b in ortho:
-            z = z - (b @ z) * b
-        return z / np.linalg.norm(z)
-
-    _, _, vh = np.linalg.svd(np.vstack([uhat, vhat]))
-    # vh[2:] spans the orthogonal complement of span(uhat, vhat)
-    for wj, zj in _pair_planes(vh[2:].T, partner):
-        columns.extend([wj, zj])
-        ortho.extend([wj, zj])
-    B = np.column_stack(columns)
+    # Read R^2n as C^n, z_j = x_j + i y_j, so J is multiplication by i.  A
+    # QR of [z_u, I] completes z_u to a unitary basis; each further column w
+    # gives the symplectic plane (w, i w), the two embedded columns of w.
+    Q, _ = np.linalg.qr(np.column_stack([uhat[0::2] + 1j * uhat[1::2], np.eye(n)]))
+    B = _embed_unitary(Q)
+    B[:, 0] = (R / bound) * uhat
+    B[:, 1] = (bound / R) * (J @ uhat)
     psi = np.linalg.inv(B)
     dev = np.linalg.norm(psi.T @ J @ psi - J, "fro")
     if dev > 1e-9:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -249,6 +250,26 @@ def test_pullback_operator_norm_bound_for_two_forms():
         L = rng.normal(size=(m, m))
         bound = float(np.linalg.norm(L, 2)) ** 2 * ex.norm2(c)
         assert ex.norm2(ex.pullback(L, c)) <= bound + 1e-9
+
+
+def _pullback_coefficients_reference(L, c):
+    """The per-index minor loop that pullback ran before it evaluated its
+    frames with _evaluate_frames; kept as the reference for exact equality."""
+    combos = list(itertools.combinations(range(c.m), c.k))
+    cols = np.array(combos)
+    acc = np.zeros(len(combos))
+    for index, coeff in c.coeffs.items():
+        rows = [i - 1 for i in index]
+        acc += coeff * np.linalg.det(L[rows][:, cols].transpose(1, 0, 2))
+    return {tuple(i + 1 for i in combo): val for combo, val in zip(combos, acc) if val != 0.0}
+
+
+def test_pullback_equals_the_minor_loop_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for _ in range(500):
+        c = random_covector(rng)
+        L = rng.normal(size=(c.m, c.m))
+        assert ex.pullback(L, c).coeffs == _pullback_coefficients_reference(L, c)
 
 
 def test_pullback_dimension_mismatch():

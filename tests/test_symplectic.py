@@ -115,11 +115,17 @@ def test_standard_form_reconstructs_random_skew():
 def test_standard_form_zero_matrix():
     sf = sy.standard_form(np.zeros((4, 4)))
     assert sf.rank == 0 and sf.kernel.shape == (4, 4)
+    sf = sy.standard_form(np.zeros((0, 0)))
+    assert sf.rank == 0 and sf.kernel.shape == (0, 0)
 
 
 def test_standard_form_near_degenerate_pairs():
     # spectral pairs separated by less than the eigensolver can resolve must
-    # still reconstruct; the deflation merges them into one cluster
+    # still reconstruct: each positive eigenvalue of iM is one plane, however
+    # close to the next.  The reconstruction error of a backward stable
+    # eigensolver with an orthonormal basis is a small multiple of dim * u;
+    # measured at most 1.9 dim u over 200 seeds of this fixture, bound 8 dim u.
+    u = np.finfo(float).eps / 2
     rng = np.random.default_rng(8)
     block = np.array([[0.0, -1.0], [1.0, 0.0]])
     for gap in (0.0, 1e-15, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3):
@@ -132,7 +138,31 @@ def test_standard_form_near_degenerate_pairs():
         M = (M - M.T) / 2.0
         sf = sy.standard_form(M)
         rel = np.linalg.norm(sf.reconstruct() - M, "fro") / np.linalg.norm(M, "fro")
-        assert rel <= 2e-8, f"gap={gap}: rel={rel}"
+        assert rel <= 8 * 6 * u, f"gap={gap}: rel={rel}"
+
+
+def test_standard_form_basis_orthonormal_near_degenerate_pairs_with_kernel():
+    # Two planes with relative gap 0 to 1e-3, a third plane and a 2-dim
+    # kernel in dim 8.  Eigenvectors of iM for lambda and -lambda are
+    # separated by 2 lambda, so every (u, v, kernel) basis is orthonormal to
+    # rounding whatever the gap.  Squaring M instead mixes the eigenvectors
+    # of a pair that the solver of -M^2 only just resolves: 5.6e-10 measured
+    # on this fixture.
+    rng = np.random.default_rng(1)
+    block = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for gap in (0.0, 1e-15, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3):
+        skew = np.zeros((8, 8))
+        skew[:2, :2] = block
+        skew[2:4, 2:4] = (1.0 + gap) * block
+        skew[4:6, 4:6] = 1.7 * block
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        M = q @ skew @ q.T
+        M = (M - M.T) / 2.0
+        sf = sy.standard_form(M)
+        assert sf.rank == 6 and sf.kernel.shape == (8, 2)
+        B = sf.basis_matrix()
+        assert np.max(np.abs(B.T @ B - np.eye(8))) <= 1e-12, f"gap={gap}"
+        np.testing.assert_allclose(sf.lambda_sq, [1.0, 1.0 + gap, 1.7], rtol=1e-14)
 
 
 def test_pullback_lambdas_equal_image_spectrum():
@@ -148,6 +178,42 @@ def test_spectrum_identity_and_plane_diagonal():
     np.testing.assert_allclose(
         sy.symplectic_spectrum(sy.plane_scaling([2.0, 3.0])), [2.0, 3.0], atol=1e-12
     )
+
+
+def test_spectrum_forward_error_against_plane_diagonal_oracle():
+    # A = U diag(r_j, r_j) V with U, V unitary-symplectic has the exact
+    # spectrum r and kappa(A) = r_max / r_min.  Standard first-order normwise
+    # bounds, each with the dimension factor dim (u the unit roundoff):
+    #   - rounding A: U and V are unitary to dim u and the two products add
+    #     dim u sigma_max each, so ||dA|| <= 4 dim u sigma_max and
+    #     A^T J A moves by at most 2 ||dA|| sigma_max = 8 dim u sigma_max^2;
+    #   - forming A^T (J A), J A exact: dim u sigma_max^2;
+    #   - the Hermitian eigensolver's backward error: dim u ||M|| <= dim u sigma_max^2.
+    # So |r_j^2 error| <= 10 dim u sigma_max^2, and since r_j >= sigma_min the
+    # relative error of r_j is at most 5 dim u kappa^2, plus u for the square
+    # root.  Measured at most 0.6 dim u kappa^2 here.
+    u = np.finfo(float).eps / 2
+    n, dim = 3, 6
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        r = np.sort(np.exp(rng.uniform(math.log(0.01), math.log(100.0), size=n)))
+        A = sy._random_unitary_factor(n, rng) @ sy.plane_scaling(r) @ sy._random_unitary_factor(n, rng)
+        kappa = r[-1] / r[0]
+        err = np.max(np.abs(sy.symplectic_spectrum(A) - r) / r)
+        assert err <= (5 * dim * kappa**2 + 1) * u, (r, err)
+
+
+def test_spectrum_finite_near_the_singular_threshold():
+    # kappa(A) = 1e10 passes SINGULAR_RTOL, but r_1^2 / ||A^T J A|| = 1e-20 is
+    # below the eigensolver's resolution: the n-th eigenvalue of i A^T J A
+    # can come out negative (about one draw in ten), and the spectrum clips it
+    # to 0 rather than return NaN.
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        A = sy._random_unitary_factor(2, rng) @ sy.plane_scaling([1e-5, 1e5]) @ sy._random_unitary_factor(2, rng)
+        spectrum = sy.symplectic_spectrum(A)
+        assert np.all(np.isfinite(spectrum)) and np.all(spectrum >= 0.0)
+        assert spectrum[1] == pytest.approx(1e5, rel=1e-9)
 
 
 def test_spectrum_conformal_scaling():
