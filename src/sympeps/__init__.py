@@ -43,6 +43,7 @@ from .symplectic import (
     SqueezeParams,
     StandardForm,
     TwoForm,
+    WidthCertificates,
     c_rho,
     capacity_preservation_check,
     check_eps_nonexpanding,
@@ -60,6 +61,7 @@ from .symplectic import (
     squeezing_params,
     standard_form,
     symplectic_spectrum,
+    width_certificates,
 )
 
 __version__ = "0.1.0"

@@ -141,9 +141,7 @@ def cmd_certify(args) -> int:
     rng = np.random.default_rng(args.seed)
     ellipsoids = _canonical_ellipsoids(n)
     ellipsoids += [suite.random_ellipsoid(rng, n) for _ in range(args.trials)]
-    sq = symplectic.check_eps_nonsqueezing(phi, eps_prime, ellipsoids)
-    ex = symplectic.check_eps_nonexpanding(phi, eps_prime, ellipsoids)
-    cap = symplectic.capacity_preservation_check(phi, eps_prime, ellipsoids)
+    sq, ex, cap = symplectic.width_certificates(phi, eps_prime, ellipsoids)
     passed = sq.passed and ex.passed and cap.passed
     report = {
         "command": "certify",

@@ -143,12 +143,22 @@ class Covector:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Covector":
-        m = int(data["m"])
-        k = int(data["k"])
-        coeffs: Dict[MultiIndex, float] = {}
-        for term in data.get("terms", []):
-            idx = check_multi_index(term["index"], m, k)
-            coeffs[idx] = coeffs.get(idx, 0.0) + float(term["coeff"])
+        """Inverse of to_json_dict.  Integer fields follow ``json_int`` and
+        coefficients must be finite; a malformed value or layout raises ValueError."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"covector JSON must be an object, got {type(data).__name__}")
+        try:
+            m = json_int(data["m"], "m")
+            k = json_int(data["k"], "k")
+            coeffs: Dict[MultiIndex, float] = {}
+            for term in data.get("terms", []):
+                idx = check_multi_index([json_int(i, "index") for i in term["index"]], m, k)
+                coeff = float(term["coeff"])
+                if not math.isfinite(coeff):
+                    raise ValueError(f"JSON field 'coeff' must be finite, got {term['coeff']!r}")
+                coeffs[idx] = coeffs.get(idx, 0.0) + coeff
+        except TypeError as exc:
+            raise ValueError(f"malformed covector JSON: {exc}") from exc
         return cls(m, k, coeffs)
 
 

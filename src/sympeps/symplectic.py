@@ -54,6 +54,8 @@ __all__ = [
     "check_eps_nonexpanding",
     "ellipsoid_capacity",
     "capacity_preservation_check",
+    "WidthCertificates",
+    "width_certificates",
     "cubic_z0",
     "squeeze_eps_threshold",
     "c_rho",
@@ -539,23 +541,6 @@ def _width_table(phi: np.ndarray, rho_val: float, ellipsoids: Sequence) -> _Widt
     return _Widths(_spectrum(stack)[:, 0], _spectrum(image)[:, 0], s_A, e_A)
 
 
-def _width_certificate(
-    phi, eps: float, ellipsoids: Sequence, kind: str, linear_case: bool
-) -> Tuple[np.ndarray, CertificateReport, Optional[_Widths]]:
-    """Report shell of a width or capacity check, and the width table it
-    certifies.  A singular phi fails unconditionally (arbitrarily thin image
-    ellipsoids): its report is final and there is no table.
-    """
-    phi, n = _as_even_matrix(phi)
-    singular = _conditioning(phi).singular
-    report = CertificateReport(kind, eps, _width_rho(eps, n, linear_case))
-    if singular:
-        report.passed = False
-        report.note = "singular map: fails unconditionally (arbitrarily thin image ellipsoids)"
-        return phi, report, None
-    return phi, report, _width_table(phi, report.rho, ellipsoids)
-
-
 def _squares(x: np.ndarray) -> np.ndarray:
     """x**2 per entry as a Python float computes it (libm pow), which can
     differ in the last bit from numpy's x * x; the certificates keep the bits
@@ -583,69 +568,42 @@ def _worst(margins: np.ndarray) -> Optional[dict]:
     return {"index": i, "margin": float(margins[i])}
 
 
-def check_eps_nonsqueezing(
-    phi,
-    eps: float,
-    ellipsoids: Sequence,
-    linear_case: bool = True,
-) -> CertificateReport:
-    """Check s_A * r_1 <= R_1 for each ellipsoid A, where r_1 and R_1 are the
-    linear symplectic widths of A B_1 and of its image under phi."""
-    phi, report, t = _width_certificate(phi, eps, ellipsoids, "nonsqueezing", linear_case)
-    if t is None:
-        return report
-    margin = t.R1 - t.s_A * t.r1
-    ok = margin >= -CERT_TOL
-    report.records = _records({"r1": t.r1, "R1": t.R1, "s_A": t.s_A, "margin": margin, "pass": ok})
-    report.passed = bool(ok.all())
-    report.worst = _worst(margin)
-    return report
+class WidthCertificates(NamedTuple):
+    """The three reports of one certificate pass over a batch of ellipsoids."""
+
+    nonsqueezing: CertificateReport
+    nonexpanding: CertificateReport
+    capacity: CertificateReport
 
 
-def check_eps_nonexpanding(
-    phi,
-    eps: float,
-    ellipsoids: Sequence,
-    linear_case: bool = True,
-    ball_radii: Sequence[float] = BALL_RADII,
-) -> CertificateReport:
-    """Check R_1 <= e_A * r_1 on eligible ellipsoids (those with e_A defined;
-    the rest are skipped and reported) plus the ball clause: the width of
-    phi(B_r) is at most r / rho."""
-    phi, report, t = _width_certificate(phi, eps, ellipsoids, "nonexpanding", linear_case)
-    if t is None:
-        return report
-    margin = t.e_A * t.r1 - t.R1  # NaN where e_A is undefined
+def width_certificates(
+    phi, eps: float, ellipsoids: Sequence, linear_case: bool = True, ball_radii: Sequence[float] = BALL_RADII
+) -> WidthCertificates:
+    """Three views of one width table of the batch (r_1, R_1: the linear
+    symplectic widths of A B_1 and of phi(A B_1)).  nonsqueezing checks
+    s_A r_1 <= R_1; nonexpanding checks R_1 <= e_A r_1 where e_A is defined
+    (elsewhere the record is skipped) and width(phi B_r) <= r / rho for each
+    ball radius; capacity checks s_A^2 c(E) <= c(phi E) <= e_A^2 c(E), with
+    c = pi r_1^2, the upper bound where e_A is defined.  A singular phi fails
+    all three unconditionally, with no table."""
+    phi, n = _as_even_matrix(phi)
+    singular = _conditioning(phi).singular
+    rho_val = _width_rho(eps, n, linear_case)
+    if singular:
+        note = "singular map: fails unconditionally (arbitrarily thin image ellipsoids)"
+        fail = (CertificateReport(kind, eps, rho_val, passed=False, note=note) for kind in WidthCertificates._fields)
+        return WidthCertificates(*fail)
+    t = _width_table(phi, rho_val, ellipsoids)
+    squeeze = t.R1 - t.s_A * t.r1
+    squeeze_ok = squeeze >= -CERT_TOL
+    expand = t.e_A * t.r1 - t.R1  # NaN where e_A is undefined
     skipped = np.isnan(t.e_A)
-    ok = skipped | (margin >= -CERT_TOL)
-    report.records = _records(
-        {"r1": t.r1, "R1": t.R1, "e_A": t.e_A, "skipped": skipped, "pass": ok, "margin": margin}
-    )
+    expand_ok = skipped | (expand >= -CERT_TOL)
     radii = list(ball_radii)
     balls = np.multiply.outer(np.asarray(radii, dtype=float), np.eye(phi.shape[0]))
     ball_widths = symplectic_spectrum(phi @ balls)[:, 0]
-    bounds = np.asarray(radii, dtype=float) / report.rho
+    bounds = np.asarray(radii, dtype=float) / rho_val
     ball_ok = bounds - ball_widths >= -CERT_TOL
-    report.ball_checks = [
-        {"radius": r, "image_width": w, "bound": b, "pass": p}
-        for r, w, b, p in zip(radii, ball_widths.tolist(), bounds.tolist(), ball_ok.tolist())
-    ]
-    report.passed = bool(ok.all() and ball_ok.all())
-    report.worst = _worst(margin)
-    return report
-
-
-def capacity_preservation_check(
-    phi,
-    eps: float,
-    ellipsoids: Sequence,
-    linear_case: bool = True,
-) -> CertificateReport:
-    """Two-sided check s_A^2 c(E) <= c(phi E) <= e_A^2 c(E) on each ellipsoid,
-    with capacity pi * width^2; the upper inequality applies when e_A is defined."""
-    phi, report, t = _width_certificate(phi, eps, ellipsoids, "capacity", linear_case)
-    if t is None:
-        return report
     cap = math.pi * _squares(t.r1)
     cap_img = math.pi * _squares(t.R1)
     lower = cap_img - _squares(t.s_A) * cap
@@ -653,16 +611,49 @@ def capacity_preservation_check(
     undefined = np.isnan(upper)
     lower_ok = lower >= -CERT_TOL
     upper_ok = upper >= -CERT_TOL
-    ok = lower_ok & (upper_ok | undefined)
-    report.records = _records({
-        "capacity": cap, "image_capacity": cap_img, "s_A": t.s_A, "e_A": t.e_A,
-        "lower_margin": lower, "lower_pass": lower_ok,
-        "upper_margin": upper, "upper_pass": np.where(undefined, None, upper_ok),
-        "pass": ok,
-    })
-    report.passed = bool(ok.all())
-    report.worst = _worst(np.fmin(lower, upper))
-    return report
+    cap_ok = lower_ok & (upper_ok | undefined)
+    return WidthCertificates(
+        CertificateReport(
+            "nonsqueezing", eps, rho_val,
+            _records({"r1": t.r1, "R1": t.R1, "s_A": t.s_A, "margin": squeeze, "pass": squeeze_ok}),
+            passed=bool(squeeze_ok.all()), worst=_worst(squeeze),
+        ),
+        CertificateReport(
+            "nonexpanding", eps, rho_val,
+            _records({"r1": t.r1, "R1": t.R1, "e_A": t.e_A, "skipped": skipped, "pass": expand_ok, "margin": expand}),
+            [
+                {"radius": r, "image_width": w, "bound": b, "pass": p}
+                for r, w, b, p in zip(radii, ball_widths.tolist(), bounds.tolist(), ball_ok.tolist())
+            ],
+            bool(expand_ok.all() and ball_ok.all()), worst=_worst(expand),
+        ),
+        CertificateReport(
+            "capacity", eps, rho_val,
+            _records({
+                "capacity": cap, "image_capacity": cap_img, "s_A": t.s_A, "e_A": t.e_A,
+                "lower_margin": lower, "lower_pass": lower_ok, "upper_margin": upper,
+                "upper_pass": np.where(undefined, None, upper_ok), "pass": cap_ok,
+            }),
+            passed=bool(cap_ok.all()), worst=_worst(np.fmin(lower, upper)),
+        ),
+    )
+
+
+def check_eps_nonsqueezing(phi, eps: float, ellipsoids: Sequence, linear_case: bool = True) -> CertificateReport:
+    """The nonsqueezing report of ``width_certificates``."""
+    return width_certificates(phi, eps, ellipsoids, linear_case).nonsqueezing
+
+
+def check_eps_nonexpanding(
+    phi, eps: float, ellipsoids: Sequence, linear_case: bool = True, ball_radii: Sequence[float] = BALL_RADII
+) -> CertificateReport:
+    """The nonexpanding report of ``width_certificates``."""
+    return width_certificates(phi, eps, ellipsoids, linear_case, ball_radii).nonexpanding
+
+
+def capacity_preservation_check(phi, eps: float, ellipsoids: Sequence, linear_case: bool = True) -> CertificateReport:
+    """The capacity report of ``width_certificates``."""
+    return width_certificates(phi, eps, ellipsoids, linear_case).capacity
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +762,9 @@ def hyperplane_squeeze(u, bound: float, R: float) -> np.ndarray:
     vec = np.asarray(u, dtype=float)
     if vec.ndim != 1 or vec.size % 2:
         raise ValueError("normal vector must live in an even-dimensional space")
+    for name, value in (("u", vec), ("bound", bound), ("R", R)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
     n = vec.size // 2
     nu = float(np.linalg.norm(vec))
     if nu == 0.0:
@@ -788,7 +782,7 @@ def hyperplane_squeeze(u, bound: float, R: float) -> np.ndarray:
     B[:, 1] = (bound / R) * (J @ uhat)
     psi = np.linalg.inv(B)
     dev = np.linalg.norm(psi.T @ J @ psi - J, "fro")
-    if dev > 1e-9:
+    if not dev <= 1e-9:  # NaN fails too
         raise np.linalg.LinAlgError(f"constructed map is not symplectic (deviation {dev:.3e})")
     return psi
 

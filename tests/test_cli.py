@@ -117,6 +117,25 @@ def test_analyze_builds_the_standard_form_once(capsys, fixture_file, monkeypatch
     assert calls == {"standard_form": 1, "defect": 1}
 
 
+
+def test_certify_builds_one_width_table(capsys, fixture_file, monkeypatch):
+    # phi, the stack, its image and the balls: 4 conditionings; the stack,
+    # its image and the balls: 3 spectra.  Three separate certificate passes
+    # took 10 and 7.
+    calls = {"_spectrum": 0, "_conditioning": 0}
+    for name in calls:
+        original = getattr(sy, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(sy, name, counted)
+    code, out, _ = run_cli(capsys, "certify", fixture_file, "--eps", "0.1", "--trials", "4")
+    assert code == 0
+    assert json.loads(out)["ellipsoids"] == 9 + 4
+    assert calls == {"_spectrum": 3, "_conditioning": 4}
+
 def test_symplectify_computes_the_defect_twice(capsys, identity_file, tmp_path, monkeypatch):
     calls = []
     original = sy.defect

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -300,6 +301,37 @@ def test_covector_json_round_trip():
     }
     assert ex.Covector.from_json_dict(data) == c
 
+
+
+def test_covector_json_integer_fields_take_integers_or_their_strings():
+    data = {"m": "4", "k": 2, "terms": [{"index": [1, "3"], "coeff": 0.5}]}
+    assert ex.Covector.from_json_dict(data) == ex.Covector(4, 2, {(1, 3): 0.5})
+    for bad in (2.9, True, "2.5", None):
+        with pytest.raises(ValueError, match="JSON field 'm' must hold integers"):
+            ex.Covector.from_json_dict({**data, "m": bad})
+    with pytest.raises(ValueError, match="JSON field 'k' must hold integers"):
+        ex.Covector.from_json_dict({**data, "k": 2.0})
+    with pytest.raises(ValueError, match="JSON field 'index' must hold integers"):
+        ex.Covector.from_json_dict({**data, "terms": [{"index": [1.7, 3], "coeff": 0.5}]})
+
+
+@pytest.mark.parametrize("coeff", ['"nan"', '"inf"', "NaN", "-Infinity", "1e999"])
+def test_covector_json_refuses_non_finite_coefficients(coeff):
+    data = json.loads('{"m": 2, "k": 1, "terms": [{"index": [1], "coeff": %s}]}' % coeff)
+    with pytest.raises(ValueError, match="JSON field 'coeff' must be finite"):
+        ex.Covector.from_json_dict(data)
+
+
+@pytest.mark.parametrize("data", [[], [["m", 2]], "covector", 5])
+def test_covector_json_refuses_a_non_object(data):
+    with pytest.raises(ValueError, match="covector JSON must be an object"):
+        ex.Covector.from_json_dict(data)
+
+
+@pytest.mark.parametrize("terms", [5, [5], [{"index": 1, "coeff": 1.0}], [{"index": [1], "coeff": [1.0]}]])
+def test_covector_json_wrong_layout_is_a_value_error(terms):
+    with pytest.raises(ValueError, match="malformed covector JSON"):
+        ex.Covector.from_json_dict({"m": 2, "k": 1, "terms": terms})
 
 def test_covector_validation():
     with pytest.raises(ValueError, match="strictly increasing"):

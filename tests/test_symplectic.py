@@ -518,6 +518,17 @@ def test_hyperplane_squeeze_rejects_zero_vector():
         sy.hyperplane_squeeze(np.zeros(4), 1.0, 1.0)
 
 
+
+def test_hyperplane_squeeze_refuses_non_finite_input_by_name():
+    u = np.array([1.0, 0.5, 0.0, -2.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^u must be finite"):
+            sy.hyperplane_squeeze(np.array([1.0, bad, 0.0, 0.0]), 1.0, 1.0)
+        with pytest.raises(ValueError, match="^bound must be finite"):
+            sy.hyperplane_squeeze(u, bad, 1.0)  # NaN used to give an all-NaN map
+        with pytest.raises(ValueError, match="^R must be finite"):
+            sy.hyperplane_squeeze(u, 1.0, bad)  # inf used to fail as a bare "Singular matrix"
+
 def test_hyperplane_squeeze_single_plane():
     psi = sy.hyperplane_squeeze(np.array([2.0, 0.0]), bound=0.5, R=1.0)
     J = sy.standard_J(1)
@@ -801,6 +812,153 @@ def test_certificates_name_a_misshapen_ellipsoid():
     for checker in (sy.check_eps_nonsqueezing, sy.check_eps_nonexpanding, sy.capacity_preservation_check):
         with pytest.raises(ValueError, match=r"ellipsoid 2 has shape \(2, 2\), expected \(4, 4\)"):
             checker(np.eye(4), 0.1, batch)
+
+
+
+# The three certificates as separate passes, each validating phi and building
+# its own width table: the reference that one shared pass must reproduce.
+
+
+def _reference_width_certificate(phi, eps, ellipsoids, kind, linear_case):
+    phi, n = sy._as_even_matrix(phi)
+    singular = sy._conditioning(phi).singular
+    report = sy.CertificateReport(kind, eps, sy._width_rho(eps, n, linear_case))
+    if singular:
+        report.passed = False
+        report.note = "singular map: fails unconditionally (arbitrarily thin image ellipsoids)"
+        return phi, report, None
+    return phi, report, sy._width_table(phi, report.rho, ellipsoids)
+
+
+def _reference_nonsqueezing(phi, eps, ellipsoids, linear_case=True):
+    phi, report, t = _reference_width_certificate(phi, eps, ellipsoids, "nonsqueezing", linear_case)
+    if t is None:
+        return report
+    margin = t.R1 - t.s_A * t.r1
+    ok = margin >= -sy.CERT_TOL
+    report.records = sy._records({"r1": t.r1, "R1": t.R1, "s_A": t.s_A, "margin": margin, "pass": ok})
+    report.passed = bool(ok.all())
+    report.worst = sy._worst(margin)
+    return report
+
+
+def _reference_nonexpanding(phi, eps, ellipsoids, linear_case=True, ball_radii=sy.BALL_RADII):
+    phi, report, t = _reference_width_certificate(phi, eps, ellipsoids, "nonexpanding", linear_case)
+    if t is None:
+        return report
+    margin = t.e_A * t.r1 - t.R1  # NaN where e_A is undefined
+    skipped = np.isnan(t.e_A)
+    ok = skipped | (margin >= -sy.CERT_TOL)
+    report.records = sy._records(
+        {"r1": t.r1, "R1": t.R1, "e_A": t.e_A, "skipped": skipped, "pass": ok, "margin": margin}
+    )
+    radii = list(ball_radii)
+    balls = np.multiply.outer(np.asarray(radii, dtype=float), np.eye(phi.shape[0]))
+    ball_widths = sy.symplectic_spectrum(phi @ balls)[:, 0]
+    bounds = np.asarray(radii, dtype=float) / report.rho
+    ball_ok = bounds - ball_widths >= -sy.CERT_TOL
+    report.ball_checks = [
+        {"radius": r, "image_width": w, "bound": b, "pass": p}
+        for r, w, b, p in zip(radii, ball_widths.tolist(), bounds.tolist(), ball_ok.tolist())
+    ]
+    report.passed = bool(ok.all() and ball_ok.all())
+    report.worst = sy._worst(margin)
+    return report
+
+
+def _reference_capacity(phi, eps, ellipsoids, linear_case=True):
+    phi, report, t = _reference_width_certificate(phi, eps, ellipsoids, "capacity", linear_case)
+    if t is None:
+        return report
+    cap = math.pi * sy._squares(t.r1)
+    cap_img = math.pi * sy._squares(t.R1)
+    lower = cap_img - sy._squares(t.s_A) * cap
+    upper = sy._squares(t.e_A) * cap - cap_img  # NaN where e_A is undefined
+    undefined = np.isnan(upper)
+    lower_ok = lower >= -sy.CERT_TOL
+    upper_ok = upper >= -sy.CERT_TOL
+    ok = lower_ok & (upper_ok | undefined)
+    report.records = sy._records({
+        "capacity": cap, "image_capacity": cap_img, "s_A": t.s_A, "e_A": t.e_A,
+        "lower_margin": lower, "lower_pass": lower_ok,
+        "upper_margin": upper, "upper_pass": np.where(undefined, None, upper_ok),
+        "pass": ok,
+    })
+    report.passed = bool(ok.all())
+    report.worst = sy._worst(np.fmin(lower, upper))
+    return report
+
+
+def _reference_reports(phi, eps, batch, linear_case=True, ball_radii=sy.BALL_RADII):
+    return (
+        _reference_nonsqueezing(phi, eps, batch, linear_case),
+        _reference_nonexpanding(phi, eps, batch, linear_case, ball_radii),
+        _reference_capacity(phi, eps, batch, linear_case),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_width_certificates_equal_three_separate_passes(n):
+    rng = np.random.default_rng(100 + n)
+    dim = 2 * n
+    phi = sy.random_eps_symplectic(n, 0.1, seed=20 + n)
+    thin = np.diag(np.linspace(0.05, 1.0, dim))  # e_A undefined
+    mixed = [random_ellipsoid(rng, n) for _ in range(6)] + [thin, POW_DIFFERS * np.eye(dim)]
+    crush = np.eye(dim)
+    crush[0, 0] = 0.1
+    singular = np.eye(dim)
+    singular[0, 0] = 0.0
+    cases = [
+        (phi, 0.1 * math.sqrt(2.0), [random_ellipsoid(rng, n) for _ in range(9)], {}),
+        (phi, 0.5, mixed, {}),
+        (phi, 0.1, [], {}),
+        (crush, 0.0, mixed, {}),
+        (1.3 * np.eye(dim), 0.1, mixed, {}),  # fails the ball clause
+        (singular, 0.1, mixed, {}),
+        (singular, 0.1, [], {"ball_radii": ()}),
+        (phi, 0.2, mixed, {"linear_case": False}),
+        (phi, 0.2, mixed, {"ball_radii": ()}),
+        (phi, 0.2, mixed, {"ball_radii": (1, 3)}),
+    ]
+    for phi_case, eps, batch, options in cases:
+        reports = sy.width_certificates(phi_case, eps, batch, **options)
+        for report, expected in zip(reports, _reference_reports(phi_case, eps, batch, **options)):
+            # repr compares key order, types and float bits (0.0 against -0.0 too)
+            assert repr(report.to_dict()) == repr(expected.to_dict())
+        linear_case = options.get("linear_case", True)
+        selected = (
+            sy.check_eps_nonsqueezing(phi_case, eps, batch, linear_case),
+            sy.check_eps_nonexpanding(phi_case, eps, batch, **options),
+            sy.capacity_preservation_check(phi_case, eps, batch, linear_case),
+        )
+        assert [repr(r.to_dict()) for r in selected] == [repr(r.to_dict()) for r in reports]
+
+
+def _raised(call):
+    with pytest.raises(Exception) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_width_certificates_raise_as_three_separate_passes(n):
+    dim = 2 * n
+    eye = np.eye(dim)
+    singular = np.diag([0.0] + [1.0] * (dim - 1))
+    thin_phi = np.diag([1e7] + [1.0] * (dim - 1))
+    cases = [
+        (eye, 0.1, [eye, eye, np.diag([1.0] * (dim - 1) + [1e-13]), np.zeros((dim, dim))]),
+        (thin_phi, 0.1, [eye, thin_phi]),  # phi A singular
+        (eye, 0.1, [eye, np.eye(dim + 2)]),  # misshapen
+        (eye, 1.0, [eye]),  # eps out of range
+        (eye, -0.1, [eye]),
+        (singular, 1.5, [eye]),  # the range error comes before the singular-map verdict
+    ]
+    for phi, eps, batch in cases:
+        raised = _raised(lambda: sy.width_certificates(phi, eps, batch))
+        assert raised[0] is ValueError
+        for reference in (_reference_nonsqueezing, _reference_nonexpanding, _reference_capacity):
+            assert _raised(lambda: reference(phi, eps, batch)) == raised
 
 
 # -- finite or refused ---------------------------------------------------------
