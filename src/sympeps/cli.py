@@ -14,6 +14,7 @@ stderr.  Exit codes: 0 success/pass, 1 certified failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -112,20 +113,18 @@ def cmd_analyze(args) -> int:
 
 
 def _canonical_ellipsoids(n: int) -> list:
-    """The unit ball plus a grid of plane-diagonal ellipsoids (capped for large n)."""
+    """The unit ball plus a grid of plane-diagonal ellipsoids (capped for large
+    n), as the matrices of one zero stack with its diagonals set."""
     radii = (0.5, 1.0, 2.0)
-    batch = [np.eye(2 * n)]
-    seen = {(1.0,) * n}
+    ball = (1.0,) * n
     if n <= 4:
         combos = itertools.product(radii, repeat=n)
     else:
         combos = ((r,) * n for r in radii)
-    for combo in combos:
-        if combo in seen:
-            continue
-        seen.add(combo)
-        batch.append(symplectic.plane_scaling(combo))
-    return batch
+    diagonals = np.repeat([ball] + [c for c in combos if c != ball], 2, axis=1)
+    grid = np.zeros((len(diagonals), 2 * n, 2 * n))
+    grid[:, np.arange(2 * n), np.arange(2 * n)] = diagonals
+    return list(grid)
 
 
 def cmd_certify(args) -> int:
@@ -139,8 +138,7 @@ def cmd_certify(args) -> int:
     n = phi.shape[0] // 2
     eps_prime = math.sqrt(2.0) * args.eps
     rng = np.random.default_rng(args.seed)
-    ellipsoids = _canonical_ellipsoids(n)
-    ellipsoids += [suite.random_ellipsoid(rng, n) for _ in range(args.trials)]
+    ellipsoids = _canonical_ellipsoids(n) + list(suite.random_ellipsoids(rng, n, args.trials))
     sq, ex, cap = symplectic.width_certificates(phi, eps_prime, ellipsoids)
     passed = sq.passed and ex.passed and cap.passed
     report = {
@@ -372,9 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building the argparse tree costs about a
+    millisecond, more than a small command's own work, and parse_args keeps
+    no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError) as exc:

@@ -60,6 +60,15 @@ def json_int(value, key: str) -> int:
     raise ValueError(f"JSON field {key!r} must hold integers, got {value!r}")
 
 
+def json_list(value, key: str) -> list:
+    """The JSON list read from the field ``key``.  A string or an object is
+    refused by name, not iterated; the TypeError is the parsers' malformed
+    layout error."""
+    if not isinstance(value, list):
+        raise TypeError(f"JSON field {key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 def merge_sign(first: MultiIndex, second: MultiIndex) -> int:
     """Sign of the permutation that sorts ``first + second`` (disjoint
     increasing indices): dx_first ^ dx_second = sign * dx_sorted."""
@@ -143,16 +152,17 @@ class Covector:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Covector":
-        """Inverse of to_json_dict.  Integer fields follow ``json_int`` and
-        coefficients must be finite; a malformed value or layout raises ValueError."""
+        """Inverse of to_json_dict.  List fields follow ``json_list``, integer
+        fields ``json_int``, and coefficients must be finite; a malformed
+        value or layout raises ValueError."""
         if not isinstance(data, Mapping):
             raise ValueError(f"covector JSON must be an object, got {type(data).__name__}")
         try:
             m = json_int(data["m"], "m")
             k = json_int(data["k"], "k")
             coeffs: Dict[MultiIndex, float] = {}
-            for term in data.get("terms", []):
-                idx = check_multi_index([json_int(i, "index") for i in term["index"]], m, k)
+            for term in json_list(data.get("terms", []), "terms"):
+                idx = check_multi_index([json_int(i, "index") for i in json_list(term["index"], "index")], m, k)
                 coeff = float(term["coeff"])
                 if not math.isfinite(coeff):
                     raise ValueError(f"JSON field 'coeff' must be finite, got {term['coeff']!r}")

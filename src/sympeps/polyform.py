@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exterior import Covector, check_multi_index, contraction_sign, json_int, merge_sign, norm2
+from .exterior import Covector, check_multi_index, contraction_sign, json_int, json_list, merge_sign, norm2
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
@@ -197,19 +197,20 @@ class PolyForm:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PolyForm":
-        """Inverse of to_json_dict.  Integer fields follow ``json_int``; a
-        malformed value or layout raises ValueError."""
+        """Inverse of to_json_dict.  List fields follow ``json_list`` and
+        integer fields ``json_int``; a malformed value or layout raises
+        ValueError."""
         if not isinstance(data, Mapping):
             raise ValueError(f"polyform JSON must be an object, got {type(data).__name__}")
         try:
             m = json_int(data["m"], "m")
             k = json_int(data["k"], "k")
             terms: Dict[MultiIndex, Poly] = {}
-            for term in data.get("terms", []):
-                idx = check_multi_index([json_int(i, "index") for i in term["index"]], m, k)
+            for term in json_list(data.get("terms", []), "terms"):
+                idx = check_multi_index([json_int(i, "index") for i in json_list(term["index"], "index")], m, k)
                 poly: Poly = {}
-                for entry in term["poly"]:
-                    e = tuple(json_int(p, "exp") for p in entry["exp"])
+                for entry in json_list(term["poly"], "poly"):
+                    e = tuple(json_int(p, "exp") for p in json_list(entry["exp"], "exp"))
                     den = json_int(entry["den"], "den")
                     if den == 0:
                         raise ValueError("JSON field 'den' must be nonzero")

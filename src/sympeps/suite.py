@@ -95,13 +95,25 @@ def random_polyform(
     return polyform.PolyForm(m, k, terms)
 
 
+def random_ellipsoids(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """A (count, 2n, 2n) stack of random non-singular matrices q1 diag(s) q2,
+    q1 and q2 orthogonal and s in [1/2, 2].  Each matrix draws its two
+    Gaussian matrices and then s, in that order, so the stack does not depend
+    on how many matrices one call makes; all 2 count QR factorizations run as
+    one stacked call."""
+    dim = 2 * n
+    gauss = np.empty((count, 2, dim, dim))
+    svals = np.empty((count, 1, dim))
+    for i in range(count):
+        gauss[i] = rng.standard_normal((2, dim, dim))
+        svals[i, 0] = np.exp(rng.uniform(-math.log(2.0), math.log(2.0), size=dim))
+    q, _ = np.linalg.qr(gauss)
+    return (q[:, 0] * svals) @ q[:, 1]
+
+
 def random_ellipsoid(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random non-singular matrix with singular values in [1/2, 2]."""
-    dim = 2 * n
-    q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    svals = np.exp(rng.uniform(-math.log(2.0), math.log(2.0), size=dim))
-    return q1 @ np.diag(svals) @ q2
+    return random_ellipsoids(rng, n, 1)[0]
 
 
 # -- individual suites ---------------------------------------------------------
@@ -220,7 +232,7 @@ def nonsqueezing_suite(rng: np.random.Generator, maps: int, ellipsoids: int) -> 
         n = int(rng.integers(1, 4))
         eps = float(rng.uniform(0.0, 0.2))
         phi = symplectic.random_defective(n, eps, rng)
-        batch = [random_ellipsoid(rng, n) for _ in range(ellipsoids)]
+        batch = random_ellipsoids(rng, n, ellipsoids)
         eps_prime = math.sqrt(2.0) * eps
         certificates = symplectic.width_certificates(phi, eps_prime, batch)
         failures += not all(report.passed for report in certificates)

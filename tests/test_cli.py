@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import warnings
 
@@ -207,6 +209,86 @@ def test_certify_writes_each_ellipsoid_once(capsys, tmp_path):
         records = report[key]["records"]
         assert [rec["index"] for rec in records] == list(range(12))
         assert not any("A" in rec for rec in records)
+
+
+def _canonical_ellipsoids_loop(n):
+    """The per-matrix grid that the zero stack replaced: the reference."""
+    batch = [np.eye(2 * n)]
+    seen = {(1.0,) * n}
+    radii = (0.5, 1.0, 2.0)
+    combos = itertools.product(radii, repeat=n) if n <= 4 else ((r,) * n for r in radii)
+    for combo in combos:
+        if combo not in seen:
+            seen.add(combo)
+            batch.append(sy.plane_scaling(combo))
+    return batch
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_canonical_ellipsoids_match_the_plane_scaling_list(n):
+    grid, expected = cli._canonical_ellipsoids(n), _canonical_ellipsoids_loop(n)
+    assert len(grid) == len(expected) == (3**n if n <= 4 else 3)
+    for A, B in zip(grid, expected):
+        assert A.shape == B.shape and np.array_equal(A, B)
+        assert not np.signbit(A).any()
+
+
+# sha256 of the stdout of `certify phi.txt --eps 0.06 --seed <10 + n>` with
+# phi = random_eps_symplectic(n, 0.05, seed=n), recorded (numpy 2.4.6 on
+# x86-64) before the random batch and the grid were built as stacks; another
+# BLAS or LAPACK build may round differently and need its own digests.
+CERTIFY_STDOUT_SHA256 = {
+    1: "71a93ad91909eb51189dc54cdca72ff2fa95d59f0a0bc536587a389d799b36a5",
+    2: "08f89c79b42b9f1a046bd587fd0acba8cfc18c042283b3948de613a208ed27f5",
+    3: "5a562f3701629f119a6e004028cd97b2899b448164560d4dbe9ab44603c236af",
+    4: "7a0cb17df9a758b061e3af08bcf2bab8d266336abe356373dd0f72e83bebdf0b",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certify_stdout_matches_its_golden_digest(capsys, tmp_path, monkeypatch, n):
+    monkeypatch.chdir(tmp_path)  # the report names the matrix file by the path given
+    sy.save_matrix("phi.txt", sy.random_eps_symplectic(n, 0.05, seed=n))
+    code, out, _ = run_cli(capsys, "certify", "phi.txt", "--eps", "0.06", "--seed", str(10 + n))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CERTIFY_STDOUT_SHA256[n]
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch, identity_file):
+    calls = [
+        ["analyze", identity_file],
+        ["certify", identity_file],  # no --eps: argparse exits 2
+        ["--version"],
+        ["certify", identity_file, "--eps", "0.1", "--trials", "2"],
+        ["analyze", identity_file, "--eps", "0.1"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            out, err = capsys.readouterr()
+            return code, out, err  # argparse's own messages carry no wall time
+        return code, capsys.readouterr().out, None
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0]
+
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in calls] == fresh
+    assert len(builds) == 1
 
 
 def test_certify_rejects_negative_trials(capsys, identity_file):
@@ -419,12 +501,16 @@ def _form_with(path, value):
         ("polyform", _form_with(["terms", 0, "poly", 0, "exp"], [1.7, 0]), "JSON field 'exp' must hold integers, got 1.7"),
         ("polyform", _form_with(["terms", 0, "index"], [1.9]), "JSON field 'index' must hold integers, got 1.9"),
         ("polyform", _form_with(["m"], 2.9), "JSON field 'm' must hold integers, got 2.9"),
+        ("polyform", _form_with(["terms", 0, "index"], "1"),
+         "malformed polyform JSON: JSON field 'index' must be a list, got str"),
+        ("polyform", _form_with(["terms", 0, "poly", 0, "exp"], "10"),
+         "malformed polyform JSON: JSON field 'exp' must be a list, got str"),
         ("points", 5, "points JSON must be a list of points, got int"),
         ("matrix", {"n": 1.5, "rows": [[1, 0], [0, 1]]}, "JSON field 'n' must hold integers, got 1.5"),
         ("matrix", {"n": True, "rows": [[1, 0], [0, 1]]}, "JSON field 'n' must hold integers, got True"),
     ],
     ids=["form-list", "terms-int", "den-zero", "num-float", "exp-float", "index-float", "m-float",
-         "points-int", "n-float", "n-bool"],
+         "index-str", "exp-str", "points-int", "n-float", "n-bool"],
 )
 def test_malformed_json_inputs_are_refused_by_name(capsys, tmp_path, kind, content, message):
     path = tmp_path / f"{kind}.json"

@@ -333,6 +333,20 @@ def test_covector_json_wrong_layout_is_a_value_error(terms):
     with pytest.raises(ValueError, match="malformed covector JSON"):
         ex.Covector.from_json_dict({"m": 2, "k": 1, "terms": terms})
 
+@pytest.mark.parametrize(
+    "terms, field",
+    [
+        ("dx1 ^ dx2", "terms"),
+        ({"index": [1, 2], "coeff": 1.0}, "terms"),
+        ([{"index": "12", "coeff": 1.0}], "index"),
+        ([{"index": {"1": 0, "2": 0}, "coeff": 1.0}], "index"),
+    ],
+)
+def test_covector_json_list_fields_refuse_strings_and_objects_by_name(terms, field):
+    with pytest.raises(ValueError, match=f"malformed covector JSON: JSON field '{field}' must be a list"):
+        ex.Covector.from_json_dict({"m": 4, "k": 2, "terms": terms})
+
+
 def test_covector_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         ex.Covector(4, 2, {(2, 1): 1.0})

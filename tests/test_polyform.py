@@ -306,6 +306,21 @@ def test_polyform_json_integer_fields_take_integers_or_their_strings():
             pf.PolyForm.from_json_dict({**data, "m": bad})
 
 
+@pytest.mark.parametrize(
+    "term, field",
+    [
+        ({"index": "12", "poly": [{"exp": [0, 0, 0, 0], "num": 1, "den": 1}]}, "index"),
+        ({"index": [1, 2], "poly": {"exp": [0, 0, 0, 0], "num": 1, "den": 1}}, "poly"),
+        ({"index": [1, 2], "poly": [{"exp": "1000", "num": 1, "den": 1}]}, "exp"),
+    ],
+)
+def test_polyform_json_list_fields_refuse_strings_and_objects_by_name(term, field):
+    with pytest.raises(ValueError, match=f"malformed polyform JSON: JSON field '{field}' must be a list"):
+        pf.PolyForm.from_json_dict({"m": 4, "k": 2, "terms": [term]})
+    with pytest.raises(ValueError, match="malformed polyform JSON: JSON field 'terms' must be a list, got dict"):
+        pf.PolyForm.from_json_dict({"m": 4, "k": 2, "terms": term})
+
+
 def test_polyform_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         pf.PolyForm(3, 2, {(2, 1): pf.poly_const(3, 1)})

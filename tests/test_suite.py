@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,3 +17,25 @@ def test_moser_suite_redraws_plane_scaling_past_the_defect_limit(seed):
     assert result["passed"] is True
     assert result["plane_scaling_error"] <= 1e-6
 
+
+
+def _random_ellipsoid_loop(rng, n):
+    """The per-matrix generator that random_ellipsoids replaced: the reference."""
+    dim = 2 * n
+    q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    svals = np.exp(rng.uniform(-math.log(2.0), math.log(2.0), size=dim))
+    return q1 @ np.diag(svals) @ q2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("count", [0, 1, 32])
+def test_random_ellipsoids_match_the_per_matrix_loop_bit_for_bit(n, count):
+    rng, ref_rng = np.random.default_rng(11 * n + count), np.random.default_rng(11 * n + count)
+    stack = suite.random_ellipsoids(rng, n, count)
+    expected = np.array([_random_ellipsoid_loop(ref_rng, n) for _ in range(count)]).reshape(count, 2 * n, 2 * n)
+    assert stack.shape == expected.shape
+    assert np.array_equal(stack, expected)
+    # both leave the generator in the same state
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(suite.random_ellipsoid(rng, n), _random_ellipsoid_loop(ref_rng, n))
