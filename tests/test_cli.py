@@ -2,9 +2,12 @@ import hashlib
 import itertools
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympeps import cli
 from sympeps import moser as mo
@@ -101,6 +104,76 @@ def test_non_finite_entry_is_refused(capsys, tmp_path):
 def test_emit_refuses_non_finite_json():
     with pytest.raises(ValueError):
         cli._emit({"defect": float("inf")}, [])
+
+
+def test_emit_refuses_non_finite_json_in_text_mode():
+    # text mode prints no JSON, but still builds it to refuse the report
+    with pytest.raises(ValueError):
+        cli._emit({"defect": float("inf")}, [], "text")
+
+
+_JSON_TEXT = st.text(st.characters() | st.sampled_from('[]{},:"\\\n\t\x00\x1f\u00e9\u2028\U0001f600'), max_size=6)
+_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e308])
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    _JSON_FLOATS,
+    _JSON_FLOATS.map(np.float64),
+    _JSON_TEXT,
+)
+_JSON_KEYS = st.one_of(_JSON_TEXT, st.integers(), _JSON_FLOATS, _JSON_FLOATS.map(np.float64), st.booleans(), st.none())
+
+
+def _json_trees(depth):
+    """JSON-encodable trees of depth at most ``depth``, with flat
+    containers, lists of flat lists and lists of flat dicts drawn often."""
+    if depth == 0:
+        return _JSON_LEAVES
+    children = _json_trees(depth - 1)
+    return st.one_of(
+        _JSON_LEAVES,
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_JSON_KEYS, children, max_size=3),
+        st.lists(_JSON_LEAVES, min_size=1, max_size=3),
+        st.lists(st.lists(_JSON_LEAVES, max_size=3), max_size=3),
+        st.lists(st.dictionaries(_JSON_KEYS, _JSON_LEAVES, max_size=3), max_size=3),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_json_trees(5))
+def test_indented_json_matches_json_dumps(tree):
+    assert cli._indented_json(tree) == json.dumps(tree, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), -float("inf"), np.float32(1), np.bool_(True), np.zeros(2)],
+    ids=["nan", "inf", "-inf", "float32", "bool_", "ndarray"],
+)
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda x: x,
+        lambda x: [1, x],
+        lambda x: {"a": [[1.0, 2.0], [x, 3.0]]},
+        lambda x: [{"k": 1}, {"k": x}],
+        lambda x: {"a": {"b": [x, []]}},
+        lambda x: {(1,) if isinstance(x, np.ndarray) else x: 1},
+        lambda x: {"a": {(1,) if isinstance(x, np.ndarray) else x: [1]}},
+    ],
+    ids=["alone", "flat", "row", "dict-row", "nested", "key", "nested-key"],
+)
+def test_indented_json_refuses_what_json_dumps_refuses(bad, place):
+    tree = place(bad)
+    with pytest.raises((ValueError, TypeError)) as expected:
+        json.dumps(tree, indent=2, allow_nan=False)
+    with pytest.raises((ValueError, TypeError)) as raised:
+        cli._indented_json(tree)
+    assert type(raised.value) is expected.type
 
 
 def test_analyze_builds_the_standard_form_once(capsys, fixture_file, monkeypatch):
@@ -252,6 +325,49 @@ def test_certify_stdout_matches_its_golden_digest(capsys, tmp_path, monkeypatch,
     code, out, _ = run_cli(capsys, "certify", "phi.txt", "--eps", "0.06", "--seed", str(10 + n))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CERTIFY_STDOUT_SHA256[n]
+
+
+# The homotopy input of the golden digests below: a 2-form on R^4 with
+# rational coefficients, and three points.
+_GOLDEN_FORM = pf.PolyForm.term(4, (1, 2), {(2, 0, 0, 0): Fraction(3, 2), (0, 1, 1, 0): Fraction(-1)}) + pf.PolyForm.term(
+    4, (2, 4), {(1, 0, 0, 1): Fraction(1, 3), (0, 0, 0, 0): Fraction(5, 7)}
+)
+_GOLDEN_POINTS = [[0.1, 0.2, -0.3, 0.4], [1.0, 0.0, 0.5, -0.25], [0.0, 0.0, 0.0, 0.0]]
+
+# sha256 of stdout (and of the file homotopy writes to --out), recorded on
+# the same platform as CERTIFY_STDOUT_SHA256 while the reports were still
+# written by json.dumps(indent=2); phi.txt is random_eps_symplectic(2, 0.05,
+# seed=2).
+GOLDEN_SHA256 = {
+    "analyze": "c5cb15016bbdb167342ec422923587bb8a92313134ac4d21189fe559336bb00f",
+    "bounds": "a74446dfccdf27cba5764c0035e4f093ef66339c0f762c08b09950a7b4a58803",
+    "homotopy": "d02a91b627dae590eeb85a65ee2fe2524e950b9c81bae190c45d0c0f73c45486",
+    "homotopy --out": "70c9c582c0829367bffc400391f79e6cbfcf9c21400da86d27d36712913b0cf5",
+    "suite": "4276d5d495316f5b46fb17413b32aa2e221beca857e671d1adea66a2b06e7621",
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze", "phi.txt", "--eps", "0.06"],
+        ["bounds", "--eps", "0.1", "--n", "3"],
+        ["homotopy", "form.json", "points.json", "--out", "h.json"],
+        ["suite", "--seed", "7", "--scale", "smoke"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_stdout_matches_its_golden_digest(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)  # reports name their input files by the paths given
+    sy.save_matrix("phi.txt", sy.random_eps_symplectic(2, 0.05, seed=2))
+    (tmp_path / "form.json").write_text(json.dumps(_GOLDEN_FORM.to_json_dict()))
+    (tmp_path / "points.json").write_text(json.dumps(_GOLDEN_POINTS))
+    code, out, _ = run_cli(capsys, *command)
+    assert code == 0
+    digests = {command[0]: hashlib.sha256(out.encode("utf-8")).hexdigest()}
+    if command[0] == "homotopy":
+        digests["homotopy --out"] = hashlib.sha256((tmp_path / "h.json").read_bytes()).hexdigest()
+    assert digests == {key: GOLDEN_SHA256[key] for key in digests}
 
 
 def test_main_builds_one_parser_per_process(capsys, monkeypatch, identity_file):
@@ -525,6 +641,26 @@ def test_malformed_json_inputs_are_refused_by_name(capsys, tmp_path, kind, conte
     assert code == 2
     assert out == ""
     assert f"cannot read {kind} file {str(path)!r}: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["bounds", "--eps", "0.1", "--n", "2", "--out", "OUT"],
+        ["symplectify", "MATRIX", "--eps", "0", "--out", "OUT"],
+        ["homotopy", "FORM", "--out", "OUT"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_unwritable_out_is_an_input_error(capsys, tmp_path, identity_file, command):
+    out_path = str(tmp_path / "no-such-dir" / "out.json")
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(_FORM))
+    paths = {"OUT": out_path, "MATRIX": identity_file, "FORM": str(form_path)}
+    code, out, err = run_cli(capsys, *[paths.get(arg, arg) for arg in command])
+    assert code == 2
+    assert out == ""  # the report is refused before any of it is printed
+    assert f"error: cannot write output file {out_path!r}: " in err
 
 
 def test_homotopy_parse_error(capsys, tmp_path):
