@@ -104,7 +104,7 @@ def _write_output(path: str, text: str) -> None:
         raise InputError(f"cannot write output file {path!r}: {exc}") from exc
 
 
-def _emit(report: dict, human_lines, fmt: str = "json", out_path=None, t0=None) -> None:
+def _emit(report: dict, human_lines, fmt: str = "json", out_path=None) -> None:
     payload = _indented_json(report) + "\n"
     if out_path:
         _write_output(out_path, payload)
@@ -115,15 +115,20 @@ def _emit(report: dict, human_lines, fmt: str = "json", out_path=None, t0=None) 
     else:
         for line in human_lines:
             sys.stdout.write(line + "\n")
-    if t0 is not None:
-        sys.stderr.write(f"wall time: {time.perf_counter() - t0:.3f} s\n")
 
 
-def _load_matrix_or_exit(path: str) -> np.ndarray:
+def _read(path: str, what: str, parse):
+    """parse(path), with any failure to read or parse the file refused by
+    name: RecursionError is json's decoder on deeply nested input."""
     try:
-        return symplectic.load_matrix(path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read matrix file {path!r}: {exc}") from exc
+        return parse(path)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read {what} file {path!r}: {exc}") from exc
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class InputError(Exception):
@@ -135,17 +140,15 @@ def _require_nonnegative(option: str, value: int) -> None:
         raise InputError(f"{option} must be >= 0, got {value}")
 
 
-def cmd_analyze(args) -> int:
-    t0 = time.perf_counter()
+def cmd_analyze(args):
     if args.eps is not None and not math.isfinite(args.eps):
         raise InputError(f"--eps must be finite, got {args.eps}")
-    phi = _load_matrix_or_exit(args.matrix)
+    phi = _read(args.matrix, "matrix", symplectic.load_matrix)
     dim = phi.shape[0]
     n = dim // 2
     dft = symplectic.defect(phi)
     rep = symplectic.lambda_mu_invariants(phi)
     report = {
-        "command": "analyze",
         "inputs": {"matrix": args.matrix, "sha256": _sha256_file(args.matrix)},
         "n": n,
         "defect": dft,
@@ -173,8 +176,7 @@ def cmd_analyze(args) -> int:
     else:
         report["decomposition"] = None
         human.append("matrix is singular; lambda/mu invariants unavailable")
-    _emit(report, human, args.format, args.out, t0)
-    return 0
+    return report, human, True
 
 
 def _canonical_ellipsoids(n: int) -> list:
@@ -192,13 +194,12 @@ def _canonical_ellipsoids(n: int) -> list:
     return list(grid)
 
 
-def cmd_certify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_certify(args):
     if not 0.0 <= args.eps < symplectic.EPS_LIMIT:
         raise InputError(f"--eps must lie in [0, 1/sqrt(2)), got {args.eps}")
     _require_nonnegative("--trials", args.trials)
     _require_nonnegative("--seed", args.seed)
-    phi = _load_matrix_or_exit(args.matrix)
+    phi = _read(args.matrix, "matrix", symplectic.load_matrix)
     dft = symplectic.defect(phi)  # first, so that an overflowing map is refused
     n = phi.shape[0] // 2
     eps_prime = math.sqrt(2.0) * args.eps
@@ -207,7 +208,6 @@ def cmd_certify(args) -> int:
     sq, ex, cap = symplectic.width_certificates(phi, eps_prime, ellipsoids)
     passed = sq.passed and ex.passed and cap.passed
     report = {
-        "command": "certify",
         "schema": 2,
         "inputs": {"matrix": args.matrix, "sha256": _sha256_file(args.matrix)},
         "eps": args.eps,
@@ -229,29 +229,22 @@ def cmd_certify(args) -> int:
         f"capacity:      {'PASS' if cap.passed else 'FAIL'}",
         f"verdict:       {'PASS' if passed else 'FAIL'}",
     ]
-    _emit(report, human, args.format, args.out, t0)
-    return 0 if passed else 1
+    return report, human, passed
 
 
-def cmd_symplectify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_symplectify(args):
     if not 0.0 <= args.eps < math.inf:
         raise InputError(f"--eps must be finite and >= 0, got {args.eps}")
     if not args.eps < symplectic.EPS_LIMIT:
         raise InputError(f"--eps must be < 1/sqrt(2), got {args.eps}")
-    phi = _load_matrix_or_exit(args.matrix)
-    try:
-        rep = moser.symplectify(phi, args.eps, moser.FlowConfig(step_size=args.step))
-    except moser.DefectAboveBudget as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 1
+    phi = _read(args.matrix, "matrix", symplectic.load_matrix)
+    rep = moser.symplectify(phi, args.eps, moser.FlowConfig(step_size=args.step))
     psi_path = args.out or (args.matrix + ".psi.txt")
     try:
         symplectic.save_matrix(psi_path, rep.psi)
     except OSError as exc:
         raise InputError(f"cannot write output file {psi_path!r}: {exc}") from exc
     report = {
-        "command": "symplectify",
         "inputs": {"matrix": args.matrix, "sha256": _sha256_file(args.matrix)},
         "psi_file": psi_path,
         "report": rep.to_dict(),
@@ -264,12 +257,10 @@ def cmd_symplectify(args) -> int:
         f"psi written to   {psi_path}",
         f"verdict          {'PASS' if rep.passed else 'FAIL'}",
     ]
-    _emit(report, human, args.format, None, t0)
-    return 0 if rep.passed else 1
+    return report, human, rep.passed
 
 
-def cmd_bounds(args) -> int:
-    t0 = time.perf_counter()
+def cmd_bounds(args):
     if args.n < 1:
         raise InputError(f"--n must be >= 1, got {args.n}")
     threshold = symplectic.squeeze_eps_threshold()
@@ -282,7 +273,6 @@ def cmd_bounds(args) -> int:
     _, _, s_I, e_I = (float(v) for v in symplectic._squeeze_bounds(np.ones(1), rho_I))
     e_I = None if math.isnan(e_I) else e_I
     report = {
-        "command": "bounds",
         "inputs": {"sha256": _sha256_params(f"bounds eps={args.eps!r} n={args.n}")},
         "eps": args.eps,
         "n": args.n,
@@ -305,22 +295,27 @@ def cmd_bounds(args) -> int:
         f"s_I, e_I                         {s_I:.9f}, {e_I if e_I is not None else 'undefined'}",
         f"K(eps)                           {report['K']:.9f}",
     ]
-    _emit(report, human, args.format, args.out, t0)
-    return 0
+    return report, human, True
 
 
-def cmd_homotopy(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        with open(args.polyform, "r", encoding="utf-8") as fh:
-            form = polyform.PolyForm.from_json_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read polyform file {args.polyform!r}: {exc}") from exc
+def _points(data, m: int) -> np.ndarray:
+    """A points file's list as one (P, m) block of finite floats."""
+    if not isinstance(data, list):
+        raise ValueError(f"points JSON must be a list of points, got {type(data).__name__}")
+    X = polyform.point_block(data, m)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"non-finite entry {X[i, j]} at point {i + 1}, coordinate {j + 1}")
+    return X
+
+
+def cmd_homotopy(args):
+    form = _read(args.polyform, "polyform", lambda path: polyform.PolyForm.from_json_dict(_load_json(path)))
     if not 1 <= form.k < form.m:
         raise InputError(f"homotopy command needs 1 <= k < m, got k={form.k}, m={form.m}")
     hf = polyform.h(form)
     report = {
-        "command": "homotopy",
         "inputs": {"polyform": args.polyform, "sha256": _sha256_file(args.polyform)},
         "h": hf.to_json_dict(),
     }
@@ -330,20 +325,9 @@ def cmd_homotopy(args) -> int:
     human.append(f"h(d f) + d(h f) == f exactly: {identity}")
     passed = identity
     if args.points:
-        try:
-            with open(args.points, "r", encoding="utf-8") as fh:
-                pts = json.load(fh)
-            if not isinstance(pts, list):
-                raise ValueError(f"points JSON must be a list of points, got {type(pts).__name__}")
-            pts = [np.asarray(p, dtype=float) for p in pts]
-            for i, p in enumerate(pts, start=1):
-                bad = np.flatnonzero(~np.isfinite(p))
-                if bad.size:
-                    raise ValueError(f"non-finite entry {p.flat[bad[0]]} at point {i}, coordinate {bad[0] + 1}")
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read points file {args.points!r}: {exc}") from exc
+        pts = _read(args.points, "points", lambda path: _points(_load_json(path), form.m))
         with np.errstate(over="ignore"):  # h_bound_check names a point whose norm overflows
-            radius = max(float(np.linalg.norm(p)) for p in pts) if pts else 1.0
+            radius = max(float(np.linalg.norm(p)) for p in pts) if len(pts) else 1.0
         bound_rep = polyform.h_bound_check(form, pts, s=radius)
         report["bounds"] = bound_rep.to_dict()
         human.append(f"norm bounds at {len(pts)} points: {'PASS' if bound_rep.passed else 'FAIL'}")
@@ -352,23 +336,19 @@ def cmd_homotopy(args) -> int:
         _write_output(args.out, _indented_json(hf.to_json_dict()) + "\n")
         human.append(f"primitive written to {args.out}")
     report["passed"] = bool(passed)
-    _emit(report, human, args.format, None, t0)
-    return 0 if passed else 1
+    return report, human, passed
 
 
-def cmd_suite(args) -> int:
-    t0 = time.perf_counter()
+def cmd_suite(args):
     _require_nonnegative("--seed", args.seed)
     result = suite.run_suite(args.seed, args.scale)
     report = {
-        "command": "suite",
         "inputs": {"sha256": _sha256_params(f"suite seed={args.seed} scale={args.scale}")},
         **result,
     }
     human = [f"{s['name']:<16} {'PASS' if s['passed'] else 'FAIL'}" for s in result["suites"]]
     human.append(f"verdict          {'PASS' if result['passed'] else 'FAIL'}")
-    _emit(report, human, args.format, args.out, t0)
-    return 0 if result["passed"] else 1
+    return report, human, result["passed"]
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -391,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="defect, lambda/mu invariants, classification")
     p.add_argument("matrix", help="matrix file (text 'n <int>' + rows, or JSON)")
     p.add_argument("--eps", type=float, default=None, help="optional defect budget to check against")
-    p.add_argument("--out", default=None, help="also write the JSON report to this file")
+    p.add_argument("--out", dest="report_out", metavar="OUT", help="also write the JSON report to this file")
     _add_format(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -401,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="defect bound of the map; certificates run at eps' = sqrt(2) eps")
     p.add_argument("--trials", type=int, default=32, help="number of random ellipsoids")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="report_out", metavar="OUT")
     _add_format(p)
     p.set_defaults(func=cmd_certify)
 
@@ -416,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="closed-form constants for a given eps and n")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="report_out", metavar="OUT")
     _add_format(p)
     p.set_defaults(func=cmd_bounds)
 
@@ -430,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the seeded property suites")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--scale", choices=sorted(suite.SCALES), default="smoke")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="report_out", metavar="OUT")
     _add_format(p)
     p.set_defaults(func=cmd_suite)
     return parser
@@ -445,12 +425,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: each ``cmd_*`` returns (report, human lines,
+    passed), and only here is a run timed, emitted and given its exit code."""
     args = _parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        report, human, passed = args.func(args)
+        _emit({"command": args.command, **report}, human, args.format, getattr(args, "report_out", None))
+    except moser.DefectAboveBudget as exc:  # a verdict, though a ValueError
+        sys.stderr.write(f"{exc}\n")
+        return 1
     except (InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    sys.stderr.write(f"wall time: {time.perf_counter() - t0:.3f} s\n")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -167,6 +167,8 @@ class Covector:
                 if not math.isfinite(coeff):
                     raise ValueError(f"JSON field 'coeff' must be finite, got {term['coeff']!r}")
                 coeffs[idx] = coeffs.get(idx, 0.0) + coeff
+        except KeyError as exc:
+            raise ValueError(f"malformed covector JSON: missing field {exc}") from exc
         except TypeError as exc:
             raise ValueError(f"malformed covector JSON: {exc}") from exc
         return cls(m, k, coeffs)

@@ -14,7 +14,7 @@ classical fixed-step fourth-order one-step method throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -56,23 +56,17 @@ def moser_field_matrix(phi, t: float) -> np.ndarray:
     """
     phi, n = _as_even_matrix(phi)
     J = _standard_J(n)
-    M = phi.T @ J @ phi - J
-    Mt = J + t * M
+    return _flow_field(phi.T @ J @ phi - J, J, np.array([t], dtype=float))[0]
+
+
+def _flow_field(M: np.ndarray, J: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """C(t) = -1/2 (J + t M)^-1 M for each t of ts, as a (len(ts), 2n, 2n) stack."""
+    stacked = J + ts[:, None, None] * M
     try:
-        return -0.5 * np.linalg.solve(Mt, M)
+        return -0.5 * np.linalg.solve(stacked, np.broadcast_to(M, stacked.shape))
     except np.linalg.LinAlgError as exc:
+        t = ts[np.linalg.slogdet(stacked)[0] == 0.0][0]
         raise ValueError(f"interpolated two-form degenerates at t={t}") from exc
-
-
-def _flow_field_grid(M: np.ndarray, J: np.ndarray, n_steps: int) -> np.ndarray:
-    """C(t) on the grid t_0, t_0 + h/2, t_1, ... (2 n_steps + 1 values)."""
-    ts = np.linspace(0.0, 1.0, 2 * n_steps + 1)
-    stacked = J[None, :, :] + ts[:, None, None] * M[None, :, :]
-    rhs = np.broadcast_to(M, stacked.shape).copy()
-    try:
-        return -0.5 * np.linalg.solve(stacked, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("interpolated two-form degenerates along the flow") from exc
 
 
 def _integrate_matrix_flow(M: np.ndarray, J: np.ndarray, n_steps: int) -> np.ndarray:
@@ -85,7 +79,7 @@ def _integrate_matrix_flow(M: np.ndarray, J: np.ndarray, n_steps: int) -> np.nda
     D rather than I + D spares their small entries a rounding against the unit
     diagonal.
     """
-    C = _flow_field_grid(M, J, n_steps)
+    C = _flow_field(M, J, np.linspace(0.0, 1.0, 2 * n_steps + 1))  # t_0, t_0 + h/2, t_1, ...
     h = 1.0 / n_steps
     c0, cm, c1 = C[0:-1:2], C[1::2], C[2::2]
     k2 = cm + (0.5 * h) * (cm @ c0)
@@ -132,30 +126,16 @@ class SymplectifyReport:
         return bool(self.residual_ok and self.displacement_ok and self.sandwich_ok)
 
     def to_dict(self) -> dict:
-        return {
-            "psi": self.psi.tolist(),
-            "eps": self.eps,
-            "rho": self.rho,
-            "input_defect": self.input_defect,
-            "residual_defect": self.residual_defect,
-            "residual_ok": bool(self.residual_ok),
-            "displacement": self.displacement,
-            "displacement_bound": self.displacement_bound,
-            "displacement_margin": self.displacement_margin,
-            "displacement_ok": bool(self.displacement_ok),
-            "column_displacements": self.column_displacements,
-            "sv_min": self.sv_min,
-            "sv_max": self.sv_max,
-            "sandwich_margin_lower": self.sandwich_margin_lower,
-            "sandwich_margin_upper": self.sandwich_margin_upper,
-            "sandwich_ok": bool(self.sandwich_ok),
-            "steps": self.steps,
-            "step_size": self.config.step_size,
-            "effective_step": 1.0 / self.steps,
-            "method": METHOD,
-            "max_defect_tol": MAX_DEFECT_TOL,
-            "passed": self.passed,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "config"}
+        data["psi"] = self.psi.tolist()
+        data.update(
+            step_size=self.config.step_size,
+            effective_step=1.0 / self.steps,
+            method=METHOD,
+            max_defect_tol=MAX_DEFECT_TOL,
+            passed=self.passed,
+        )
+        return data
 
 
 def symplectify(

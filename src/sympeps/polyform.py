@@ -217,6 +217,8 @@ class PolyForm:
                     coeff = Fraction(json_int(entry["num"], "num"), den)
                     poly[e] = poly.get(e, Fraction(0)) + coeff
                 terms[idx] = poly_add(terms.get(idx, {}), poly)
+        except KeyError as exc:
+            raise ValueError(f"malformed polyform JSON: missing field {exc}") from exc
         except TypeError as exc:
             raise ValueError(f"malformed polyform JSON: {exc}") from exc
         return cls(m, k, terms)
@@ -371,8 +373,11 @@ class MonomialTable:
 
 def point_block(points: Sequence[Sequence[float]], m: int) -> np.ndarray:
     """The points as one (P, m) float array; the first point of another
-    shape is refused by name."""
-    xs = [np.asarray(p, dtype=float) for p in points]
+    shape, or a point that holds a non-number, is refused by name."""
+    try:
+        xs = [np.asarray(p, dtype=float) for p in points]
+    except TypeError as exc:
+        raise ValueError(f"points must hold numbers: {exc}") from exc
     for x in xs:
         if x.shape != (m,):
             raise ValueError(f"point dimension {x.shape} does not match m={m}")

@@ -422,12 +422,9 @@ def rho(eps: float, n: int, linear_case: bool = False) -> float:
     in the linear case."""
     if not 0.0 <= eps < EPS_LIMIT:
         raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
-    base = 1.0 - math.sqrt(2.0) * eps
-    if linear_case:
-        return math.sqrt(base)
-    if n < 1:
+    if n < 1 and not linear_case:
         raise ValueError("half-dimension n must be >= 1")
-    return base ** math.sqrt(2 * n)
+    return _width_rho(math.sqrt(2.0) * eps, n, linear_case)
 
 
 def _width_rho(eps: float, n: int, linear_case: bool) -> float:
@@ -937,7 +934,10 @@ def matrix_from_json_dict(data) -> np.ndarray:
     if not isinstance(data, dict) or "n" not in data or "rows" not in data:
         raise ValueError("matrix JSON must have keys 'n' and 'rows'")
     n = json_int(data["n"], "n")
-    A = np.array(data["rows"], dtype=float)
+    try:
+        A = np.array(data["rows"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix JSON: 'rows' must hold numbers: {exc}") from exc
     if A.shape != (2 * n, 2 * n):
         raise ValueError(f"rows have shape {A.shape}, expected ({2*n}, {2*n})")
     return _require_finite(A)
@@ -953,10 +953,11 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, A) -> None:
-    """Write A as JSON when path ends in .json, else in the text format."""
+    """Write A as JSON when path ends in .json, else in the text format.  A
+    non-finite entry has no JSON form: ValueError, and no file is written."""
+    if str(path).endswith(".json"):
+        text = json.dumps(matrix_to_json_dict(A), indent=2, allow_nan=False) + "\n"
+    else:
+        text = format_matrix_text(A)
     with open(path, "w", encoding="utf-8") as fh:
-        if str(path).endswith(".json"):
-            json.dump(matrix_to_json_dict(A), fh, indent=2)
-            fh.write("\n")
-        else:
-            fh.write(format_matrix_text(A))
+        fh.write(text)

@@ -624,23 +624,83 @@ def _form_with(path, value):
         ("points", 5, "points JSON must be a list of points, got int"),
         ("matrix", {"n": 1.5, "rows": [[1, 0], [0, 1]]}, "JSON field 'n' must hold integers, got 1.5"),
         ("matrix", {"n": True, "rows": [[1, 0], [0, 1]]}, "JSON field 'n' must hold integers, got True"),
+        ("matrix", {"n": 1, "rows": [[{}, 0], [0, 1]]}, "malformed matrix JSON: 'rows' must hold numbers"),
+        ("points", [{"a": 1}], "points must hold numbers"),
+        ("polyform", {"k": 1}, "malformed polyform JSON: missing field 'm'"),
     ],
     ids=["form-list", "terms-int", "den-zero", "num-float", "exp-float", "index-float", "m-float",
-         "index-str", "exp-str", "points-int", "n-float", "n-bool"],
+         "index-str", "exp-str", "points-int", "n-float", "n-bool", "rows-object", "point-object", "form-no-m"],
 )
 def test_malformed_json_inputs_are_refused_by_name(capsys, tmp_path, kind, content, message):
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(content))
-    if kind == "matrix":
-        argv = ["analyze", str(path)]
-    else:
-        form_path = tmp_path / "form.json"
-        form_path.write_text(json.dumps(_FORM))
-        argv = ["homotopy", str(path)] if kind == "polyform" else ["homotopy", str(form_path), str(path)]
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *_reader_argv(tmp_path, kind, path))
     assert code == 2
     assert out == ""
     assert f"cannot read {kind} file {str(path)!r}: {message}" in err
+
+
+def _reader_argv(tmp_path, kind, path):
+    """A command that reads ``path`` as a file of the given kind."""
+    if kind == "matrix":
+        return ["analyze", str(path)]
+    if kind == "polyform":
+        return ["homotopy", str(path)]
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(_FORM))
+    return ["homotopy", str(form_path), str(path)]
+
+
+@pytest.mark.parametrize("kind", ["matrix", "polyform", "points"])
+def test_deeply_nested_json_is_refused_by_name(capsys, tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, *_reader_argv(tmp_path, kind, path))
+    assert code == 2
+    assert out == ""
+    assert f"error: cannot read {kind} file {str(path)!r}: " in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["analyze", "IDENTITY"], 0),
+        (["analyze", "OBJECT"], 2),
+        (["certify", "IDENTITY", "--eps", "0", "--trials", "2"], 0),
+        (["certify", "CRUSH", "--eps", "0", "--trials", "2"], 1),
+        (["certify", "OBJECT", "--eps", "0"], 2),
+        (["symplectify", "IDENTITY", "--eps", "0", "--out", "PSI"], 0),
+        (["symplectify", "FIXTURE", "--eps", "0.01", "--out", "PSI"], 1),
+        (["symplectify", "OBJECT", "--eps", "0"], 2),
+        (["bounds", "--eps", "0.1"], 0),
+        (["bounds", "--eps", "0.1", "--n", "0"], 2),
+        (["homotopy", "FORM", "POINTS"], 0),
+        (["homotopy", "FORM", "BAD_POINTS"], 2),
+        (["suite", "--seed", "7", "--scale", "smoke"], 0),
+        (["suite", "--seed", "-1"], 2),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else str(value),
+)
+def test_exit_code_contract(capsys, tmp_path, identity_file, fixture_file, argv, expected):
+    """0 pass, 1 certified failure, 2 input error; stderr holds no traceback."""
+    files = {"IDENTITY": identity_file, "FIXTURE": fixture_file, "PSI": str(tmp_path / "psi.txt"),
+             "CRUSH": str(tmp_path / "crush.txt")}
+    sy.save_matrix(files["CRUSH"], sy.plane_scaling([0.1, 1.0]))
+    for name, content in [("OBJECT", {"n": 1, "rows": [[{}, 0], [0, 1]]}), ("FORM", _FORM),
+                          ("POINTS", [[0.5, 0.25]]), ("BAD_POINTS", [{"a": 1}])]:
+        path = tmp_path / f"{name.lower()}.json"
+        path.write_text(json.dumps(content))
+        files[name] = str(path)
+    code, out, err = run_cli(capsys, *[files.get(arg, arg) for arg in argv])
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 2:
+        assert out == "" and err.startswith("error: ")
+    elif argv[1] == "FIXTURE":  # a defect above the budget is a verdict with no report
+        assert out == "" and "exceeds" in err
+    else:  # main adds the command as the report's first key, and times the run
+        assert next(iter(json.loads(out).items())) == ("command", argv[0])
+        assert err.endswith(" s\n") and "wall time: " in err
 
 
 @pytest.mark.parametrize(

@@ -333,6 +333,15 @@ def test_covector_json_wrong_layout_is_a_value_error(terms):
     with pytest.raises(ValueError, match="malformed covector JSON"):
         ex.Covector.from_json_dict({"m": 2, "k": 1, "terms": terms})
 
+
+@pytest.mark.parametrize(
+    "data, field",
+    [({"k": 1}, "m"), ({"m": 2}, "k"), ({"m": 2, "k": 1, "terms": [{"index": [1]}]}, "coeff")],
+)
+def test_covector_json_missing_field_is_refused_by_name(data, field):
+    with pytest.raises(ValueError, match=f"malformed covector JSON: missing field '{field}'"):
+        ex.Covector.from_json_dict(data)
+
 @pytest.mark.parametrize(
     "terms, field",
     [

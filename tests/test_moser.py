@@ -45,6 +45,28 @@ def test_field_at_time_zero():
     )
 
 
+def test_degenerate_field_names_its_time():
+    # phi = 0 pulls omega0 back to zero, so J + t M = (1 - t) J degenerates at t = 1
+    with pytest.raises(ValueError, match=r"interpolated two-form degenerates at t=1\.0"):
+        mo.moser_field_matrix(np.zeros((2, 2)), 1.0)
+    with pytest.raises(ValueError, match=r"interpolated two-form degenerates at t=1\.0"):
+        mo._integrate_matrix_flow(-sy.standard_J(1), sy.standard_J(1), 10)
+
+
+def test_symplectify_report_layout():
+    data = mo.symplectify(sy.plane_scaling([1.01]), 0.03, mo.FlowConfig(step_size=1e-2)).to_dict()
+    assert list(data) == [
+        "psi", "eps", "rho", "input_defect", "residual_defect", "residual_ok", "displacement",
+        "displacement_bound", "displacement_margin", "displacement_ok", "column_displacements",
+        "sv_min", "sv_max", "sandwich_margin_lower", "sandwich_margin_upper", "sandwich_ok", "steps",
+        "step_size", "effective_step", "method", "max_defect_tol", "passed",
+    ]
+    assert type(data["psi"]) is list and {type(row) for row in data["psi"]} == {list}
+    assert {type(data[key]) for key in ("residual_ok", "displacement_ok", "sandwich_ok", "passed")} == {bool}
+    assert {type(v) for v in data["column_displacements"]} == {float}
+    assert (type(data["steps"]), data["steps"]) == (int, 100)
+
+
 def test_symplectify_identity():
     rep = mo.symplectify(np.eye(4), 0.0)
     np.testing.assert_allclose(rep.psi, np.eye(4), atol=1e-13)
@@ -104,7 +126,7 @@ def test_step_halving_is_fourth_order():
 
 def _rk4_reference_flow(M, J, n_steps):
     """Stage-by-stage classical RK4 for Y' = C(t) Y, one step at a time."""
-    C = mo._flow_field_grid(M, J, n_steps)
+    C = mo._flow_field(M, J, np.linspace(0.0, 1.0, 2 * n_steps + 1))
     h = 1.0 / n_steps
     Y = np.eye(M.shape[0])
     for i in range(n_steps):

@@ -220,6 +220,13 @@ def test_evaluate():
         pf.evaluate(f, np.zeros(2))
 
 
+def test_points_that_hold_a_non_number_are_refused_by_name():
+    with pytest.raises(ValueError, match="points must hold numbers"):
+        pf.point_block([{"a": 1}], 1)
+    with pytest.raises(ValueError, match="points must hold numbers"):
+        pf.evaluate(pf.PolyForm.basis(2, (1,)), [{}, 0.0])
+
+
 def _exact_value_and_scale(poly, x):
     """Sum of c x^e and sum of |c x^e| over the monomials, in exact rationals."""
     terms = [c * math.prod(xi**p for xi, p in zip(x, e)) for e, c in poly.items()]
@@ -319,6 +326,20 @@ def test_polyform_json_list_fields_refuse_strings_and_objects_by_name(term, fiel
         pf.PolyForm.from_json_dict({"m": 4, "k": 2, "terms": [term]})
     with pytest.raises(ValueError, match="malformed polyform JSON: JSON field 'terms' must be a list, got dict"):
         pf.PolyForm.from_json_dict({"m": 4, "k": 2, "terms": term})
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"k": 1}, "m"),
+        ({"m": 2}, "k"),
+        ({"m": 2, "k": 1, "terms": [{"index": [1]}]}, "poly"),
+        ({"m": 2, "k": 1, "terms": [{"index": [1], "poly": [{"exp": [1, 0], "num": 1}]}]}, "den"),
+    ],
+)
+def test_polyform_json_missing_field_is_refused_by_name(data, field):
+    with pytest.raises(ValueError, match=f"malformed polyform JSON: missing field '{field}'"):
+        pf.PolyForm.from_json_dict(data)
 
 
 def test_polyform_validation():

@@ -641,6 +641,20 @@ def test_matrix_json_round_trip(tmp_path):
     path = tmp_path / "phi.json"
     sy.save_matrix(path, phi)
     np.testing.assert_array_equal(sy.load_matrix(path), phi)
+    assert path.read_text() == json.dumps({"n": 2, "rows": phi.tolist()}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_save_matrix_refuses_non_finite_json(tmp_path, value):
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        sy.save_matrix(path, [[value, 0.0], [0.0, 1.0]])
+    assert not path.exists()
+
+
+def test_matrix_json_refuses_a_non_number_entry():
+    with pytest.raises(ValueError, match="malformed matrix JSON: 'rows' must hold numbers"):
+        sy.matrix_from_json_dict({"n": 1, "rows": [[{}, 0], [0, 1]]})
 
 
 def test_matrix_text_parse_errors():
