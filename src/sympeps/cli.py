@@ -320,7 +320,7 @@ def cmd_homotopy(args):
         "h": hf.to_json_dict(),
     }
     human = [f"m={form.m} k={form.k}: computed the degree-{hf.k} primitive"]
-    identity = polyform.homotopy_identity_check(form)
+    identity = polyform.homotopy_identity_check(form, hf)
     report["identity_exact"] = bool(identity)
     human.append(f"h(d f) + d(h f) == f exactly: {identity}")
     passed = identity
@@ -328,7 +328,7 @@ def cmd_homotopy(args):
         pts = _read(args.points, "points", lambda path: _points(_load_json(path), form.m))
         with np.errstate(over="ignore"):  # h_bound_check names a point whose norm overflows
             radius = max(float(np.linalg.norm(p)) for p in pts) if len(pts) else 1.0
-        bound_rep = polyform.h_bound_check(form, pts, s=radius)
+        bound_rep = polyform.h_bound_check(form, pts, s=radius, hf=hf)
         report["bounds"] = bound_rep.to_dict()
         human.append(f"norm bounds at {len(pts)} points: {'PASS' if bound_rep.passed else 'FAIL'}")
         passed = passed and bound_rep.passed

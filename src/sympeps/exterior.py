@@ -69,6 +69,18 @@ def json_list(value, key: str) -> list:
     return value
 
 
+def json_numbers(value):
+    """``value``, once no entry of its nested lists is a string or a boolean:
+    numpy would read "1.5" as 1.5 and true as 1.0.  Such an entry raises the
+    parsers' malformed layout TypeError, naming it."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"{value!r} is a {type(value).__name__}, not a number")
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            json_numbers(item)
+    return value
+
+
 def merge_sign(first: MultiIndex, second: MultiIndex) -> int:
     """Sign of the permutation that sorts ``first + second`` (disjoint
     increasing indices): dx_first ^ dx_second = sign * dx_sorted."""

@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exterior import Covector, check_multi_index, contraction_sign, json_int, json_list, merge_sign, norm2
+from .exterior import Covector, check_multi_index, contraction_sign, json_int, json_list, json_numbers, merge_sign, norm2
 
 Exponent = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
@@ -59,6 +59,20 @@ def poly_add(a: Poly, b: Poly) -> Poly:
     return _canonical(out)
 
 
+def _add_term(p: Poly, e: Exponent, c: Fraction) -> None:
+    """p[e] += c in place.  A term that cancels is removed, so that p keeps
+    the key order poly_add would give: a table of p sums its monomials in
+    that order, and the float norms reach stdout."""
+    if e not in p:
+        p[e] = c
+        return
+    total = p[e] + c
+    if total:
+        p[e] = total
+    else:
+        del p[e]
+
+
 def poly_neg(a: Poly) -> Poly:
     return {e: -c for e, c in a.items()}
 
@@ -77,16 +91,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
             e = tuple(x + y for x, y in zip(ea, eb))
             out[e] = out.get(e, Fraction(0)) + ca * cb
     return _canonical(out)
-
-
-def poly_mul_var(a: Poly, i: int) -> Poly:
-    """Multiply by the variable x_i (1-based)."""
-    out: Poly = {}
-    for e, c in a.items():
-        lifted = list(e)
-        lifted[i - 1] += 1
-        out[tuple(lifted)] = c
-    return out
 
 
 def poly_diff(a: Poly, i: int) -> Poly:
@@ -130,7 +134,9 @@ class PolyForm:
             for e in poly:
                 if len(e) != self.m or any(p < 0 for p in e):
                     raise ValueError(f"exponent tuple {e} invalid for m={self.m}")
-            canon = _canonical({e: Fraction(c) for e, c in poly.items()})
+            # a Fraction is kept as it is; anything else ("0", 0.5) is
+            # converted before the zero test, so "0" is dropped
+            canon = _canonical({e: c if type(c) is Fraction else Fraction(c) for e, c in poly.items()})
             if canon:
                 clean[idx] = canon
         object.__setattr__(self, "terms", clean)
@@ -257,13 +263,13 @@ def d(f: PolyForm) -> PolyForm:
         for i in range(1, f.m + 1):
             if i in members:
                 continue
-            dp = poly_diff(poly, i)
-            if not dp:
-                continue
-            if merge_sign((i,), index) < 0:
-                dp = poly_neg(dp)
-            merged = tuple(sorted(index + (i,)))
-            out[merged] = poly_add(out.get(merged, {}), dp)
+            target = out.setdefault(tuple(sorted(index + (i,))), {})
+            negate = merge_sign((i,), index) < 0
+            for e, c in poly.items():
+                power = e[i - 1]
+                if power:
+                    lowered = e[:i - 1] + (power - 1,) + e[i:]
+                    _add_term(target, lowered, -c * power if negate else c * power)
     return PolyForm(f.m, f.k + 1, out)
 
 
@@ -288,11 +294,10 @@ def iota_radial(f: PolyForm) -> PolyForm:
     out: Dict[MultiIndex, Poly] = {}
     for index, poly in f.terms.items():
         for j, i in enumerate(index):
-            reduced = index[:j] + index[j + 1:]
-            lifted = poly_mul_var(poly, i)
-            if contraction_sign(j) < 0:
-                lifted = poly_neg(lifted)
-            out[reduced] = poly_add(out.get(reduced, {}), lifted)
+            target = out.setdefault(index[:j] + index[j + 1:], {})
+            negate = contraction_sign(j) < 0
+            for e, c in poly.items():
+                _add_term(target, e[:i - 1] + (e[i - 1] + 1,) + e[i:], -c if negate else c)
     return PolyForm(f.m, f.k - 1, out)
 
 
@@ -307,11 +312,16 @@ def h(f: PolyForm) -> PolyForm:
     return iota_radial(alpha(f))
 
 
-def homotopy_identity_check(f: PolyForm) -> bool:
-    """Exact check of h(d f) + d(h f) == f (rational arithmetic, no tolerance)."""
+def homotopy_identity_check(f: PolyForm, hf: Optional[PolyForm] = None) -> bool:
+    """Exact check of h(d f) + d(h f) == f (rational arithmetic, no tolerance).
+
+    ``hf`` is h(f) when the caller has it already; omitted, it is computed.
+    """
     if not 1 <= f.k < f.m:
         raise ValueError(f"identity check needs 1 <= k < m, got k={f.k}, m={f.m}")
-    return (h(d(f)) + d(h(f))) == f
+    if hf is None:
+        hf = h(f)
+    return (h(d(f)) + d(hf)) == f
 
 
 def dilate(f: PolyForm, r) -> PolyForm:
@@ -375,7 +385,7 @@ def point_block(points: Sequence[Sequence[float]], m: int) -> np.ndarray:
     """The points as one (P, m) float array; the first point of another
     shape, or a point that holds a non-number, is refused by name."""
     try:
-        xs = [np.asarray(p, dtype=float) for p in points]
+        xs = [np.asarray(json_numbers(p), dtype=float) for p in points]
     except TypeError as exc:
         raise ValueError(f"points must hold numbers: {exc}") from exc
     for x in xs:
@@ -430,8 +440,12 @@ def h_bound_check(
     points: Sequence[Sequence[float]],
     s: float,
     t_samples: int = 1000,
+    hf: Optional[PolyForm] = None,
 ) -> HBoundReport:
-    """Evaluate both sides of the homotopy-operator norm bounds at each point."""
+    """Evaluate both sides of the homotopy-operator norm bounds at each point.
+
+    ``hf`` is h(f) when the caller has it already; omitted, it is computed.
+    """
     if f.k < 1:
         raise ValueError("norm bounds apply to degrees k >= 1")
     X = point_block(points, f.m)
@@ -446,7 +460,7 @@ def h_bound_check(
         factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1)
     else:
         factor = math.sqrt(f.m)
-    lhs = MonomialTable(h(f)).norms(X)
+    lhs = MonomialTable(h(f) if hf is None else hf).norms(X)
     ray_case = f.has_constant_coefficients()
     if ray_case:
         # constant coefficients: ||f(t x)|| is the same at every t and x

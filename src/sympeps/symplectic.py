@@ -27,7 +27,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exterior import Covector, json_int, skew_to_covector
+from .exterior import Covector, json_int, json_numbers, skew_to_covector
 
 __all__ = [
     "TwoForm",
@@ -935,7 +935,7 @@ def matrix_from_json_dict(data) -> np.ndarray:
         raise ValueError("matrix JSON must have keys 'n' and 'rows'")
     n = json_int(data["n"], "n")
     try:
-        A = np.array(data["rows"], dtype=float)
+        A = np.array(json_numbers(data["rows"]), dtype=float)
     except TypeError as exc:
         raise ValueError(f"malformed matrix JSON: 'rows' must hold numbers: {exc}") from exc
     if A.shape != (2 * n, 2 * n):

@@ -627,9 +627,16 @@ def _form_with(path, value):
         ("matrix", {"n": 1, "rows": [[{}, 0], [0, 1]]}, "malformed matrix JSON: 'rows' must hold numbers"),
         ("points", [{"a": 1}], "points must hold numbers"),
         ("polyform", {"k": 1}, "malformed polyform JSON: missing field 'm'"),
+        ("matrix", {"n": 1, "rows": [["1.5", 0], [0, 1]]},
+         "malformed matrix JSON: 'rows' must hold numbers: '1.5' is a str, not a number"),
+        ("matrix", {"n": 1, "rows": [[True, 0], [0, 1]]},
+         "malformed matrix JSON: 'rows' must hold numbers: True is a bool, not a number"),
+        ("points", [["0.5", 1]], "points must hold numbers: '0.5' is a str, not a number"),
+        ("points", [[0.5, False]], "points must hold numbers: False is a bool, not a number"),
     ],
     ids=["form-list", "terms-int", "den-zero", "num-float", "exp-float", "index-float", "m-float",
-         "index-str", "exp-str", "points-int", "n-float", "n-bool", "rows-object", "point-object", "form-no-m"],
+         "index-str", "exp-str", "points-int", "n-float", "n-bool", "rows-object", "point-object", "form-no-m",
+         "rows-str", "rows-bool", "point-str", "point-bool"],
 )
 def test_malformed_json_inputs_are_refused_by_name(capsys, tmp_path, kind, content, message):
     path = tmp_path / f"{kind}.json"
@@ -649,6 +656,29 @@ def _reader_argv(tmp_path, kind, path):
     form_path = tmp_path / "form.json"
     form_path.write_text(json.dumps(_FORM))
     return ["homotopy", str(form_path), str(path)]
+
+
+@pytest.mark.parametrize("command", [["certify", "--eps", "0.1"], ["symplectify", "--eps", "0.1"]],
+                         ids=["certify", "symplectify"])
+def test_matrix_string_entry_is_refused_by_name(capsys, tmp_path, command):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"n": 1, "rows": [["1.5", 0], [0, 1]]}))
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert f"cannot read matrix file {str(path)!r}: malformed matrix JSON: 'rows' must hold numbers" in err
+
+
+def test_homotopy_computes_each_primitive_once(capsys, tmp_path, monkeypatch):
+    computed = []
+    h = pf.h
+    monkeypatch.setattr(pf, "h", lambda f: computed.append(f.k) or h(f))
+    form, points = tmp_path / "form.json", tmp_path / "points.json"
+    form.write_text(json.dumps(pf.PolyForm.term(3, (1,), {(1, 2, 0): Fraction(3, 2)}).to_json_dict()))
+    points.write_text("[[0.1, 0.2, -0.3], [0.0, 0.5, 0.1]]")
+    code, out, _ = run_cli(capsys, "homotopy", str(form), str(points))
+    assert code == 0 and json.loads(out)["bounds"]["passed"]
+    assert computed == [1, 2]  # h(f), then h(d f) in the identity check
 
 
 @pytest.mark.parametrize("kind", ["matrix", "polyform", "points"])

@@ -55,6 +55,101 @@ def test_d_rejects_top_degree():
         pf.d(top)
 
 
+def _d_reference(f):
+    """The exterior derivative built from poly_diff, poly_neg and poly_add
+    copies, kept as the reference for the in-place ``d``."""
+    out = {}
+    for index, poly in f.terms.items():
+        members = set(index)
+        for i in range(1, f.m + 1):
+            if i in members:
+                continue
+            dp = pf.poly_diff(poly, i)
+            if not dp:
+                continue
+            if ex.merge_sign((i,), index) < 0:
+                dp = pf.poly_neg(dp)
+            merged = tuple(sorted(index + (i,)))
+            out[merged] = pf.poly_add(out.get(merged, {}), dp)
+    return pf.PolyForm(f.m, f.k + 1, out)
+
+
+def _iota_radial_reference(f):
+    """The radial contraction built from poly_neg and poly_add copies, kept
+    as the reference for the in-place ``iota_radial``."""
+    out = {}
+    for index, poly in f.terms.items():
+        for j, i in enumerate(index):
+            reduced = index[:j] + index[j + 1:]
+            lifted = {}
+            for e, c in poly.items():
+                up = list(e)
+                up[i - 1] += 1
+                lifted[tuple(up)] = c
+            if ex.contraction_sign(j) < 0:
+                lifted = pf.poly_neg(lifted)
+            out[reduced] = pf.poly_add(out.get(reduced, {}), lifted)
+    return pf.PolyForm(f.m, f.k - 1, out)
+
+
+def _assert_same_form(got, ref):
+    """Equal forms whose polynomials also list their monomials in the same
+    order: a MonomialTable sums them in that order."""
+    assert got == ref
+    assert {idx: list(p) for idx, p in got.terms.items()} == {idx: list(p) for idx, p in ref.terms.items()}
+
+
+def test_d_and_iota_radial_match_the_poly_add_references():
+    rng = np.random.default_rng(17)
+    covered = set()
+    for _ in range(300):
+        f = random_polyform(rng, max_m=7, max_k=3, max_degree=int(rng.integers(0, 5)))
+        _assert_same_form(pf.d(f), _d_reference(f))
+        _assert_same_form(pf.iota_radial(f), _iota_radial_reference(f))
+        _assert_same_form(pf.h(f), _iota_radial_reference(pf.alpha(f)))
+        covered.add((f.m, f.k))
+    assert {m for m, _ in covered} == set(range(2, 8))
+    assert {k for _, k in covered} == {1, 2, 3}
+    # d(x2 dx1 + x1 dx2) = d(d(x1 x2)) = 0: the two contributions cancel
+    exact = pf.PolyForm(2, 1, {(1,): pf.poly_var(2, 2), (2,): pf.poly_var(2, 1)})
+    assert pf.d(exact).is_zero() and _d_reference(exact).is_zero()
+    # into dx1, iota_radial adds -x2 x3 x4 (from dx1^dx2), then +x2 x3 x4
+    # (from dx1^dx3), which cancels it, then -x2 x3 x4 again (from dx1^dx4):
+    # the monomial must come back after x1^2 x2 and x1 x2^2, as poly_add
+    # would place it
+    readded = pf.PolyForm(4, 2, {
+        (1, 2): {(0, 0, 1, 1): Fraction(1), (2, 0, 0, 0): Fraction(1), (1, 1, 0, 0): Fraction(3)},
+        (1, 3): {(0, 1, 0, 1): Fraction(-1)},
+        (1, 4): {(0, 1, 1, 0): Fraction(1)},
+    })
+    _assert_same_form(pf.iota_radial(readded), _iota_radial_reference(readded))
+    assert list(pf.iota_radial(readded).terms[(1,)])[-1] == (0, 1, 1, 1)
+
+
+def test_identity_and_bound_checks_reuse_a_given_primitive():
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        f = random_polyform(rng, max_m=7, max_k=3, max_degree=int(rng.integers(0, 4)))
+        hf = pf.h(f)
+        identity = pf.homotopy_identity_check(f)
+        assert identity and pf.homotopy_identity_check(f, hf=hf) == identity
+        pts = rng.normal(size=(3, f.m)) * 0.5
+        radius = float(np.max(np.linalg.norm(pts, axis=1)))
+        given_hf = pf.h_bound_check(f, pts, s=radius, t_samples=100, hf=hf).to_dict()
+        assert given_hf == pf.h_bound_check(f, pts, s=radius, t_samples=100).to_dict()
+
+
+@pytest.mark.parametrize("zero", [0, 0.0, "0", Fraction(0)], ids=["int", "float", "str", "fraction"])
+def test_zero_coefficients_of_any_type_are_dropped(zero):
+    assert pf.PolyForm(2, 1, {(1,): {(0, 0): zero}}).is_zero()
+
+
+@pytest.mark.parametrize("value", ["1/2", 0.5, Fraction(1, 2)], ids=["str", "float", "fraction"])
+def test_coefficients_are_stored_as_fractions(value):
+    (coeff,) = pf.PolyForm(2, 1, {(1,): {(0, 0): value}}).terms[(1,)].values()
+    assert type(coeff) is Fraction and coeff == Fraction(1, 2)
+
+
 def test_alpha_constant_two_form():
     f = pf.PolyForm.basis(4, (1, 3))
     assert pf.alpha(f) == f.scale(Fraction(1, 2))
@@ -225,6 +320,10 @@ def test_points_that_hold_a_non_number_are_refused_by_name():
         pf.point_block([{"a": 1}], 1)
     with pytest.raises(ValueError, match="points must hold numbers"):
         pf.evaluate(pf.PolyForm.basis(2, (1,)), [{}, 0.0])
+    with pytest.raises(ValueError, match="points must hold numbers: '0.5' is a str, not a number"):
+        pf.point_block([["0.5", 1]], 2)
+    with pytest.raises(ValueError, match="points must hold numbers: True is a bool, not a number"):
+        pf.point_block([[0.5, True]], 2)
 
 
 def _exact_value_and_scale(poly, x):

@@ -655,6 +655,10 @@ def test_save_matrix_refuses_non_finite_json(tmp_path, value):
 def test_matrix_json_refuses_a_non_number_entry():
     with pytest.raises(ValueError, match="malformed matrix JSON: 'rows' must hold numbers"):
         sy.matrix_from_json_dict({"n": 1, "rows": [[{}, 0], [0, 1]]})
+    with pytest.raises(ValueError, match="'rows' must hold numbers: '1.5' is a str, not a number"):
+        sy.matrix_from_json_dict({"n": 1, "rows": [["1.5", 0], [0, 1]]})
+    with pytest.raises(ValueError, match="'rows' must hold numbers: False is a bool, not a number"):
+        sy.matrix_from_json_dict({"n": 1, "rows": [[1, 0], [False, 1]]})
 
 
 def test_matrix_text_parse_errors():
