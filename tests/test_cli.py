@@ -337,13 +337,14 @@ _GOLDEN_POINTS = [[0.1, 0.2, -0.3, 0.4], [1.0, 0.0, 0.5, -0.25], [0.0, 0.0, 0.0,
 # sha256 of stdout (and of the file homotopy writes to --out), recorded on
 # the same platform as CERTIFY_STDOUT_SHA256 while the reports were still
 # written by json.dumps(indent=2); phi.txt is random_eps_symplectic(2, 0.05,
-# seed=2).
+# seed=2).  "suite" was recorded again once the Moser field became a series
+# about anchor times: its moser entry moved in the last bits.
 GOLDEN_SHA256 = {
     "analyze": "c5cb15016bbdb167342ec422923587bb8a92313134ac4d21189fe559336bb00f",
     "bounds": "a74446dfccdf27cba5764c0035e4f093ef66339c0f762c08b09950a7b4a58803",
     "homotopy": "d02a91b627dae590eeb85a65ee2fe2524e950b9c81bae190c45d0c0f73c45486",
     "homotopy --out": "70c9c582c0829367bffc400391f79e6cbfcf9c21400da86d27d36712913b0cf5",
-    "suite": "4276d5d495316f5b46fb17413b32aa2e221beca857e671d1adea66a2b06e7621",
+    "suite": "074b8391864bafba6099bcfbcf6e6572b33bad5c9f49389ad82440e5c8b7bcfc",
 }
 
 
@@ -457,6 +458,15 @@ def test_symplectify_reports_the_effective_step(capsys, identity_file, tmp_path)
     assert report["steps"] == 333
     assert report["step_size"] == 0.003
     assert report["effective_step"] == 1.0 / 333
+
+
+@pytest.mark.parametrize("step", ["1e-8", "1e-5", "0.05", "0", "nan"])
+def test_symplectify_refuses_a_step_outside_its_range(capsys, identity_file, step):
+    # a step below 1e-4 only grows the grid: at 1e-8 it would ask numpy for gigabytes
+    code, out, err = run_cli(capsys, "symplectify", identity_file, "--eps", "0", "--step", step)
+    assert code == 2
+    assert out == ""
+    assert f"step size must lie in [1e-4, 1e-2], got {float(step)}" in err
 
 
 def test_symplectify_rejects_defect_above_eps(capsys, fixture_file):

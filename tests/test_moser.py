@@ -15,7 +15,10 @@ def test_flow_config_validation():
         mo.FlowConfig(step_size=0.05)
     with pytest.raises(ValueError, match="step size"):
         mo.FlowConfig(step_size=0.0)
+    with pytest.raises(ValueError, match=r"step size must lie in \[1e-4, 1e-2\], got 1e-05"):
+        mo.FlowConfig(step_size=1e-5)
     assert mo.FlowConfig(step_size=2e-3).n_steps == 500
+    assert mo.FlowConfig(step_size=1e-4).n_steps == 10000
     data = mo.symplectify(np.eye(2), 0.0, mo.FlowConfig(step_size=1e-2)).to_dict()
     assert (data["method"], data["max_defect_tol"]) == ("rk4-classical", 1e-6)
 
@@ -51,6 +54,16 @@ def test_degenerate_field_names_its_time():
         mo.moser_field_matrix(np.zeros((2, 2)), 1.0)
     with pytest.raises(ValueError, match=r"interpolated two-form degenerates at t=1\.0"):
         mo._integrate_matrix_flow(-sy.standard_J(1), sy.standard_J(1), 10)
+
+
+def test_field_series_about_a_time():
+    # C' = 2 C^2, so C(t + tau) = C(t) (I - 2 tau C(t))^-1 on either side of t
+    for n, eps, seed in ((1, 0.3, 0), (2, 0.6, 1), (3, 0.7, 2)):
+        phi = sy.random_eps_symplectic(n, eps, seed=seed)
+        for t, tau in ((0.0, 0.01), (0.3, 0.2), (0.9, 0.1), (0.5, -0.4)):
+            C = mo.moser_field_matrix(phi, t)
+            series = C @ np.linalg.inv(np.eye(2 * n) - 2.0 * tau * C)
+            np.testing.assert_allclose(mo.moser_field_matrix(phi, t + tau), series, rtol=0, atol=1e-13)
 
 
 def test_symplectify_report_layout():
@@ -161,6 +174,46 @@ def test_stacked_flow_residual_defect(n):
         phi, M, J = _defect_matrix(n, eps, 100 + seed)
         psi = mo._integrate_matrix_flow(M, J, mo.FlowConfig().n_steps)
         assert sy.defect(phi @ psi) <= 1e-13, eps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grid_field_matches_the_per_time_solve(n):
+    J = sy.standard_J(n)
+    for seed, eps in enumerate((0.0, 0.1, 0.4, 0.7, sy.EPS_LIMIT - 1e-9)):
+        phi = sy.random_eps_symplectic(n, eps, seed=seed)
+        M = phi.T @ J @ phi - J
+        for n_steps in (100, 333, 1000, 10000):
+            solved = mo._flow_field(M, J, np.linspace(0.0, 1.0, 2 * n_steps + 1))
+            bound = 16 * np.finfo(float).eps * np.linalg.norm(solved, 2, axis=(1, 2)).max()
+            assert np.max(np.abs(mo._grid_field(M, J, n_steps) - solved)) <= bound, (eps, n_steps)
+
+
+def test_grid_field_solves_at_anchor_times_only(monkeypatch):
+    solved_times, flow_field = [], mo._flow_field
+
+    def recording(M, J, ts):
+        solved_times.append(ts)
+        return flow_field(M, J, ts)
+
+    monkeypatch.setattr(mo, "_flow_field", recording)
+    _, M, J = _defect_matrix(3, 0.7, 7)
+    n_steps = mo.FlowConfig().n_steps
+    mo._integrate_matrix_flow(M, J, n_steps)
+    (anchors,) = solved_times
+    assert len(anchors) <= 101 and anchors[0] == 0.0 and anchors[-1] == 1.0
+    assert np.diff(anchors).max() <= 0.01 + 1e-15
+    assert np.isin(anchors, np.linspace(0.0, 1.0, 2 * n_steps + 1)).all()
+    # D >= 1/sqrt(2): the series bound fails, so every grid time is solved for
+    J = sy.standard_J(2)
+    phi = sy.random_defective(2, 0.75, np.random.default_rng(8))
+    assert sy.defect(phi) >= sy.EPS_LIMIT
+    M = phi.T @ J @ phi - J
+    for n_steps in (50, 333):
+        solved_times.clear()
+        grid = mo._grid_field(M, J, n_steps)
+        (times,) = solved_times
+        assert np.array_equal(times, np.linspace(0.0, 1.0, 2 * n_steps + 1))
+        assert np.array_equal(grid, flow_field(M, J, times))
 
 
 def test_report_serializes():
