@@ -22,7 +22,6 @@ from .moser import (
     FlowConfig,
     PolyMap,
     SymplectifyReport,
-    moser_field_matrix,
     symplectify,
     symplectify_polynomial_pointwise,
 )

@@ -238,17 +238,15 @@ def cmd_symplectify(args):
     if not args.eps < symplectic.EPS_LIMIT:
         raise InputError(f"--eps must be < 1/sqrt(2), got {args.eps}")
     phi = _read(args.matrix, "matrix", symplectic.load_matrix)
+    # hashed before psi is written: --out may name the input file
+    inputs = {"matrix": args.matrix, "sha256": _sha256_file(args.matrix)}
     rep = moser.symplectify(phi, args.eps, moser.FlowConfig(step_size=args.step))
     psi_path = args.out or (args.matrix + ".psi.txt")
     try:
         symplectic.save_matrix(psi_path, rep.psi)
     except OSError as exc:
         raise InputError(f"cannot write output file {psi_path!r}: {exc}") from exc
-    report = {
-        "inputs": {"matrix": args.matrix, "sha256": _sha256_file(args.matrix)},
-        "psi_file": psi_path,
-        "report": rep.to_dict(),
-    }
+    report = {"inputs": inputs, "psi_file": psi_path, "report": rep.to_dict()}
     human = [
         f"input defect     {rep.input_defect:.6e}",
         f"residual defect  {rep.residual_defect:.6e}  (tol {moser.MAX_DEFECT_TOL:g})",

@@ -155,36 +155,6 @@ class Covector:
         frame = np.asarray(vectors, dtype=float).reshape(self.k, self.m).T
         return float(_evaluate_frames(self, frame[None, :, :])[0])
 
-    def to_json_dict(self) -> dict:
-        terms = [
-            {"index": list(idx), "coeff": coeff}
-            for idx, coeff in sorted(self.coeffs.items())
-        ]
-        return {"m": self.m, "k": self.k, "terms": terms}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Covector":
-        """Inverse of to_json_dict.  List fields follow ``json_list``, integer
-        fields ``json_int``, and coefficients must be finite; a malformed
-        value or layout raises ValueError."""
-        if not isinstance(data, Mapping):
-            raise ValueError(f"covector JSON must be an object, got {type(data).__name__}")
-        try:
-            m = json_int(data["m"], "m")
-            k = json_int(data["k"], "k")
-            coeffs: Dict[MultiIndex, float] = {}
-            for term in json_list(data.get("terms", []), "terms"):
-                idx = check_multi_index([json_int(i, "index") for i in json_list(term["index"], "index")], m, k)
-                coeff = float(term["coeff"])
-                if not math.isfinite(coeff):
-                    raise ValueError(f"JSON field 'coeff' must be finite, got {term['coeff']!r}")
-                coeffs[idx] = coeffs.get(idx, 0.0) + coeff
-        except KeyError as exc:
-            raise ValueError(f"malformed covector JSON: missing field {exc}") from exc
-        except TypeError as exc:
-            raise ValueError(f"malformed covector JSON: {exc}") from exc
-        return cls(m, k, coeffs)
-
 
 def _evaluate_frames(c: Covector, frames: np.ndarray) -> np.ndarray:
     """Values of ``c`` on a stack of frames of shape (T, m, k), columns = vectors."""

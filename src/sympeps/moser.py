@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import polyform as pfm
-from .polyform import Poly, PolyForm, poly_diff, poly_var
+from .polyform import Poly, PolyForm, poly_var
 from .symplectic import EPS_LIMIT, _as_even_matrix, _standard_J, defect, rho
 
 BOUND_TOL = 1e-6
@@ -51,19 +51,10 @@ class FlowConfig:
         return max(1, int(round(1.0 / self.step_size)))
 
 
-def moser_field_matrix(phi, t: float) -> np.ndarray:
-    """Matrix C(t) of the linear correction field X_t(x) = C(t) x.
-
-    C(t) = -1/2 (J + t M)^-1 M with M = Phi^T J Phi - J; the inverse exists
-    whenever the defect is below one.
-    """
-    phi, n = _as_even_matrix(phi)
-    J = _standard_J(n)
-    return _flow_field(phi.T @ J @ phi - J, J, np.array([t], dtype=float))[0]
-
-
 def _flow_field(M: np.ndarray, J: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """C(t) = -1/2 (J + t M)^-1 M for each t of ts, as a (len(ts), 2n, 2n) stack."""
+    """C(t) = -1/2 (J + t M)^-1 M for each t of ts, as a (len(ts), 2n, 2n) stack:
+    the matrix of the linear correction field X_t(x) = C(t) x, with
+    M = Phi^T J Phi - J.  The inverse exists whenever the defect is below one."""
     stacked = J + ts[:, None, None] * M
     try:
         return -0.5 * np.linalg.solve(stacked, np.broadcast_to(M, stacked.shape))
@@ -275,13 +266,7 @@ class PolyMap:
 
     def component_differential(self, index: int) -> PolyForm:
         """d of the component function (1-based index) as a polynomial 1-form."""
-        comp = self.components[index - 1]
-        terms = {}
-        for i in range(1, self.m + 1):
-            dp = poly_diff(comp, i)
-            if dp:
-                terms[(i,)] = dp
-        return PolyForm(self.m, 1, terms)
+        return pfm.d(PolyForm.function(self.m, self.components[index - 1]))
 
     def pullback_omega0(self) -> PolyForm:
         """Exact pullback of the reference two-form: sum_j dphi_{x_j} ^ dphi_{y_j}."""

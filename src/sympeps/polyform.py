@@ -93,20 +93,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     return _canonical(out)
 
 
-def poly_diff(a: Poly, i: int) -> Poly:
-    """Partial derivative with respect to x_i (1-based)."""
-    out: Poly = {}
-    for e, c in a.items():
-        power = e[i - 1]
-        if power == 0:
-            continue
-        lowered = list(e)
-        lowered[i - 1] -= 1
-        key = tuple(lowered)
-        out[key] = out.get(key, Fraction(0)) + c * power
-    return _canonical(out)
-
-
 def poly_total_degree(a: Poly) -> int:
     """Max total degree, or -1 for the zero polynomial."""
     if not a:

@@ -207,12 +207,6 @@ class TwoForm:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def value(self, v, w) -> float:
-        return float(np.asarray(w, float) @ (self.matrix @ np.asarray(v, float)))
-
-    def covector(self) -> Covector:
-        return skew_to_covector(self.matrix)
-
 
 @dataclass(frozen=True)
 class StandardForm:
@@ -504,9 +498,6 @@ class CertificateReport:
             "records": self.records,
             "ball_checks": self.ball_checks,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 class _Widths(NamedTuple):

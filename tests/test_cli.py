@@ -435,6 +435,17 @@ def test_symplectify_identity(capsys, identity_file, tmp_path):
     np.testing.assert_allclose(sy.load_matrix(psi_path), np.eye(4), atol=1e-12)
 
 
+def test_symplectify_out_over_its_input_reports_the_input_hash(capsys, tmp_path):
+    path, phi = tmp_path / "phi.txt", sy.plane_scaling([0.9, 1.1])
+    sy.save_matrix(path, phi)
+    before = hashlib.sha256(path.read_bytes()).hexdigest()
+    eps = repr(sy.defect(phi) + 1e-9)
+    code, out, _ = run_cli(capsys, "symplectify", str(path), "--eps", eps, "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != before  # psi replaced the input
+    assert json.loads(out)["inputs"]["sha256"] == before
+
+
 def test_symplectify_plane_scaling(capsys, tmp_path):
     path = tmp_path / "scale.txt"
     sy.save_matrix(path, sy.plane_scaling([0.9, 1.1]))

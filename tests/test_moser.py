@@ -23,18 +23,25 @@ def test_flow_config_validation():
     assert (data["method"], data["max_defect_tol"]) == ("rk4-classical", 1e-6)
 
 
+def _field(phi, t):
+    """C(t) of the linear correction field of phi, from M = Phi^T J Phi - J."""
+    phi = np.asarray(phi, dtype=float)
+    J = sy.standard_J(phi.shape[0] // 2)
+    return mo._flow_field(phi.T @ J @ phi - J, J, np.array([t]))[0]
+
+
 def test_field_vanishes_for_symplectic_input():
     rng = np.random.default_rng(1)
     psi = sy.random_symplectic(2, rng)
     for t in (0.0, 0.3, 1.0):
-        assert np.max(np.abs(mo.moser_field_matrix(psi, t))) <= 1e-12
+        assert np.max(np.abs(_field(psi, t))) <= 1e-12
 
 
 def test_field_closed_form_for_plane_scaling():
     c = 1.2
     phi = sy.plane_scaling([c, c])
     for t in (0.0, 0.5, 1.0):
-        C = mo.moser_field_matrix(phi, t)
+        C = _field(phi, t)
         expected = -0.5 * (c**2 - 1.0) / (1.0 + t * (c**2 - 1.0)) * np.eye(4)
         np.testing.assert_allclose(C, expected, atol=1e-12)
 
@@ -44,14 +51,14 @@ def test_field_at_time_zero():
     J = sy.standard_J(2)
     M = phi.T @ J @ phi - J
     np.testing.assert_allclose(
-        mo.moser_field_matrix(phi, 0.0), -0.5 * np.linalg.solve(J, M), atol=1e-13
+        _field(phi, 0.0), -0.5 * np.linalg.solve(J, M), atol=1e-13
     )
 
 
 def test_degenerate_field_names_its_time():
     # phi = 0 pulls omega0 back to zero, so J + t M = (1 - t) J degenerates at t = 1
     with pytest.raises(ValueError, match=r"interpolated two-form degenerates at t=1\.0"):
-        mo.moser_field_matrix(np.zeros((2, 2)), 1.0)
+        _field(np.zeros((2, 2)), 1.0)
     with pytest.raises(ValueError, match=r"interpolated two-form degenerates at t=1\.0"):
         mo._integrate_matrix_flow(-sy.standard_J(1), sy.standard_J(1), 10)
 
@@ -61,9 +68,9 @@ def test_field_series_about_a_time():
     for n, eps, seed in ((1, 0.3, 0), (2, 0.6, 1), (3, 0.7, 2)):
         phi = sy.random_eps_symplectic(n, eps, seed=seed)
         for t, tau in ((0.0, 0.01), (0.3, 0.2), (0.9, 0.1), (0.5, -0.4)):
-            C = mo.moser_field_matrix(phi, t)
+            C = _field(phi, t)
             series = C @ np.linalg.inv(np.eye(2 * n) - 2.0 * tau * C)
-            np.testing.assert_allclose(mo.moser_field_matrix(phi, t + tau), series, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(_field(phi, t + tau), series, rtol=0, atol=1e-13)
 
 
 def test_symplectify_report_layout():
@@ -150,6 +157,39 @@ def _rk4_reference_flow(M, J, n_steps):
         k4 = c1 @ (Y + h * k3)
         Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return Y
+
+
+def _symplectic_polar(phi, max_iter=20):
+    """The exact time-1 map of the linear flow, psi = (Phi^* Phi)^(-1/2) with
+    Phi^* = J^-1 Phi^T J: Newton X <- (X + J^-1 X^-T J) / 2 from X = Phi
+    converges to the symplectic polar factor Phi psi."""
+    J = sy.standard_J(phi.shape[0] // 2)
+    X = phi
+    for _ in range(max_iter):
+        step = 0.5 * (np.linalg.solve(J, np.linalg.inv(X).T @ J) - X)
+        X = X + step
+        if np.max(np.abs(step)) <= 1e-14 * np.max(np.abs(X)):
+            return np.linalg.solve(phi, X)
+    raise AssertionError(f"Newton did not converge in {max_iter} iterations")
+
+
+def test_symplectic_polar_oracle():
+    for factors in ([0.8, 1.25], [0.85, 1.2, 1.05]):
+        psi = _symplectic_polar(sy.plane_scaling(factors))
+        np.testing.assert_allclose(psi, sy.plane_scaling([1.0 / c for c in factors]), rtol=0, atol=1e-15)
+    phi = sy.random_eps_symplectic(3, 0.69, seed=3)
+    assert sy.defect(phi @ _symplectic_polar(phi)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symplectify_matches_the_symplectic_polar_factor(n):
+    # measured over 400 maps: at most 2.5e-14 at step 1e-3 and 2.4e-10 at 1e-2
+    for seed, eps in enumerate((0.0, 0.05, 0.3, 0.6, 0.69, 0.69)):
+        phi = sy.random_eps_symplectic(n, eps, seed=seed)
+        exact = _symplectic_polar(phi)
+        for step, bound in ((1e-3, 1e-12), (1e-2, 1e-8)):
+            psi = mo.symplectify(phi, eps, mo.FlowConfig(step)).psi
+            assert np.max(np.abs(psi - exact)) <= bound * np.max(np.abs(exact)), (eps, step)
 
 
 def _defect_matrix(n, eps, seed):

@@ -24,7 +24,7 @@ def test_poly_arithmetic_basics():
     p = pf.poly_add(pf.poly_var(m, 1), pf.poly_const(m, Fraction(2, 3)))
     q = pf.poly_mul(p, pf.poly_var(m, 2))
     assert q == {(1, 1, 0): Fraction(1), (0, 1, 0): Fraction(2, 3)}
-    assert pf.poly_diff(q, 1) == {(0, 1, 0): Fraction(1)}
+    assert pf.d(pf.PolyForm.function(m, q)).terms[(1,)] == {(0, 1, 0): Fraction(1)}
     assert pf.poly_total_degree(q) == 2
     assert pf.poly_add(p, pf.poly_neg(p)) == {}
 
@@ -55,8 +55,22 @@ def test_d_rejects_top_degree():
         pf.d(top)
 
 
+def _poly_diff(a, i):
+    """Partial derivative with respect to x_i (1-based)."""
+    out = {}
+    for e, c in a.items():
+        power = e[i - 1]
+        if power == 0:
+            continue
+        lowered = list(e)
+        lowered[i - 1] -= 1
+        key = tuple(lowered)
+        out[key] = out.get(key, Fraction(0)) + c * power
+    return {e: c for e, c in out.items() if c != 0}
+
+
 def _d_reference(f):
-    """The exterior derivative built from poly_diff, poly_neg and poly_add
+    """The exterior derivative built from _poly_diff, poly_neg and poly_add
     copies, kept as the reference for the in-place ``d``."""
     out = {}
     for index, poly in f.terms.items():
@@ -64,7 +78,7 @@ def _d_reference(f):
         for i in range(1, f.m + 1):
             if i in members:
                 continue
-            dp = pf.poly_diff(poly, i)
+            dp = _poly_diff(poly, i)
             if not dp:
                 continue
             if ex.merge_sign((i,), index) < 0:

@@ -463,7 +463,7 @@ def test_certificates_fail_unconditionally_for_singular_map():
 
 def test_certificate_report_serializes():
     report = sy.check_eps_nonsqueezing(np.eye(4), 0.0, [np.eye(4), 2.0 * np.eye(4)])
-    data = json.loads(report.to_json())
+    data = json.loads(json.dumps(report.to_dict()))
     assert data["kind"] == "nonsqueezing"
     assert data["passed"] is True
     assert [rec["index"] for rec in data["records"]] == [0, 1]
