@@ -13,10 +13,8 @@ from .exterior import (
     comass,
     comass_basis_witness,
     interior,
-    metric_norm_bounds,
     norm2,
     pullback,
-    wedge,
 )
 from .moser import (
     FlowConfig,
@@ -50,7 +48,6 @@ from .symplectic import (
     cubic_z0,
     defect,
     defect_decomposition_check,
-    ellipsoid_capacity,
     hyperplane_squeeze,
     lambda_mu_invariants,
     random_eps_symplectic,

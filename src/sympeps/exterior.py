@@ -12,9 +12,8 @@ provided:
   skew matrix) and bracketed otherwise by a randomized lower bound together
   with the ``norm2`` upper bound.
 
-Interior multiplication, the wedge product, pullback by a square matrix
-(via k x k minors), and the constant-metric rescaling factors for norms
-round out the toolkit.
+Interior multiplication and pullback by a square matrix (via k x k
+minors) round out the toolkit.
 """
 
 from __future__ import annotations
@@ -118,16 +117,6 @@ class Covector:
                 clean[idx] = value
         object.__setattr__(self, "coeffs", clean)
 
-    @classmethod
-    def zero(cls, m: int, k: int) -> "Covector":
-        return cls(m, k, {})
-
-    @classmethod
-    def basis(cls, m: int, index: Sequence[int]) -> "Covector":
-        """dx_{i_1} ^ ... ^ dx_{i_k} for a strictly increasing index."""
-        idx = tuple(int(i) for i in index)
-        return cls(m, len(idx), {idx: 1.0})
-
     def __add__(self, other: "Covector") -> "Covector":
         if not isinstance(other, Covector):
             return NotImplemented
@@ -144,17 +133,6 @@ class Covector:
     def __sub__(self, other: "Covector") -> "Covector":
         return self + (-other)
 
-    def __mul__(self, scalar: float) -> "Covector":
-        s = float(scalar)
-        return Covector(self.m, self.k, {i: s * c for i, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def evaluate(self, vectors: Sequence[Sequence[float]]) -> float:
-        """Value on k vectors (given as rows)."""
-        frame = np.asarray(vectors, dtype=float).reshape(self.k, self.m).T
-        return float(_evaluate_frames(self, frame[None, :, :])[0])
-
 
 def _evaluate_frames(c: Covector, frames: np.ndarray) -> np.ndarray:
     """Values of ``c`` on a stack of frames of shape (T, m, k), columns = vectors."""
@@ -166,24 +144,6 @@ def _evaluate_frames(c: Covector, frames: np.ndarray) -> np.ndarray:
         rows = [i - 1 for i in index]
         total += coeff * np.linalg.det(frames[:, rows, :])
     return total
-
-
-def wedge(a: Covector, b: Covector) -> Covector:
-    """Graded-anticommutative product; the sign comes from the merge permutation."""
-    if a.m != b.m:
-        raise ValueError(f"ambient dimension mismatch: {a.m} vs {b.m}")
-    k = a.k + b.k
-    if k > a.m:
-        raise ValueError(f"degree overflow: {a.k} + {b.k} > {a.m}")
-    out: Dict[MultiIndex, float] = {}
-    for ia, ca in a.coeffs.items():
-        seen = set(ia)
-        for ib, cb in b.coeffs.items():
-            if seen.intersection(ib):
-                continue
-            merged = tuple(sorted(ia + ib))
-            out[merged] = out.get(merged, 0.0) + merge_sign(ia, ib) * ca * cb
-    return Covector(a.m, k, out)
 
 
 def norm2(c: Covector) -> float:
@@ -328,13 +288,3 @@ def pullback(L: np.ndarray, c: Covector) -> Covector:
         if val != 0.0
     }
     return Covector(c.m, c.k, out)
-
-
-def metric_norm_bounds(norm_a: float, norm_a_inv: float, k: int) -> Tuple[float, float]:
-    """Factors bracketing the k-covector norm of a constant metric <., A .>
-    against the standard one: (||A^-1||^(-k/2), ||A||^(k/2))."""
-    if not (norm_a > 0 and norm_a_inv > 0):
-        raise ValueError("operator norms must be positive")
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    return (norm_a_inv ** (-k / 2), norm_a ** (k / 2))

@@ -73,15 +73,13 @@ def _grid_field(M: np.ndarray, J: np.ndarray, n_steps: int) -> np.ndarray:
     solved at no more than FIELD_ANCHORS + 1 anchor grid times, and every grid
     time sums the series from the last anchor, less than 0.01 before it: the
     ratio 2 tau ||C|| stays below 0.0242, and FIELD_TERMS terms leave a
-    remainder below ||C|| 0.0242^11 / 0.976, about 2e-18.  When D >= 1/sqrt(2)
-    every grid time is an anchor, and its field is the solve itself.
+    remainder below ||C|| 0.0242^11 / 0.976, about 2e-18.  The caller keeps D
+    below 1/sqrt(2) + 1e-12, where the same bounds hold: ``symplectify``
+    accepts no larger defect.
     """
     ts = np.linspace(0.0, 1.0, 2 * n_steps + 1)
-    # ||M||_F < 1 is D < 1/sqrt(2); the stride is ceil(2 n_steps / FIELD_ANCHORS)
-    stride = -(-2 * n_steps // FIELD_ANCHORS) if np.linalg.norm(M) < 1.0 else 1
+    stride = -(-2 * n_steps // FIELD_ANCHORS)  # ceil(2 n_steps / FIELD_ANCHORS)
     C = _flow_field(M, J, ts[::stride])
-    if stride == 1:
-        return C
     powers, twice = [C], 2.0 * C
     for _ in range(FIELD_TERMS - 1):
         powers.append(powers[-1] @ twice)
@@ -166,18 +164,19 @@ def symplectify(
 ) -> SymplectifyReport:
     """Integrate the correction flow and verify its bounds.
 
-    Requires defect(phi) <= eps (else DefectAboveBudget) and eps < 1/sqrt(2).
+    Requires eps in [0, 1/sqrt(2)) (else ValueError, checked first) and
+    defect(phi) <= eps (else DefectAboveBudget).
     Returns psi = Y(1) of the matrix ODE Y' = C(t) Y, Y(0) = I, with the
     residual defect of phi @ psi and the displacement / sandwich margins at
     tolerance 1e-6.
     """
     config = config or FlowConfig()
     phi, n = _as_even_matrix(phi)
+    if not 0.0 <= eps < EPS_LIMIT:
+        raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
     d0 = defect(phi)
     if d0 > eps + 1e-12:
         raise DefectAboveBudget(f"defect {d0:.6e} exceeds eps {eps:.6e}")
-    if not eps < EPS_LIMIT:
-        raise ValueError(f"eps must be < 1/sqrt(2), got {eps}")
     J = _standard_J(n)
     M = phi.T @ J @ phi - J
     psi = _integrate_matrix_flow(M, J, config.n_steps)

@@ -132,11 +132,6 @@ class PolyForm:
         return cls(m, k, {})
 
     @classmethod
-    def term(cls, m: int, index: Sequence[int], poly: Poly) -> "PolyForm":
-        idx = tuple(int(i) for i in index)
-        return cls(m, len(idx), {idx: poly})
-
-    @classmethod
     def basis(cls, m: int, index: Sequence[int]) -> "PolyForm":
         """dx_{i_1} ^ ... ^ dx_{i_k} with constant coefficient 1."""
         idx = tuple(int(i) for i in index)
@@ -164,9 +159,6 @@ class PolyForm:
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
         return self + (-other)
-
-    def scale(self, s) -> "PolyForm":
-        return PolyForm(self.m, self.k, {idx: poly_scale(p, s) for idx, p in self.terms.items()})
 
     def coefficient_degree(self) -> int:
         if not self.terms:
@@ -320,6 +312,11 @@ def dilate(f: PolyForm, r) -> PolyForm:
     return PolyForm(f.m, f.k, out)
 
 
+# Largest exponent that a MonomialTable evaluates: ``values`` holds every power up to it of
+# every variable at every point, 1001 x 3 x 1000 floats (24 MB) at m = 3 on h_bound_check's rays.
+MAX_TABLE_EXPONENT = 1000
+
+
 class MonomialTable:
     """A form's monomials as float arrays, built once and evaluated at many points.
 
@@ -336,6 +333,12 @@ class MonomialTable:
         self.exps = np.array([e for p in polys for e in p], dtype=int).reshape(-1, f.m)
         self.coeffs = np.array([float(c) for p in polys for c in p.values()])
         self.degree = int(self.exps.max(initial=0))
+        if self.degree > MAX_TABLE_EXPONENT:
+            variable = int(np.argmax(self.exps.max(axis=0))) + 1
+            raise ValueError(
+                f"exponent {self.degree} of x{variable} exceeds {MAX_TABLE_EXPONENT}, "
+                "the largest that is evaluated at points"
+            )
         self.used = [(i, column) for i, column in enumerate(self.exps.T) if column.any()]
 
     def values(self, X: np.ndarray) -> np.ndarray:

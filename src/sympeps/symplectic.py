@@ -39,7 +39,6 @@ __all__ = [
     "standard_J",
     "plane_scaling",
     "split_to_interleaved",
-    "interleaved_to_split",
     "omega0_covector",
     "standard_antisymplectic",
     "asymmetric_defect_map",
@@ -52,7 +51,6 @@ __all__ = [
     "squeezing_params",
     "check_eps_nonsqueezing",
     "check_eps_nonexpanding",
-    "ellipsoid_capacity",
     "capacity_preservation_check",
     "WidthCertificates",
     "width_certificates",
@@ -122,23 +120,12 @@ def plane_scaling(values: Sequence[float]) -> np.ndarray:
     return np.diag(np.repeat(values, 2))
 
 
-def _split_perm(n: int) -> np.ndarray:
-    perm = np.empty(2 * n, dtype=int)
-    perm[0::2] = np.arange(n)
-    perm[1::2] = np.arange(n) + n
-    return perm
-
-
 def split_to_interleaved(M: np.ndarray) -> np.ndarray:
     """Conjugate a matrix from (x_1..x_n, y_1..y_n) to interleaved coordinates."""
     M, n = _as_even_matrix(M)
-    perm = _split_perm(n)
-    return M[np.ix_(perm, perm)]
-
-
-def interleaved_to_split(M: np.ndarray) -> np.ndarray:
-    M, n = _as_even_matrix(M)
-    perm = np.argsort(_split_perm(n))
+    perm = np.empty(2 * n, dtype=int)
+    perm[0::2] = np.arange(n)
+    perm[1::2] = np.arange(n) + n
     return M[np.ix_(perm, perm)]
 
 
@@ -234,10 +221,6 @@ class StandardForm:
     def lambdas(self) -> np.ndarray:
         return np.sqrt(self.lambda_sq)
 
-    def basis_matrix(self) -> np.ndarray:
-        """Columns u_1..u_p, v_1..v_p, kernel vectors."""
-        return np.hstack([self.u, self.v, self.kernel])
-
     def reconstruct(self) -> np.ndarray:
         """Skew matrix of sum_j lambda_j^2 alpha_j ^ beta_j."""
         W = np.zeros((self.dim, self.dim))
@@ -332,12 +315,6 @@ def _spectrum(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(np.linalg.eigvalsh(1j * M)[..., n:], 0.0, None))
 
 
-def ellipsoid_capacity(A) -> float:
-    """pi times the squared linear symplectic width of the ellipsoid A B_1."""
-    r1 = symplectic_spectrum(A)[0]
-    return math.pi * float(r1) ** 2
-
-
 @dataclass
 class LambdaMuReport:
     """Conformality invariants of the pullback two-form of a linear map.
@@ -353,7 +330,6 @@ class LambdaMuReport:
     signs: np.ndarray
     classification: str   # symplectic-like | anti-symplectic-like | mixed | singular
     condition: float
-    form: Optional[StandardForm] = None
 
 
 def lambda_mu_invariants(phi) -> LambdaMuReport:
@@ -362,11 +338,11 @@ def lambda_mu_invariants(phi) -> LambdaMuReport:
     cond = float(cond)
     empty = np.zeros(0)
     if singular:
-        return LambdaMuReport(empty, empty, empty.astype(int), "singular", cond, None)
+        return LambdaMuReport(empty, empty, empty.astype(int), "singular", cond)
     J = _standard_J(n)
     sf = standard_form(phi.T @ J @ phi)
     if sf.rank < 2 * n:
-        return LambdaMuReport(empty, empty, empty.astype(int), "singular", cond, sf)
+        return LambdaMuReport(empty, empty, empty.astype(int), "singular", cond)
     om = np.einsum("ij,ij->j", J @ sf.u, sf.v)  # omega0(u_j, v_j)
     signs = np.where(np.abs(om) <= SIGN_TOL, 0, np.sign(om)).astype(int)
     if np.all(signs == 1):
@@ -375,7 +351,7 @@ def lambda_mu_invariants(phi) -> LambdaMuReport:
         classification = "anti-symplectic-like"
     else:
         classification = "mixed"
-    return LambdaMuReport(sf.lambdas, np.sqrt(np.abs(om)), signs, classification, cond, sf)
+    return LambdaMuReport(sf.lambdas, np.sqrt(np.abs(om)), signs, classification, cond)
 
 
 class DecompositionCheck(NamedTuple):

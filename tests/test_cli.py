@@ -329,9 +329,10 @@ def test_certify_stdout_matches_its_golden_digest(capsys, tmp_path, monkeypatch,
 
 # The homotopy input of the golden digests below: a 2-form on R^4 with
 # rational coefficients, and three points.
-_GOLDEN_FORM = pf.PolyForm.term(4, (1, 2), {(2, 0, 0, 0): Fraction(3, 2), (0, 1, 1, 0): Fraction(-1)}) + pf.PolyForm.term(
-    4, (2, 4), {(1, 0, 0, 1): Fraction(1, 3), (0, 0, 0, 0): Fraction(5, 7)}
-)
+_GOLDEN_FORM = pf.PolyForm(4, 2, {
+    (1, 2): {(2, 0, 0, 0): Fraction(3, 2), (0, 1, 1, 0): Fraction(-1)},
+    (2, 4): {(1, 0, 0, 1): Fraction(1, 3), (0, 0, 0, 0): Fraction(5, 7)},
+})
 _GOLDEN_POINTS = [[0.1, 0.2, -0.3, 0.4], [1.0, 0.0, 0.5, -0.25], [0.0, 0.0, 0.0, 0.0]]
 
 # sha256 of stdout (and of the file homotopy writes to --out), recorded on
@@ -590,9 +591,9 @@ def run_cli_without_warnings(capsys, *argv):
     "form, points, message",
     [
         (pf.PolyForm.basis(4, (1, 2)), "[[0.1, NaN, 0.0, 0.0]]", "non-finite entry nan at point 1, coordinate 2"),
-        (pf.PolyForm.term(3, (1,), {(2, 0, 0): 1}), "[[0.5, 0, 0], [1e200, 0, 0]]",
+        (pf.PolyForm(3, 1, {(1,): {(2, 0, 0): 1}}), "[[0.5, 0, 0], [1e200, 0, 0]]",
          "norm bounds at point [1e+200, 0.0, 0.0] overflow"),
-        (pf.PolyForm.term(3, (1,), {(2, 0, 0): 1}), "[[1e160, 0, 0]]", "norm bounds at point [1e+160, 0.0, 0.0] overflow"),
+        (pf.PolyForm(3, 1, {(1,): {(2, 0, 0): 1}}), "[[1e160, 0, 0]]", "norm bounds at point [1e+160, 0.0, 0.0] overflow"),
     ],
     ids=["nan-point", "overflowing-norm", "overflowing-values"],
 )
@@ -690,12 +691,26 @@ def test_matrix_string_entry_is_refused_by_name(capsys, tmp_path, command):
     assert f"cannot read matrix file {str(path)!r}: malformed matrix JSON: 'rows' must hold numbers" in err
 
 
+def test_homotopy_refuses_an_exponent_too_large_to_evaluate_at_points(capsys, tmp_path):
+    # h(f) of x1^MAX dx1 has the exponent MAX + 1 on x1
+    limit = pf.MAX_TABLE_EXPONENT
+    form, points = tmp_path / "form.json", tmp_path / "points.json"
+    form.write_text(json.dumps(pf.PolyForm(3, 1, {(1,): {(limit, 0, 0): 1}}).to_json_dict()))
+    points.write_text("[[0.5, 0.1, 0.2]]")
+    code, out, err = run_cli(capsys, "homotopy", str(form), str(points))
+    assert (code, out) == (2, "")
+    assert f"error: exponent {limit + 1} of x1 exceeds {limit}, the largest that is evaluated at points" in err
+    # without points, h(f) stays exact and unlimited
+    code, out, _ = run_cli(capsys, "homotopy", str(form))
+    assert code == 0 and json.loads(out)["identity_exact"] is True
+
+
 def test_homotopy_computes_each_primitive_once(capsys, tmp_path, monkeypatch):
     computed = []
     h = pf.h
     monkeypatch.setattr(pf, "h", lambda f: computed.append(f.k) or h(f))
     form, points = tmp_path / "form.json", tmp_path / "points.json"
-    form.write_text(json.dumps(pf.PolyForm.term(3, (1,), {(1, 2, 0): Fraction(3, 2)}).to_json_dict()))
+    form.write_text(json.dumps(pf.PolyForm(3, 1, {(1,): {(1, 2, 0): Fraction(3, 2)}}).to_json_dict()))
     points.write_text("[[0.1, 0.2, -0.3], [0.0, 0.5, 0.1]]")
     code, out, _ = run_cli(capsys, "homotopy", str(form), str(points))
     assert code == 0 and json.loads(out)["bounds"]["passed"]

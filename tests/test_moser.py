@@ -130,6 +130,11 @@ def test_symplectify_preconditions():
         mo.symplectify(phi, 0.1)
     with pytest.raises(ValueError, match="sqrt"):
         mo.symplectify(np.eye(4), 0.8)
+    # the eps range is checked first: an invalid budget is an input error, never a verdict
+    for phi, eps in ((np.eye(4), -0.1), (sy.asymmetric_defect_map(0.9, 2.0), 0.8)):
+        with pytest.raises(ValueError, match=r"eps must lie in \[0, 1/sqrt\(2\)\)") as info:
+            mo.symplectify(phi, eps)
+        assert not isinstance(info.value, mo.DefectAboveBudget)
 
 
 def test_step_halving_is_fourth_order():
@@ -219,13 +224,16 @@ def test_stacked_flow_residual_defect(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_grid_field_matches_the_per_time_solve(n):
     J = sy.standard_J(n)
-    for seed, eps in enumerate((0.0, 0.1, 0.4, 0.7, sy.EPS_LIMIT - 1e-9)):
-        phi = sy.random_eps_symplectic(n, eps, seed=seed)
+    phis = [sy.random_eps_symplectic(n, eps, seed=seed) for seed, eps in enumerate((0.0, 0.1, 0.4, 0.7, sy.EPS_LIMIT - 1e-9))]
+    # the largest defect that symplectify accepts, eps + 1e-12 with eps just below 1/sqrt(2)
+    phis.append(sy.random_defective(n, sy.EPS_LIMIT + 1e-12, np.random.default_rng(n)))
+    assert sy.defect(phis[-1]) > sy.EPS_LIMIT
+    for phi in phis:
         M = phi.T @ J @ phi - J
         for n_steps in (100, 333, 1000, 10000):
             solved = mo._flow_field(M, J, np.linspace(0.0, 1.0, 2 * n_steps + 1))
             bound = 16 * np.finfo(float).eps * np.linalg.norm(solved, 2, axis=(1, 2)).max()
-            assert np.max(np.abs(mo._grid_field(M, J, n_steps) - solved)) <= bound, (eps, n_steps)
+            assert np.max(np.abs(mo._grid_field(M, J, n_steps) - solved)) <= bound, (sy.defect(phi), n_steps)
 
 
 def test_grid_field_solves_at_anchor_times_only(monkeypatch):
@@ -243,17 +251,6 @@ def test_grid_field_solves_at_anchor_times_only(monkeypatch):
     assert len(anchors) <= 101 and anchors[0] == 0.0 and anchors[-1] == 1.0
     assert np.diff(anchors).max() <= 0.01 + 1e-15
     assert np.isin(anchors, np.linspace(0.0, 1.0, 2 * n_steps + 1)).all()
-    # D >= 1/sqrt(2): the series bound fails, so every grid time is solved for
-    J = sy.standard_J(2)
-    phi = sy.random_defective(2, 0.75, np.random.default_rng(8))
-    assert sy.defect(phi) >= sy.EPS_LIMIT
-    M = phi.T @ J @ phi - J
-    for n_steps in (50, 333):
-        solved_times.clear()
-        grid = mo._grid_field(M, J, n_steps)
-        (times,) = solved_times
-        assert np.array_equal(times, np.linspace(0.0, 1.0, 2 * n_steps + 1))
-        assert np.array_equal(grid, flow_field(M, J, times))
 
 
 def test_report_serializes():

@@ -35,7 +35,7 @@ def test_d_of_coordinate_function():
 
 
 def test_d_sign_from_reordering():
-    f = pf.PolyForm.term(2, (1,), pf.poly_var(2, 2))  # x2 dx1
+    f = pf.PolyForm(2, 1, {(1,): pf.poly_var(2, 2)})  # x2 dx1
     expected = pf.PolyForm(2, 2, {(1, 2): pf.poly_const(2, -1)})
     assert pf.d(f) == expected
 
@@ -166,12 +166,12 @@ def test_coefficients_are_stored_as_fractions(value):
 
 def test_alpha_constant_two_form():
     f = pf.PolyForm.basis(4, (1, 3))
-    assert pf.alpha(f) == f.scale(Fraction(1, 2))
+    assert pf.alpha(f) == pf.PolyForm(4, 2, {(1, 3): pf.poly_const(4, Fraction(1, 2))})
 
 
 def test_alpha_linear_coefficient():
-    f = pf.PolyForm.term(2, (1,), pf.poly_var(2, 2))  # x2 dx1
-    assert pf.alpha(f) == f.scale(Fraction(1, 2))
+    f = pf.PolyForm(2, 1, {(1,): pf.poly_var(2, 2)})  # x2 dx1
+    assert pf.alpha(f) == pf.PolyForm(2, 1, {(1,): {(0, 1): Fraction(1, 2)}})
 
 
 def test_alpha_zero_form_and_divergence():
@@ -210,7 +210,7 @@ def test_h_area_form():
 
 def test_h_one_form_examples():
     assert pf.h(pf.PolyForm.basis(2, (1,))) == pf.PolyForm.function(2, pf.poly_var(2, 1))
-    hf = pf.h(pf.PolyForm.term(2, (1,), pf.poly_var(2, 2)))
+    hf = pf.h(pf.PolyForm(2, 1, {(1,): pf.poly_var(2, 2)}))
     assert hf == pf.PolyForm.function(2, {(1, 1): Fraction(1, 2)})
 
 
@@ -228,7 +228,7 @@ def test_h_factorizations_agree():
 def test_homotopy_identity_hand_expansion():
     # f = x2 dx1 on R^2: h f = x1 x2 / 2, d(h f) = (x2 dx1 + x1 dx2)/2,
     # h(d f) = (x2 dx1 - x1 dx2)/2, and the two sum back to f.
-    f = pf.PolyForm.term(2, (1,), pf.poly_var(2, 2))
+    f = pf.PolyForm(2, 1, {(1,): pf.poly_var(2, 2)})
     hf = pf.h(f)
     assert hf == pf.PolyForm.function(2, {(1, 1): Fraction(1, 2)})
     dhf = pf.d(hf)
@@ -300,7 +300,7 @@ def test_h_degree_bookkeeping():
         if not hf.is_zero():
             assert hf.coefficient_degree() <= f.coefficient_degree() + 1
     # no cancellation on a single term: the degree gain is exactly one
-    single = pf.PolyForm.term(3, (1, 2), {(2, 1, 0): Fraction(5, 3)})
+    single = pf.PolyForm(3, 2, {(1, 2): {(2, 1, 0): Fraction(5, 3)}})
     assert pf.h(single).coefficient_degree() == single.coefficient_degree() + 1
 
 
@@ -420,7 +420,7 @@ def test_polyform_json_big_integers_survive():
 
 def test_polyform_json_integer_fields_take_integers_or_their_strings():
     data = {"m": "2", "k": 1, "terms": [{"index": ["1"], "poly": [{"exp": [1, "0"], "num": 3, "den": "-2"}]}]}
-    assert pf.PolyForm.from_json_dict(data) == pf.PolyForm.term(2, (1,), {(1, 0): Fraction(-3, 2)})
+    assert pf.PolyForm.from_json_dict(data) == pf.PolyForm(2, 1, {(1,): {(1, 0): Fraction(-3, 2)}})
     for bad in (2.0, True, "2.5", None):
         with pytest.raises(ValueError, match="JSON field 'm' must hold integers"):
             pf.PolyForm.from_json_dict({**data, "m": bad})
@@ -493,14 +493,10 @@ def test_wedge_sign_is_sorting_parity_and_pf_wedge_agrees():
         for I, J in _disjoint_index_pairs(m):
             merged = tuple(sorted(I + J))
             sign = _sorting_parity(I + J)
-            assert ex.wedge(ex.Covector.basis(m, I), ex.Covector.basis(m, J)).coeffs == {merged: float(sign)}
-            a = pf.PolyForm.term(m, I, pf.poly_const(m, Fraction(3, 2)))
-            b = pf.PolyForm.term(m, J, pf.poly_const(m, Fraction(-1, 4)))
+            a = pf.PolyForm(m, len(I), {I: pf.poly_const(m, Fraction(3, 2))})
+            b = pf.PolyForm(m, len(J), {J: pf.poly_const(m, Fraction(-1, 4))})
             ab = pf.pf_wedge(a, b)
-            assert ab == pf.PolyForm.term(m, merged, pf.poly_const(m, sign * Fraction(-3, 8)))
-            assert ex.wedge(pf.evaluate(a, np.zeros(m)), pf.evaluate(b, np.zeros(m))).coeffs == {
-                idx: float(p[(0,) * m]) for idx, p in ab.terms.items()
-            }
+            assert ab == pf.PolyForm(m, len(merged), {merged: pf.poly_const(m, sign * Fraction(-3, 8))})
             pairs += 1
     assert pairs == 3 + 9 + 27 + 81 + 243
 
@@ -513,7 +509,7 @@ def test_contraction_sign_agrees_between_interior_and_iota_radial():
                 expected = {
                     index[:j] + index[j + 1:]: (-1.0) ** j * x[i - 1] for j, i in enumerate(index)
                 }
-                contracted = ex.interior(x[:m], ex.Covector.basis(m, index))
+                contracted = ex.interior(x[:m], ex.Covector(m, k, {index: 1.0}))
                 assert contracted.coeffs == expected
                 radial = pf.evaluate(pf.iota_radial(pf.PolyForm.basis(m, index)), x[:m])
                 assert radial.coeffs == expected
@@ -638,7 +634,7 @@ def test_h_bound_check_matches_per_point_reference():
 
 
 def test_h_bound_check_refuses_points_like_the_reference():
-    square = pf.PolyForm.term(3, (1,), {(2, 0, 0): 1})
+    square = pf.PolyForm(3, 1, {(1,): {(2, 0, 0): 1}})
     cases = [
         ([np.zeros(3), np.zeros(2)], 1.0, r"point dimension \(2,\) does not match m=3"),
         ([np.zeros(3), np.array([2.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0])], 1.0,
@@ -650,3 +646,11 @@ def test_h_bound_check_refuses_points_like_the_reference():
         for run in (pf.h_bound_check, _h_bound_reference):
             with pytest.raises(ValueError, match=message):
                 run(square, points, s=s)
+
+
+def test_monomial_table_refuses_an_exponent_above_the_limit():
+    limit = pf.MAX_TABLE_EXPONENT
+    at_limit = pf.MonomialTable(pf.PolyForm(3, 1, {(1,): {(0, limit, 0): 1}}))
+    assert at_limit.values(np.array([[0.0, 1.0, 0.0]])).tolist() == [[1.0]]
+    with pytest.raises(ValueError, match=f"exponent {limit + 1} of x2 exceeds {limit}, the largest"):
+        pf.MonomialTable(pf.PolyForm(3, 1, {(1,): {(1, 0, 0): 1, (0, limit + 1, 0): 1}}))
