@@ -18,10 +18,8 @@ from .exterior import (
 )
 from .moser import (
     FlowConfig,
-    PolyMap,
     SymplectifyReport,
     symplectify,
-    symplectify_polynomial_pointwise,
 )
 from .polyform import (
     PolyForm,

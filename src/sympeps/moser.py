@@ -4,24 +4,18 @@ For a linear map phi with pullback defect eps < 1/sqrt(2), the interpolated
 two-forms omega_t = omega0 + t (phi^* omega0 - omega0) stay non-degenerate,
 and the time-dependent field X_t solving iota_{X_t} omega_t = -sigma (sigma
 the exact radial primitive of the defect two-form) flows the identity to a
-map psi with (phi o psi)^* omega0 = omega0.  For linear phi the field is
-linear, so the whole correction is obtained from one matrix ODE; for
-polynomial maps the primitive is computed exactly and the trajectories of
-all points are integrated together, one stacked state.  Integration uses the
-classical fixed-step fourth-order one-step method throughout.
+map psi with (phi o psi)^* omega0 = omega0.  The field is linear, so the
+whole correction is obtained from one matrix ODE, integrated with the
+classical fixed-step fourth-order one-step method.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from . import polyform as pfm
-from .polyform import Poly, PolyForm, poly_var
 from .symplectic import EPS_LIMIT, _as_even_matrix, _standard_J, defect, rho
 
 BOUND_TOL = 1e-6
@@ -48,7 +42,7 @@ class FlowConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(1.0 / self.step_size)))
+        return int(round(1.0 / self.step_size))
 
 
 def _flow_field(M: np.ndarray, J: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -208,190 +202,4 @@ def symplectify(
         sandwich_ok=(lower_margin >= -BOUND_TOL and upper_margin >= -BOUND_TOL),
         steps=config.n_steps,
         config=config,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pointwise flow for polynomial maps
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolyMap:
-    """Polynomial map R^m -> R^m, one exact polynomial per component."""
-
-    m: int
-    components: Tuple[Poly, ...]
-
-    def __post_init__(self) -> None:
-        if self.m < 2 or self.m % 2:
-            raise ValueError("polynomial maps act on even-dimensional spaces here")
-        comps = tuple(dict(c) for c in self.components)
-        if len(comps) != self.m:
-            raise ValueError(f"expected {self.m} components, got {len(comps)}")
-        for c in comps:
-            for e in c:
-                if len(e) != self.m:
-                    raise ValueError(f"exponent tuple {e} invalid for m={self.m}")
-        object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def identity(cls, m: int) -> "PolyMap":
-        return cls(m, tuple(poly_var(m, i) for i in range(1, m + 1)))
-
-    @classmethod
-    def from_matrix(cls, A) -> "PolyMap":
-        """Linear map as a polynomial map; float entries convert exactly."""
-        A = np.asarray(A, dtype=float)
-        m = A.shape[0]
-        comps = []
-        for row in A:
-            poly: Poly = {}
-            for i, value in enumerate(row, start=1):
-                if value != 0.0:
-                    poly = pfm.poly_add(poly, pfm.poly_scale(poly_var(m, i), Fraction(float(value))))
-            comps.append(poly)
-        return cls(m, tuple(comps))
-
-    @classmethod
-    def plane_scaling(cls, factors: Sequence) -> "PolyMap":
-        """Scaling by c_j on the j-th coordinate plane (exact rationals)."""
-        m = 2 * len(factors)
-        comps = []
-        for j, c in enumerate(factors):
-            comps.append(pfm.poly_scale(poly_var(m, 2 * j + 1), c))
-            comps.append(pfm.poly_scale(poly_var(m, 2 * j + 2), c))
-        return cls(m, tuple(comps))
-
-    def component_differential(self, index: int) -> PolyForm:
-        """d of the component function (1-based index) as a polynomial 1-form."""
-        return pfm.d(PolyForm.function(self.m, self.components[index - 1]))
-
-    def pullback_omega0(self) -> PolyForm:
-        """Exact pullback of the reference two-form: sum_j dphi_{x_j} ^ dphi_{y_j}."""
-        n = self.m // 2
-        total = PolyForm.zero(self.m, 2)
-        for j in range(n):
-            a = self.component_differential(2 * j + 1)
-            b = self.component_differential(2 * j + 2)
-            total = total + pfm.pf_wedge(a, b)
-        return total
-
-
-def omega0_polyform(n: int) -> PolyForm:
-    m = 2 * n
-    terms = {(2 * j + 1, 2 * j + 2): pfm.poly_const(m, 1) for j in range(n)}
-    return PolyForm(m, 2, terms)
-
-
-@dataclass
-class PointwiseFlowReport:
-    """Pointwise correction flow: trajectories (steps + 1, P, m) and per-point columns."""
-
-    eps: float
-    n: int
-    steps: int
-    points: np.ndarray
-    trajectories: np.ndarray
-    point_defects: np.ndarray
-    radius_margins: np.ndarray
-    displacements: np.ndarray
-    displacement_bounds: np.ndarray
-
-    @property
-    def finals(self) -> np.ndarray:
-        return self.trajectories[-1]
-
-    @property
-    def radius_ok(self) -> np.ndarray:
-        return self.radius_margins >= -BOUND_TOL
-
-    @property
-    def displacement_ok(self) -> np.ndarray:
-        return self.displacements <= self.displacement_bounds + BOUND_TOL
-
-    @property
-    def passed(self) -> bool:
-        return bool(np.all(self.radius_ok & self.displacement_ok))
-
-    def to_dict(self) -> dict:
-        keys = ("eps", "n", "steps", "passed", "points", "finals", "point_defects", "radius_margins",
-                "radius_ok", "displacements", "displacement_bounds", "displacement_ok")
-        return {key: np.asarray(getattr(self, key)).tolist() for key in keys}
-
-
-def symplectify_polynomial_pointwise(
-    phi: PolyMap,
-    points: Sequence[Sequence[float]],
-    eps: float,
-    config: Optional[FlowConfig] = None,
-) -> PointwiseFlowReport:
-    """Integrate the correction flow for a polynomial map at all points at once.
-
-    The defect two-form beta = phi^* omega0 - omega0 and its radial primitive
-    sigma = h(beta) are computed exactly; at each Runge-Kutta stage the field
-    solves the 2n x 2n systems (J + t B(x)) X = -sigma(x), stacked over the
-    points.  Each trajectory is checked against the radius bounds
-    ||x(0)|| (1 - sqrt(2) eps t)^sqrt(2n) <= ||x(t)|| <= ||x(0)|| (...)^-sqrt(2n)
-    and the final displacement bound.
-    """
-    config = config or FlowConfig()
-    if not 0.0 <= eps < EPS_LIMIT:
-        raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
-    n = phi.m // 2
-    J = _standard_J(n)
-    beta = phi.pullback_omega0() - omega0_polyform(n)
-    sigma = pfm.h(beta)
-    beta_table = pfm.MonomialTable(beta)
-    sigma_table = pfm.MonomialTable(sigma)
-    rows, cols = np.array(beta_table.indices, dtype=int).reshape(-1, 2).T - 1
-    slots = np.array(sigma_table.indices, dtype=int).reshape(-1) - 1
-    X0 = pfm.point_block(points, phi.m)
-    point_defects = beta_table.norms(X0)
-    over = np.flatnonzero(point_defects > eps + 1e-9)
-    if over.size:
-        raise DefectAboveBudget(
-            f"defect {point_defects[over[0]]:.6e} at point {X0[over[0]].tolist()} exceeds eps {eps:.6e}"
-        )
-
-    def vector_field(t: float, X: np.ndarray) -> np.ndarray:
-        B = np.zeros((len(X), phi.m, phi.m))
-        B[:, cols, rows] = beta_table.values(X)
-        B[:, rows, cols] = -B[:, cols, rows]
-        rhs = np.zeros((len(X), phi.m, 1))
-        rhs[:, slots, 0] = -sigma_table.values(X)
-        A = J + t * B
-        try:
-            return np.linalg.solve(A, rhs)[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            x = X[np.linalg.slogdet(A)[0] == 0.0][0]
-            raise ValueError(f"interpolated two-form degenerates at t={t}, x={x.tolist()}") from exc
-
-    n_steps = config.n_steps
-    hstep = 1.0 / n_steps
-    traj = np.empty((n_steps + 1,) + X0.shape)
-    traj[0] = X = X0
-    for i in range(n_steps):
-        t = i * hstep
-        k1 = vector_field(t, X)
-        k2 = vector_field(t + 0.5 * hstep, X + 0.5 * hstep * k1)
-        k3 = vector_field(t + 0.5 * hstep, X + 0.5 * hstep * k2)
-        k4 = vector_field(t + hstep, X + hstep * k3)
-        X = X + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        traj[i + 1] = X
-    root = math.sqrt(2 * n)
-    factor = (1.0 - math.sqrt(2.0) * eps * (np.arange(1, n_steps + 1) * hstep)[:, None]) ** root
-    # 1-D norms: the axis form can differ in the last bit, and the bounds keep theirs
-    r0 = np.array([np.linalg.norm(x) for x in X0])
-    radii = np.linalg.norm(traj[1:], axis=2)
-    return PointwiseFlowReport(
-        eps=float(eps),
-        n=n,
-        steps=n_steps,
-        points=X0,
-        trajectories=traj,
-        point_defects=point_defects,
-        radius_margins=np.minimum(radii - r0 * factor, r0 / factor - radii).min(axis=0),
-        displacements=np.linalg.norm(X - X0, axis=1),
-        displacement_bounds=r0 * ((1.0 - math.sqrt(2.0) * eps) ** -root - 1.0),
     )

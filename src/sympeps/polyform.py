@@ -9,8 +9,7 @@ p on a degree-k form by 1/(k + p).
 Polynomials are sparse dicts mapping exponent tuples (one entry per variable)
 to Fraction coefficients; zero terms are never stored, so dict equality is
 exact polynomial identity.  Floats enter in one place: a ``MonomialTable``
-evaluates a form at points, for ``evaluate``, the norm-bound checks and the
-pointwise Moser flow.
+evaluates a form at points, for ``evaluate`` and the norm-bound checks.
 """
 
 from __future__ import annotations
@@ -39,15 +38,6 @@ def poly_const(m: int, value) -> Poly:
     return {(0,) * m: coeff}
 
 
-def poly_var(m: int, i: int) -> Poly:
-    """The variable x_i (1-based)."""
-    if not 1 <= i <= m:
-        raise ValueError(f"variable index {i} out of range 1..{m}")
-    exp = [0] * m
-    exp[i - 1] = 1
-    return {tuple(exp): Fraction(1)}
-
-
 def _canonical(p: Poly) -> Poly:
     return {e: c for e, c in p.items() if c != 0}
 
@@ -71,26 +61,6 @@ def _add_term(p: Poly, e: Exponent, c: Fraction) -> None:
         p[e] = total
     else:
         del p[e]
-
-
-def poly_neg(a: Poly) -> Poly:
-    return {e: -c for e, c in a.items()}
-
-
-def poly_scale(a: Poly, s) -> Poly:
-    s = Fraction(s)
-    if s == 0:
-        return {}
-    return {e: c * s for e, c in a.items()}
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
-    return _canonical(out)
 
 
 def poly_total_degree(a: Poly) -> int:
@@ -128,18 +98,10 @@ class PolyForm:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def zero(cls, m: int, k: int) -> "PolyForm":
-        return cls(m, k, {})
-
-    @classmethod
     def basis(cls, m: int, index: Sequence[int]) -> "PolyForm":
         """dx_{i_1} ^ ... ^ dx_{i_k} with constant coefficient 1."""
         idx = tuple(int(i) for i in index)
         return cls(m, len(idx), {idx: poly_const(m, 1)})
-
-    @classmethod
-    def function(cls, m: int, poly: Poly) -> "PolyForm":
-        return cls(m, 0, {(): poly})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -153,12 +115,6 @@ class PolyForm:
         for idx, p in other.terms.items():
             out[idx] = poly_add(out.get(idx, {}), p)
         return PolyForm(self.m, self.k, out)
-
-    def __neg__(self) -> "PolyForm":
-        return PolyForm(self.m, self.k, {idx: poly_neg(p) for idx, p in self.terms.items()})
-
-    def __sub__(self, other: "PolyForm") -> "PolyForm":
-        return self + (-other)
 
     def coefficient_degree(self) -> int:
         if not self.terms:
@@ -206,26 +162,6 @@ class PolyForm:
         except TypeError as exc:
             raise ValueError(f"malformed polyform JSON: {exc}") from exc
         return cls(m, k, terms)
-
-
-def pf_wedge(a: PolyForm, b: PolyForm) -> PolyForm:
-    if a.m != b.m:
-        raise ValueError(f"ambient dimension mismatch: {a.m} vs {b.m}")
-    k = a.k + b.k
-    if k > a.m:
-        raise ValueError(f"degree overflow: {a.k} + {b.k} > {a.m}")
-    out: Dict[MultiIndex, Poly] = {}
-    for ia, pa in a.terms.items():
-        seen = set(ia)
-        for ib, pb in b.terms.items():
-            if seen.intersection(ib):
-                continue
-            merged = tuple(sorted(ia + ib))
-            prod = poly_mul(pa, pb)
-            if merge_sign(ia, ib) < 0:
-                prod = poly_neg(prod)
-            out[merged] = poly_add(out.get(merged, {}), prod)
-    return PolyForm(a.m, k, out)
 
 
 # -- exterior derivative and the radial homotopy operator --------------------
@@ -313,7 +249,8 @@ def dilate(f: PolyForm, r) -> PolyForm:
 
 
 # Largest exponent that a MonomialTable evaluates: ``values`` holds every power up to it of
-# every variable at every point, 1001 x 3 x 1000 floats (24 MB) at m = 3 on h_bound_check's rays.
+# each variable the form uses, at every point: 1001 x 3 x 1000 floats (24 MB) for a form that
+# uses three variables, on h_bound_check's rays.
 MAX_TABLE_EXPONENT = 1000
 
 
@@ -344,21 +281,22 @@ class MonomialTable:
     def values(self, X: np.ndarray) -> np.ndarray:
         """Coefficient values at the points X, shape (T, m) -> (T, len(indices)).
 
-        Each monomial is its coefficient times x_1^e_1, x_2^e_2, ... in turn,
-        with powers by repeated multiplication; each index sums its monomials
-        in order.  Overflow gives inf or nan without a warning.
+        Each monomial is its coefficient times x_i^e_i for each variable x_i
+        that the form uses, in turn, with powers by repeated multiplication;
+        each index sums its monomials in order.  Overflow gives inf or nan without a warning.
         """
         X = np.asarray(X, dtype=float)
         if not self.indices:
             return np.zeros((len(X), 0))
+        base = X.T[[i for i, _ in self.used]]
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = [np.ones_like(X.T)]
+            powers = [np.ones_like(base)]
             for _ in range(self.degree):
-                powers.append(powers[-1] * X.T)
-            powers = np.array(powers)  # (degree + 1, m, T)
+                powers.append(powers[-1] * base)
+            powers = np.array(powers)  # (degree + 1, len(used), T)
             mono = np.repeat(self.coeffs[:, None], len(X), axis=1)
-            for i, column in self.used:
-                mono *= powers[column, i]
+            for j, (_, column) in enumerate(self.used):
+                mono *= powers[column, j]
             return np.add.reduceat(mono, self.starts, axis=0).T
 
     def norms(self, X: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -21,21 +22,21 @@ def half(m, expts):
 
 def test_poly_arithmetic_basics():
     m = 3
-    p = pf.poly_add(pf.poly_var(m, 1), pf.poly_const(m, Fraction(2, 3)))
-    q = pf.poly_mul(p, pf.poly_var(m, 2))
-    assert q == {(1, 1, 0): Fraction(1), (0, 1, 0): Fraction(2, 3)}
-    assert pf.d(pf.PolyForm.function(m, q)).terms[(1,)] == {(0, 1, 0): Fraction(1)}
+    p = pf.poly_add({(1, 0, 0): Fraction(1)}, pf.poly_const(m, Fraction(2, 3)))
+    assert p == {(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(2, 3)}
+    q = {(1, 1, 0): Fraction(1), (0, 1, 0): Fraction(2, 3)}  # p x2
+    assert pf.d(pf.PolyForm(m, 0, {(): q})).terms[(1,)] == {(0, 1, 0): Fraction(1)}
     assert pf.poly_total_degree(q) == 2
-    assert pf.poly_add(p, pf.poly_neg(p)) == {}
+    assert pf.poly_add(p, {e: -c for e, c in p.items()}) == {}
 
 
 def test_d_of_coordinate_function():
-    f = pf.PolyForm.function(2, pf.poly_var(2, 1))
+    f = pf.PolyForm(2, 0, {(): {(1, 0): Fraction(1)}})
     assert pf.d(f) == pf.PolyForm.basis(2, (1,))
 
 
 def test_d_sign_from_reordering():
-    f = pf.PolyForm(2, 1, {(1,): pf.poly_var(2, 2)})  # x2 dx1
+    f = pf.PolyForm(2, 1, {(1,): {(0, 1): Fraction(1)}})  # x2 dx1
     expected = pf.PolyForm(2, 2, {(1, 2): pf.poly_const(2, -1)})
     assert pf.d(f) == expected
 
@@ -70,8 +71,8 @@ def _poly_diff(a, i):
 
 
 def _d_reference(f):
-    """The exterior derivative built from _poly_diff, poly_neg and poly_add
-    copies, kept as the reference for the in-place ``d``."""
+    """The exterior derivative built from _poly_diff, negated copies and
+    poly_add, kept as the reference for the in-place ``d``."""
     out = {}
     for index, poly in f.terms.items():
         members = set(index)
@@ -82,14 +83,14 @@ def _d_reference(f):
             if not dp:
                 continue
             if ex.merge_sign((i,), index) < 0:
-                dp = pf.poly_neg(dp)
+                dp = {e: -c for e, c in dp.items()}
             merged = tuple(sorted(index + (i,)))
             out[merged] = pf.poly_add(out.get(merged, {}), dp)
     return pf.PolyForm(f.m, f.k + 1, out)
 
 
 def _iota_radial_reference(f):
-    """The radial contraction built from poly_neg and poly_add copies, kept
+    """The radial contraction built from negated copies and poly_add, kept
     as the reference for the in-place ``iota_radial``."""
     out = {}
     for index, poly in f.terms.items():
@@ -101,7 +102,7 @@ def _iota_radial_reference(f):
                 up[i - 1] += 1
                 lifted[tuple(up)] = c
             if ex.contraction_sign(j) < 0:
-                lifted = pf.poly_neg(lifted)
+                lifted = {e: -c for e, c in lifted.items()}
             out[reduced] = pf.poly_add(out.get(reduced, {}), lifted)
     return pf.PolyForm(f.m, f.k - 1, out)
 
@@ -125,7 +126,7 @@ def test_d_and_iota_radial_match_the_poly_add_references():
     assert {m for m, _ in covered} == set(range(2, 8))
     assert {k for _, k in covered} == {1, 2, 3}
     # d(x2 dx1 + x1 dx2) = d(d(x1 x2)) = 0: the two contributions cancel
-    exact = pf.PolyForm(2, 1, {(1,): pf.poly_var(2, 2), (2,): pf.poly_var(2, 1)})
+    exact = pf.PolyForm(2, 1, {(1,): {(0, 1): Fraction(1)}, (2,): {(1, 0): Fraction(1)}})
     assert pf.d(exact).is_zero() and _d_reference(exact).is_zero()
     # into dx1, iota_radial adds -x2 x3 x4 (from dx1^dx2), then +x2 x3 x4
     # (from dx1^dx3), which cancels it, then -x2 x3 x4 again (from dx1^dx4):
@@ -170,29 +171,25 @@ def test_alpha_constant_two_form():
 
 
 def test_alpha_linear_coefficient():
-    f = pf.PolyForm(2, 1, {(1,): pf.poly_var(2, 2)})  # x2 dx1
+    f = pf.PolyForm(2, 1, {(1,): {(0, 1): Fraction(1)}})  # x2 dx1
     assert pf.alpha(f) == pf.PolyForm(2, 1, {(1,): {(0, 1): Fraction(1, 2)}})
 
 
 def test_alpha_zero_form_and_divergence():
-    assert pf.alpha(pf.PolyForm.zero(3, 2)).is_zero()
-    const = pf.PolyForm.function(3, pf.poly_const(3, 1))
+    assert pf.alpha(pf.PolyForm(3, 2)).is_zero()
+    const = pf.PolyForm(3, 0, {(): pf.poly_const(3, 1)})
     with pytest.raises(ValueError, match="diverges"):
         pf.alpha(const)
 
 
 def test_iota_radial_examples():
-    assert pf.iota_radial(pf.PolyForm.basis(2, (1,))) == pf.PolyForm.function(
-        2, pf.poly_var(2, 1)
-    )
+    assert pf.iota_radial(pf.PolyForm.basis(2, (1,))) == pf.PolyForm(2, 0, {(): {(1, 0): Fraction(1)}})
     expanded = pf.iota_radial(pf.PolyForm.basis(2, (1, 2)))
-    expected = pf.PolyForm(
-        2, 1, {(2,): pf.poly_var(2, 1), (1,): pf.poly_neg(pf.poly_var(2, 2))}
-    )
+    expected = pf.PolyForm(2, 1, {(2,): {(1, 0): Fraction(1)}, (1,): {(0, 1): Fraction(-1)}})
     assert expanded == expected
     assert pf.iota_radial(expanded).is_zero()
     with pytest.raises(ValueError, match="degree"):
-        pf.iota_radial(pf.PolyForm.function(2, pf.poly_var(2, 1)))
+        pf.iota_radial(pf.PolyForm(2, 0, {(): {(1, 0): Fraction(1)}}))
 
 
 def test_h_area_form():
@@ -209,9 +206,9 @@ def test_h_area_form():
 
 
 def test_h_one_form_examples():
-    assert pf.h(pf.PolyForm.basis(2, (1,))) == pf.PolyForm.function(2, pf.poly_var(2, 1))
-    hf = pf.h(pf.PolyForm(2, 1, {(1,): pf.poly_var(2, 2)}))
-    assert hf == pf.PolyForm.function(2, {(1, 1): Fraction(1, 2)})
+    assert pf.h(pf.PolyForm.basis(2, (1,))) == pf.PolyForm(2, 0, {(): {(1, 0): Fraction(1)}})
+    hf = pf.h(pf.PolyForm(2, 1, {(1,): {(0, 1): Fraction(1)}}))
+    assert hf == pf.PolyForm(2, 0, {(): {(1, 1): Fraction(1, 2)}})
 
 
 def test_h_factorizations_agree():
@@ -228,9 +225,9 @@ def test_h_factorizations_agree():
 def test_homotopy_identity_hand_expansion():
     # f = x2 dx1 on R^2: h f = x1 x2 / 2, d(h f) = (x2 dx1 + x1 dx2)/2,
     # h(d f) = (x2 dx1 - x1 dx2)/2, and the two sum back to f.
-    f = pf.PolyForm(2, 1, {(1,): pf.poly_var(2, 2)})
+    f = pf.PolyForm(2, 1, {(1,): {(0, 1): Fraction(1)}})
     hf = pf.h(f)
-    assert hf == pf.PolyForm.function(2, {(1, 1): Fraction(1, 2)})
+    assert hf == pf.PolyForm(2, 0, {(): {(1, 1): Fraction(1, 2)}})
     dhf = pf.d(hf)
     hdf = pf.h(pf.d(f))
     assert dhf == pf.PolyForm(
@@ -309,8 +306,8 @@ def test_h_cancellation_can_lower_degree():
     f = pf.PolyForm(
         2,
         1,
-        {(1,): pf.poly_add(pf.poly_var(2, 2), pf.poly_const(2, 3)),
-         (2,): pf.poly_neg(pf.poly_var(2, 1))},
+        {(1,): pf.poly_add({(0, 1): Fraction(1)}, pf.poly_const(2, 3)),
+         (2,): {(1, 0): Fraction(-1)}},
     )
     hf = pf.h(f)
     assert hf.coefficient_degree() == 1  # (x2 + 3) x1 / ... - x1 x2 / ... leaves 3 x1
@@ -324,7 +321,7 @@ def test_evaluate():
     hf = pf.h(pf.PolyForm.basis(4, (1, 2)))
     at_e1 = pf.evaluate(hf, np.array([1.0, 0.0, 0.0, 0.0]))
     assert at_e1.coeffs == {(2,): 0.5}
-    assert pf.evaluate(pf.PolyForm.zero(3, 1), np.zeros(3)).coeffs == {}
+    assert pf.evaluate(pf.PolyForm(3, 1), np.zeros(3)).coeffs == {}
     with pytest.raises(ValueError, match="dimension"):
         pf.evaluate(f, np.zeros(2))
 
@@ -386,7 +383,7 @@ def test_h_bound_general_forms():
 
 
 def test_h_bound_zero_form_margins_equal_rhs():
-    f = pf.PolyForm.zero(4, 2)
+    f = pf.PolyForm(4, 2)
     report = pf.h_bound_check(f, [np.array([0.5, 0.0, 0.0, 0.0])], s=1.0)
     assert report.margins[0] == report.rhs[0] == 0.0
     assert report.passed
@@ -487,16 +484,11 @@ def _disjoint_index_pairs(m):
         yield I, J
 
 
-def test_wedge_sign_is_sorting_parity_and_pf_wedge_agrees():
+def test_merge_sign_is_sorting_parity():
     pairs = 0
     for m in range(1, 6):
         for I, J in _disjoint_index_pairs(m):
-            merged = tuple(sorted(I + J))
-            sign = _sorting_parity(I + J)
-            a = pf.PolyForm(m, len(I), {I: pf.poly_const(m, Fraction(3, 2))})
-            b = pf.PolyForm(m, len(J), {J: pf.poly_const(m, Fraction(-1, 4))})
-            ab = pf.pf_wedge(a, b)
-            assert ab == pf.PolyForm(m, len(merged), {merged: pf.poly_const(m, sign * Fraction(-3, 8))})
+            assert ex.merge_sign(I, J) == _sorting_parity(I + J)
             pairs += 1
     assert pairs == 3 + 9 + 27 + 81 + 243
 
@@ -627,7 +619,7 @@ def test_h_bound_check_matches_per_point_reference():
     assert {k for _, k, _ in covered} == {1, 2, 3}
     assert {c for _, _, c in covered} == {False, True}
     for m, k in ((2, 1), (4, 2), (5, 3)):
-        zero = pf.PolyForm.zero(m, k)
+        zero = pf.PolyForm(m, k)
         pts = rng.normal(size=(3, m))
         got = pf.h_bound_check(zero, pts, s=10.0).to_dict()
         assert json.dumps(got) == json.dumps(_h_bound_reference(zero, pts, s=10.0).to_dict())
@@ -654,3 +646,19 @@ def test_monomial_table_refuses_an_exponent_above_the_limit():
     assert at_limit.values(np.array([[0.0, 1.0, 0.0]])).tolist() == [[1.0]]
     with pytest.raises(ValueError, match=f"exponent {limit + 1} of x2 exceeds {limit}, the largest"):
         pf.MonomialTable(pf.PolyForm(3, 1, {(1,): {(1, 0, 0): 1, (0, limit + 1, 0): 1}}))
+
+
+def test_monomial_table_powers_only_its_variables():
+    # x1^999 dx1 on R^40 at 1000 points: the powers of x1 alone are 1000 x 1000
+    # floats (8 MB), those of all 40 variables would be 320 MB
+    m = 40
+    table = pf.MonomialTable(pf.PolyForm(m, 1, {(1,): {(999,) + (0,) * (m - 1): 1}}))
+    X = np.full((1000, m), 0.5)
+    tracemalloc.start()
+    try:
+        values = table.values(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert values.tolist() == [[0.5**999]] * 1000

@@ -22,8 +22,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-_ITEM3 = "ROADMAP item 3: the pointwise Moser stack, to be certified and given a CLI route, or deleted"
-
 UNREACHED = {
     "symplectic.squeezing_params": "bound by the benchmark tracer, perfbench/tracing.py (ROADMAP item 4)",
     "symplectic.capacity_preservation_check": "bound by the benchmark tracer, perfbench/tracing.py (ROADMAP item 4)",
@@ -32,28 +30,6 @@ UNREACHED = {
     "symplectic.check_eps_nonexpanding": "called by the fixed acceptance tests, tests/test_acceptance.py",
     "polyform.PolyForm.basis": "called by the benchmark tracer's self-test, perfbench/selftest.py",
     "symplectic.hyperplane_squeeze": "ROADMAP item 2: a witness builder for the tight width parameter, or deleted",
-    "moser.PolyMap.__post_init__": _ITEM3,
-    "moser.PolyMap.identity": _ITEM3,
-    "moser.PolyMap.from_matrix": _ITEM3,
-    "moser.PolyMap.plane_scaling": _ITEM3,
-    "moser.PolyMap.component_differential": _ITEM3,
-    "moser.PolyMap.pullback_omega0": _ITEM3,
-    "moser.omega0_polyform": _ITEM3,
-    "moser.PointwiseFlowReport.finals": _ITEM3,
-    "moser.PointwiseFlowReport.radius_ok": _ITEM3,
-    "moser.PointwiseFlowReport.displacement_ok": _ITEM3,
-    "moser.PointwiseFlowReport.passed": _ITEM3,
-    "moser.PointwiseFlowReport.to_dict": _ITEM3,
-    "moser.symplectify_polynomial_pointwise": _ITEM3,
-    "polyform.pf_wedge": _ITEM3,
-    "polyform.poly_mul": _ITEM3,
-    "polyform.poly_var": _ITEM3,
-    "polyform.poly_neg": _ITEM3,
-    "polyform.poly_scale": _ITEM3,
-    "polyform.PolyForm.zero": _ITEM3,
-    "polyform.PolyForm.function": _ITEM3,
-    "polyform.PolyForm.__neg__": _ITEM3,
-    "polyform.PolyForm.__sub__": _ITEM3,
 }
 
 SCRIPT = r'''
