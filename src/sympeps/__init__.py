@@ -46,7 +46,6 @@ from .symplectic import (
     cubic_z0,
     defect,
     defect_decomposition_check,
-    hyperplane_squeeze,
     lambda_mu_invariants,
     random_eps_symplectic,
     random_symplectic,

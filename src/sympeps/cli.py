@@ -436,6 +436,9 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError as exc:  # numpy's message names the shape it could not allocate
+        sys.stderr.write(f"error: not enough memory for {args.command}: {exc}\n")
+        return 2
     sys.stderr.write(f"wall time: {time.perf_counter() - t0:.3f} s\n")
     return 0 if passed else 1
 

@@ -33,13 +33,12 @@ ORTHONORMAL_TOL = 1e-9
 
 DEFAULT_COMASS_TRIALS = 10_000
 
-_EVAL_BATCH = 2048
 
-
-def check_multi_index(index: Sequence[int], m: int, k: int | None = None) -> MultiIndex:
-    """Validate and canonicalize a strictly increasing 1-based index tuple."""
+def check_multi_index(index: Sequence[int], m: int, k: int) -> MultiIndex:
+    """Validate and canonicalize a strictly increasing 1-based index tuple of
+    degree k."""
     idx = tuple(int(i) for i in index)
-    if k is not None and len(idx) != k:
+    if len(idx) != k:
         raise ValueError(f"index {idx} does not have degree {k}")
     if any(not 1 <= i <= m for i in idx):
         raise ValueError(f"index {idx} out of range 1..{m}")
@@ -211,16 +210,9 @@ def comass(
     hi = norm2(c)
     if hi == 0.0 or trials <= 0:
         return (0.0, hi)
-    rng = np.random.default_rng(seed)
-    lo = 0.0
-    remaining = int(trials)
-    while remaining > 0:
-        batch = min(remaining, _EVAL_BATCH)
-        remaining -= batch
-        gauss = rng.standard_normal((batch, c.m, c.k))
-        q, _ = np.linalg.qr(gauss)
-        values = _evaluate_frames(c, q)
-        lo = max(lo, float(np.max(np.abs(values))))
+    gauss = np.random.default_rng(seed).standard_normal((int(trials), c.m, c.k))
+    q, _ = np.linalg.qr(gauss)
+    lo = float(np.max(np.abs(_evaluate_frames(c, q))))
     return (min(lo, hi), hi)
 
 

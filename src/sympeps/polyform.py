@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -253,6 +253,9 @@ def dilate(f: PolyForm, r) -> PolyForm:
 # uses three variables, on h_bound_check's rays.
 MAX_TABLE_EXPONENT = 1000
 
+# Points per ray at which h_bound_check samples ||f(t x)||, t evenly spaced in [0, 1].
+T_SAMPLES = 1000
+
 
 class MonomialTable:
     """A form's monomials as float arrays, built once and evaluated at many points.
@@ -289,11 +292,11 @@ class MonomialTable:
         if not self.indices:
             return np.zeros((len(X), 0))
         base = X.T[[i for i, _ in self.used]]
+        powers = np.empty((self.degree + 1,) + base.shape)  # (degree + 1, len(used), T)
+        powers[0] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = [np.ones_like(base)]
-            for _ in range(self.degree):
-                powers.append(powers[-1] * base)
-            powers = np.array(powers)  # (degree + 1, len(used), T)
+            for e in range(self.degree):
+                np.multiply(powers[e], base, out=powers[e + 1])
             mono = np.repeat(self.coeffs[:, None], len(X), axis=1)
             for j, (_, column) in enumerate(self.used):
                 mono *= powers[column, j]
@@ -342,7 +345,7 @@ class HBoundReport:
     m: int
     k: int
     s: float
-    t_samples: int
+    t_samples: ClassVar[int] = T_SAMPLES
     rhs_sampled: bool
     ray_constant: bool
     points: List[List[float]]
@@ -366,7 +369,6 @@ def h_bound_check(
     f: PolyForm,
     points: Sequence[Sequence[float]],
     s: float,
-    t_samples: int = 1000,
     hf: Optional[PolyForm] = None,
 ) -> HBoundReport:
     """Evaluate both sides of the homotopy-operator norm bounds at each point.
@@ -394,7 +396,7 @@ def h_bound_check(
         max_beta = np.full(len(X), norm2(evaluate(f, np.zeros(f.m))))
     else:
         f_table = MonomialTable(f)
-        ts = np.linspace(0.0, 1.0, t_samples)
+        ts = np.linspace(0.0, 1.0, T_SAMPLES)
         max_beta = np.array([np.max(f_table.norms(ts[:, None] * x)) for x in X])
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = radii * factor * max_beta
@@ -406,7 +408,6 @@ def h_bound_check(
         m=f.m,
         k=f.k,
         s=float(s),
-        t_samples=t_samples,
         rhs_sampled=not ray_case,
         ray_constant=ray_case,
         points=X.tolist(),

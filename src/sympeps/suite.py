@@ -420,21 +420,17 @@ def limit_suite(rng: np.random.Generator) -> dict:
     N = N / np.linalg.norm(N, 2)
     eye = np.eye(2 * n)
 
+    # t = 0.05 halved 11 times; dividing by a power of two is exact, so these
+    # are the bits of repeated halving.
+    ts = [0.05 / 2**k for k in range(12)]
+
     # Sequence converging to a symplectic matrix: eps_k -> 0.
-    eps_seq = []
-    t = 0.05
-    for _ in range(12):
-        eps_seq.append(symplectic.defect(S @ (eye + t * N)))
-        t /= 2.0
+    eps_seq = [symplectic.defect(S @ (eye + t * N)) for t in ts]
     margin_zero = symplectic.defect(S) - min(eps_seq)
 
     # Sequence converging to a fixed eps-symplectic matrix.
     phi_inf = symplectic.random_eps_symplectic(n, 0.1, seed)
-    eps_seq2 = []
-    t = 0.05
-    for _ in range(12):
-        eps_seq2.append(symplectic.defect(phi_inf @ (eye + t * N)))
-        t /= 2.0
+    eps_seq2 = [symplectic.defect(phi_inf @ (eye + t * N)) for t in ts]
     liminf = min(eps_seq2[-3:])
     margin_fixed = symplectic.defect(phi_inf) - liminf
     passed = margin_zero <= 1e-8 and margin_fixed <= 1e-8

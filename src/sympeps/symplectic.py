@@ -6,9 +6,8 @@ pullback defect), computes symplectic spectra of ellipsoids and the
 orthonormal standard form of a two-form, extracts the lambda/mu conformality
 invariants, runs quantitative non-squeezing / non-expanding / capacity
 certificates on batches of ellipsoids, evaluates the cubic constants and the
-explicit error bound K behind the rigidity estimates, constructs hyperplane
-squeezing maps, and provides seeded random (eps-)symplectic generators for
-property testing.
+explicit error bound K behind the rigidity estimates, and provides seeded
+random (eps-)symplectic generators for property testing.
 
 Conventions.  The reference complex structure J maps (x, y) |-> (-y, x) on
 each coordinate plane, so the reference two-form is omega0(v, w) = <J v, w>.
@@ -58,7 +57,6 @@ __all__ = [
     "squeeze_eps_threshold",
     "c_rho",
     "rigidity_bound",
-    "hyperplane_squeeze",
     "random_symplectic",
     "random_defective",
     "random_eps_symplectic",
@@ -436,10 +434,10 @@ def _squeeze_bounds(svals: np.ndarray, rho_val: float) -> Tuple[np.ndarray, ...]
     return r_A, inv_norm, s_A, e_A
 
 
-def squeezing_params(A, eps: float, linear_case: bool = True) -> SqueezeParams:
+def squeezing_params(A, eps: float) -> SqueezeParams:
     A, n = _as_even_matrix(A, "ellipsoid matrix")
     svals = _conditioning(A).require_nonsingular("ellipsoid matrix")
-    rho_val = _width_rho(eps, n, linear_case)
+    rho_val = _width_rho(eps, n, linear_case=True)
     r_A, inv_norm, s_A, e_A = _squeeze_bounds(svals, rho_val)
     e_A = float(e_A)
     return SqueezeParams(float(r_A), float(inv_norm), rho_val, float(s_A), None if math.isnan(e_A) else e_A)
@@ -540,19 +538,17 @@ class WidthCertificates(NamedTuple):
     capacity: CertificateReport
 
 
-def width_certificates(
-    phi, eps: float, ellipsoids: Sequence, linear_case: bool = True, ball_radii: Sequence[float] = BALL_RADII
-) -> WidthCertificates:
+def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificates:
     """Three views of one width table of the batch (r_1, R_1: the linear
     symplectic widths of A B_1 and of phi(A B_1)).  nonsqueezing checks
     s_A r_1 <= R_1; nonexpanding checks R_1 <= e_A r_1 where e_A is defined
     (elsewhere the record is skipped) and width(phi B_r) <= r / rho for each
-    ball radius; capacity checks s_A^2 c(E) <= c(phi E) <= e_A^2 c(E), with
+    r in BALL_RADII; capacity checks s_A^2 c(E) <= c(phi E) <= e_A^2 c(E), with
     c = pi r_1^2, the upper bound where e_A is defined.  A singular phi fails
     all three unconditionally, with no table."""
     phi, n = _as_even_matrix(phi)
     singular = _conditioning(phi).singular
-    rho_val = _width_rho(eps, n, linear_case)
+    rho_val = _width_rho(eps, n, linear_case=True)
     if singular:
         note = "singular map: fails unconditionally (arbitrarily thin image ellipsoids)"
         fail = (CertificateReport(kind, eps, rho_val, passed=False, note=note) for kind in WidthCertificates._fields)
@@ -563,10 +559,9 @@ def width_certificates(
     expand = t.e_A * t.r1 - t.R1  # NaN where e_A is undefined
     skipped = np.isnan(t.e_A)
     expand_ok = skipped | (expand >= -CERT_TOL)
-    radii = list(ball_radii)
-    balls = np.multiply.outer(np.asarray(radii, dtype=float), np.eye(phi.shape[0]))
-    ball_widths = symplectic_spectrum(phi @ balls)[:, 0]
-    bounds = np.asarray(radii, dtype=float) / rho_val
+    radii = np.array(BALL_RADII)
+    ball_widths = symplectic_spectrum(phi @ np.multiply.outer(radii, np.eye(phi.shape[0])))[:, 0]
+    bounds = radii / rho_val
     ball_ok = bounds - ball_widths >= -CERT_TOL
     cap = math.pi * _squares(t.r1)
     cap_img = math.pi * _squares(t.R1)
@@ -587,7 +582,7 @@ def width_certificates(
             _records({"r1": t.r1, "R1": t.R1, "e_A": t.e_A, "skipped": skipped, "pass": expand_ok, "margin": expand}),
             [
                 {"radius": r, "image_width": w, "bound": b, "pass": p}
-                for r, w, b, p in zip(radii, ball_widths.tolist(), bounds.tolist(), ball_ok.tolist())
+                for r, w, b, p in zip(BALL_RADII, ball_widths.tolist(), bounds.tolist(), ball_ok.tolist())
             ],
             bool(expand_ok.all() and ball_ok.all()), worst=_worst(expand),
         ),
@@ -603,21 +598,19 @@ def width_certificates(
     )
 
 
-def check_eps_nonsqueezing(phi, eps: float, ellipsoids: Sequence, linear_case: bool = True) -> CertificateReport:
+def check_eps_nonsqueezing(phi, eps: float, ellipsoids: Sequence) -> CertificateReport:
     """The nonsqueezing report of ``width_certificates``."""
-    return width_certificates(phi, eps, ellipsoids, linear_case).nonsqueezing
+    return width_certificates(phi, eps, ellipsoids).nonsqueezing
 
 
-def check_eps_nonexpanding(
-    phi, eps: float, ellipsoids: Sequence, linear_case: bool = True, ball_radii: Sequence[float] = BALL_RADII
-) -> CertificateReport:
+def check_eps_nonexpanding(phi, eps: float, ellipsoids: Sequence) -> CertificateReport:
     """The nonexpanding report of ``width_certificates``."""
-    return width_certificates(phi, eps, ellipsoids, linear_case, ball_radii).nonexpanding
+    return width_certificates(phi, eps, ellipsoids).nonexpanding
 
 
-def capacity_preservation_check(phi, eps: float, ellipsoids: Sequence, linear_case: bool = True) -> CertificateReport:
+def capacity_preservation_check(phi, eps: float, ellipsoids: Sequence) -> CertificateReport:
     """The capacity report of ``width_certificates``."""
-    return width_certificates(phi, eps, ellipsoids, linear_case).capacity
+    return width_certificates(phi, eps, ellipsoids).capacity
 
 
 # ---------------------------------------------------------------------------
@@ -707,48 +700,6 @@ def rigidity_bound(eps: float, n: int) -> float:
     mu = math.sqrt(min(1.0, max(0.0, mu_sq)))
     spread = max((lam * lam - mu * mu) ** 2, (1.0 - rho_val**2) ** 2)
     return math.sqrt(n * (spread + (1.0 - mu**4)))
-
-
-# ---------------------------------------------------------------------------
-# Hyperplane squeezing
-# ---------------------------------------------------------------------------
-
-
-def hyperplane_squeeze(u, bound: float, R: float) -> np.ndarray:
-    """Symplectic map squeezing a bounded hyperplane slab into B_R^2 x R^(2n-2).
-
-    ``u`` is the hyperplane normal and ``bound`` caps the scalar projection of
-    slab points onto J u / ||J u||.  The map sends the symplectic basis built
-    from u_1 = (R / bound) u/||u||, v_1 = (bound / R) J u/||u|| to the standard
-    basis, so every x with <x, u> = 0 and |<x, J u>| <= bound ||u|| satisfies
-    (Psi x)_1^2 + (Psi x)_2^2 <= R^2.
-    """
-    vec = np.asarray(u, dtype=float)
-    if vec.ndim != 1 or vec.size % 2:
-        raise ValueError("normal vector must live in an even-dimensional space")
-    for name, value in (("u", vec), ("bound", bound), ("R", R)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {value}")
-    n = vec.size // 2
-    nu = float(np.linalg.norm(vec))
-    if nu == 0.0:
-        raise ValueError("zero normal vector")
-    if bound <= 0 or R <= 0:
-        raise ValueError("bound and R must be positive")
-    J = _standard_J(n)
-    uhat = vec / nu
-    # Read R^2n as C^n, z_j = x_j + i y_j, so J is multiplication by i.  A
-    # QR of [z_u, I] completes z_u to a unitary basis; each further column w
-    # gives the symplectic plane (w, i w), the two embedded columns of w.
-    Q, _ = np.linalg.qr(np.column_stack([uhat[0::2] + 1j * uhat[1::2], np.eye(n)]))
-    B = _embed_unitary(Q)
-    B[:, 0] = (R / bound) * uhat
-    B[:, 1] = (bound / R) * (J @ uhat)
-    psi = np.linalg.inv(B)
-    dev = np.linalg.norm(psi.T @ J @ psi - J, "fro")
-    if not dev <= 1e-9:  # NaN fails too
-        raise np.linalg.LinAlgError(f"constructed map is not symplectic (deviation {dev:.3e})")
-    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -787,6 +791,30 @@ def test_unwritable_out_is_an_input_error(capsys, tmp_path, identity_file, comma
     assert code == 2
     assert out == ""  # the report is refused before any of it is printed
     assert f"error: cannot write output file {out_path!r}: " in err
+
+
+# Caps the process's address space at 2 GB before numpy is imported, then
+# runs the command line given after the script.
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from sympeps import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_out_of_memory_is_an_input_error(tmp_path, identity_file):
+    # 10^8 random ellipsoids ask numpy for 23.8 GiB, which fails at once under
+    # the cap; never run this command without it
+    argv = ["certify", identity_file, "--eps", "0.1", "--trials", "100000000"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: not enough memory for certify: Unable to allocate 23.8 GiB")
+    assert "shape (100000000, 2, 4, 4)" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_homotopy_parse_error(capsys, tmp_path):

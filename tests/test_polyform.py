@@ -150,8 +150,8 @@ def test_identity_and_bound_checks_reuse_a_given_primitive():
         assert identity and pf.homotopy_identity_check(f, hf=hf) == identity
         pts = rng.normal(size=(3, f.m)) * 0.5
         radius = float(np.max(np.linalg.norm(pts, axis=1)))
-        given_hf = pf.h_bound_check(f, pts, s=radius, t_samples=100, hf=hf).to_dict()
-        assert given_hf == pf.h_bound_check(f, pts, s=radius, t_samples=100).to_dict()
+        given_hf = pf.h_bound_check(f, pts, s=radius, hf=hf).to_dict()
+        assert given_hf == pf.h_bound_check(f, pts, s=radius).to_dict()
 
 
 @pytest.mark.parametrize("zero", [0, 0.0, "0", Fraction(0)], ids=["int", "float", "str", "fraction"])
@@ -377,7 +377,7 @@ def test_h_bound_general_forms():
         f = random_polyform(rng)
         pts = rng.normal(size=(5, f.m)) * 0.4
         radius = float(np.max(np.linalg.norm(pts, axis=1))) + 0.1
-        report = pf.h_bound_check(f, pts, s=radius, t_samples=400)
+        report = pf.h_bound_check(f, pts, s=radius)
         assert report.passed
         assert min(report.margins) >= -1e-9
 
@@ -514,7 +514,6 @@ class _ReferenceHBoundReport:
     m: int
     k: int
     s: float
-    t_samples: int
     rhs_sampled: bool
     ray_constant: bool
     points: list = field(default_factory=list)
@@ -530,7 +529,7 @@ class _ReferenceHBoundReport:
             "m": self.m,
             "k": self.k,
             "s": self.s,
-            "t_samples": self.t_samples,
+            "t_samples": 1000,
             "rhs_sampled": self.rhs_sampled,
             "ray_constant": self.ray_constant,
             "passed": bool(self.passed),
@@ -543,7 +542,7 @@ class _ReferenceHBoundReport:
         }
 
 
-def _h_bound_reference(f, points, s, t_samples=1000, tol=1e-9):
+def _h_bound_reference(f, points, s, tol=1e-9):
     """The per-point norm-bound check before the columnar rewrite, kept as the
     reference for ``h_bound_check``."""
     if f.k < 1:
@@ -554,7 +553,6 @@ def _h_bound_reference(f, points, s, t_samples=1000, tol=1e-9):
         m=f.m,
         k=f.k,
         s=float(s),
-        t_samples=t_samples,
         rhs_sampled=not ray_case,
         ray_constant=ray_case,
         ray_rhs=[] if ray_case else None,
@@ -582,7 +580,7 @@ def _h_bound_reference(f, points, s, t_samples=1000, tol=1e-9):
         max_betas = [ex.norm2(pf.evaluate(f, np.zeros(f.m)))] * len(X)
     else:
         f_table = pf.MonomialTable(f)
-        ts = np.linspace(0.0, 1.0, t_samples)
+        ts = np.linspace(0.0, 1.0, 1000)
         max_betas = [float(np.max(f_table.norms(ts[:, None] * x))) for x in X]
     for x, r, lhs, max_beta in zip(X, radii, lhs_all.tolist(), max_betas):
         rhs = r * factor * max_beta
@@ -611,8 +609,8 @@ def test_h_bound_check_matches_per_point_reference():
         pts = rng.normal(size=(int(rng.integers(1, 6)), f.m)) * rng.uniform(0.1, 2.0)
         radius = float(np.max(np.linalg.norm(pts, axis=1))) + 0.1
         for points in (pts, []):
-            got = pf.h_bound_check(f, points, s=radius, t_samples=200).to_dict()
-            ref = _h_bound_reference(f, points, s=radius, t_samples=200).to_dict()
+            got = pf.h_bound_check(f, points, s=radius).to_dict()
+            ref = _h_bound_reference(f, points, s=radius).to_dict()
             assert json.dumps(got) == json.dumps(ref)
         covered.add((f.m, f.k, f.has_constant_coefficients()))
     assert {m for m, _, _ in covered} == set(range(2, 8))
@@ -660,5 +658,5 @@ def test_monomial_table_powers_only_its_variables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 12e6
     assert values.tolist() == [[0.5**999]] * 1000

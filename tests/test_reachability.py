@@ -1,17 +1,26 @@
-"""Every src function that no CLI command reaches is listed here, with its reason.
+"""Every src function that no CLI command reaches, and every defaulted
+parameter of a reached function that no command sets, is listed here with
+its reason.
 
 ``SCRIPT`` runs in a fresh ``python`` process with ``PYTHONPATH=src``, so
 neither earlier tests nor the ``lru_cache``s of ``cli._parser``,
 ``_standard_J`` and ``_line_encoder`` can hide a call or add one.  It
 collects every function, method, classmethod and property getter whose code
 lies under ``src/sympeps``, as ``module.qualname`` (the methods that
-dataclass and NamedTuple generate lie elsewhere and drop out).  Then it runs
-``cli.main`` under ``sys.setprofile`` on fixed inputs, and prints the exit
-codes and the functions that no command called.
+dataclass and NamedTuple generate lie elsewhere and drop out), with the
+parameters that have a default (``inspect.signature``).  Then it runs
+``cli.main`` under ``sys.setprofile`` on fixed inputs.  At each call it reads
+the defaulted parameters from the new frame: one is set when some call
+passes a value that is not its default, neither the same object nor, for a
+str, int, float or bool default, an equal value of the same type.  It prints
+the exit codes, the functions that no command called and, as
+``module.qualname.parameter``, the defaulted parameters of the called ones
+that no call set.
 
-That set must equal the keys of ``UNREACHED``.  A new function that nothing
-reaches fails the test until it is listed with a reason, and so does an entry
-whose function is reached or gone.
+Those sets must equal the keys of ``UNREACHED`` and of ``UNSET``.  A new
+function that nothing reaches, or a new default that no command overrides,
+fails the test until it is listed with a reason, and so does an entry whose
+function is reached or gone, or whose parameter is set or gone.
 """
 
 import json
@@ -19,6 +28,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,7 +40,14 @@ UNREACHED = {
     "symplectic.check_eps_nonsqueezing": "called by the fixed acceptance tests, tests/test_acceptance.py",
     "symplectic.check_eps_nonexpanding": "called by the fixed acceptance tests, tests/test_acceptance.py",
     "polyform.PolyForm.basis": "called by the benchmark tracer's self-test, perfbench/selftest.py",
-    "symplectic.hyperplane_squeeze": "ROADMAP item 2: a witness builder for the tight width parameter, or deleted",
+}
+
+UNSET = {
+    "symplectic._as_even_matrix.what": "set only by squeezing_params, which the benchmark tracer binds (ROADMAP item 4)",
+    "suite.run_suite.scale": "--scale full takes about 13 s; CI's full-scale step runs it",
+    "suite.random_polyform.max_m": "the tests draw forms up to m = 7",
+    "suite.random_polyform.max_k": "the tests draw forms up to m = 7",
+    "suite.random_polyform.max_degree": "the tests draw forms up to m = 7",
 }
 
 SCRIPT = r'''
@@ -39,6 +57,7 @@ import sympeps
 
 root = os.path.dirname(os.path.abspath(sympeps.__file__)) + os.sep
 names = {}
+defaults = {}
 
 
 def collect(obj, module):
@@ -50,6 +69,10 @@ def collect(obj, module):
     code = getattr(obj, "__code__", None)
     if code is not None and code.co_filename.startswith(root):
         names[code] = module + "." + obj.__qualname__
+        params = inspect.signature(obj).parameters.values()
+        given = {p.name: p.default for p in params if p.default is not p.empty}
+        if given:
+            defaults[code] = given
 
 
 for info in pkgutil.iter_modules(sympeps.__path__):
@@ -79,6 +102,7 @@ commands = [
     "symplectify matrix.txt --eps 0.1 --out psi.txt",
     "symplectify matrix.txt --eps 0.1 --out psi.json",
     "bounds --eps 0.1 --n 2",
+    "bounds --eps 0.1 --n 2 --out report.json",
     "homotopy form2.json points.json --out h.json",
     "homotopy form1.json points.json",
     "homotopy const.json points.json",
@@ -88,11 +112,22 @@ commands = [
 from sympeps import cli
 
 reached = set()
+overridden = set()
+
+
+def is_default(value, default):
+    if value is default:
+        return True
+    return type(value) is type(default) and type(value) in (str, int, float, bool) and value == default
 
 
 def profile(frame, event, arg):
     if event == "call":
-        reached.add(frame.f_code)
+        code = frame.f_code
+        reached.add(code)
+        for name, default in defaults.get(code, {}).items():
+            if not is_default(frame.f_locals[name], default):
+                overridden.add((code, name))
 
 
 codes = []
@@ -106,23 +141,37 @@ for command in commands:
 print(json.dumps({
     "codes": dict(zip(commands, codes)),
     "unreached": sorted(name for code, name in names.items() if code not in reached),
+    "unset": sorted(
+        names[code] + "." + name
+        for code, given in defaults.items() if code in reached
+        for name in given if (code, name) not in overridden
+    ),
 }))
 '''
 
 
-def _trace(tmp_path):
+@pytest.fixture(scope="module")
+def trace(tmp_path_factory):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", SCRIPT], cwd=tmp_path_factory.mktemp("trace"), env=env,
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def test_unreached_functions_are_exactly_the_listed_ones(tmp_path):
-    result = _trace(tmp_path)
+    result = json.loads(proc.stdout)
     assert result["codes"] == {command: 0 for command in result["codes"]}
-    unreached = set(result["unreached"])
+    return result
+
+
+def test_unreached_functions_are_exactly_the_listed_ones(trace):
+    unreached = set(trace["unreached"])
     assert sorted(unreached - UNREACHED.keys()) == [], "reached by no command: delete it, or list it with a reason"
     assert sorted(UNREACHED.keys() - unreached) == [], "listed, but reached or gone: drop the entry"
     assert all(reason.strip() for reason in UNREACHED.values())
+
+
+def test_unset_parameters_are_exactly_the_listed_ones(trace):
+    unset = set(trace["unset"])
+    assert sorted(unset - UNSET.keys()) == [], "no command sets this default: drop the parameter, or list it"
+    assert sorted(UNSET.keys() - unset) == [], "listed, but set or gone: drop the entry"
+    assert all(reason.strip() for reason in UNSET.values())

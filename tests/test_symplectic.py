@@ -435,20 +435,6 @@ def test_nonexpanding_skips_ineligible_ellipsoids():
     assert report.passed  # skipped records do not fail the certificate
 
 
-def test_certificates_nonlinear_width_factor():
-    # the weaker nonlinear factor (1 - eps)^sqrt(2n) shrinks s_A, so an
-    # eps-symplectic map still passes
-    rng = np.random.default_rng(63)
-    phi = sy.random_eps_symplectic(2, 0.05, seed=8)
-    batch = [random_ellipsoid(rng, 2) for _ in range(5)]
-    eps_prime = math.sqrt(2.0) * 0.05
-    linear = sy.squeezing_params(np.eye(4), eps_prime, linear_case=True)
-    nonlinear = sy.squeezing_params(np.eye(4), eps_prime, linear_case=False)
-    assert nonlinear.rho < linear.rho
-    assert nonlinear.s_A < linear.s_A
-    assert sy.check_eps_nonsqueezing(phi, eps_prime, batch, linear_case=False).passed
-
-
 def test_certificates_fail_unconditionally_for_singular_map():
     singular = np.diag([0.0, 1.0, 1.0, 1.0])
     for checker in (
@@ -468,63 +454,6 @@ def test_certificate_report_serializes():
     assert data["passed"] is True
     assert [rec["index"] for rec in data["records"]] == [0, 1]
     assert not any("A" in rec for rec in data["records"])
-
-
-def test_hyperplane_squeeze_is_symplectic_and_squeezes():
-    rng = np.random.default_rng(71)
-    J = sy.standard_J(3)
-    for _ in range(10):
-        u = rng.normal(size=6)
-        bound = float(rng.uniform(0.5, 2.0))
-        R = float(rng.uniform(0.1, 1.0))
-        psi = sy.hyperplane_squeeze(u, bound, R)
-        assert np.linalg.norm(psi.T @ J @ psi - J, "fro") <= 1e-9
-        uhat = u / np.linalg.norm(u)
-        vhat = J @ uhat
-        # random slab points: orthogonal to u, bounded projection onto J u
-        basis = np.linalg.svd(np.vstack([uhat, vhat]))[2][2:]
-        for _ in range(20):
-            x = float(rng.uniform(-bound, bound)) * vhat + basis.T @ rng.normal(size=4)
-            y = psi @ x
-            assert math.hypot(y[0], y[1]) <= R + 1e-9
-
-
-def test_hyperplane_squeeze_preserves_spectra():
-    rng = np.random.default_rng(72)
-    psi = sy.hyperplane_squeeze(rng.normal(size=4), 1.3, 0.2)
-    for _ in range(5):
-        A = random_ellipsoid(rng, 2)
-        np.testing.assert_allclose(
-            sy.symplectic_spectrum(psi @ A), sy.symplectic_spectrum(A), rtol=1e-8
-        )
-
-
-def test_hyperplane_squeeze_standard_normal_is_plane_rescale():
-    psi = sy.hyperplane_squeeze(np.array([1.0, 0.0, 0.0, 0.0]), 1.0, 1.0)
-    x = np.array([0.3, -0.7, 0.0, 0.0])
-    np.testing.assert_allclose(psi @ x, x, atol=1e-12)
-
-
-def test_hyperplane_squeeze_rejects_zero_vector():
-    with pytest.raises(ValueError, match="zero normal"):
-        sy.hyperplane_squeeze(np.zeros(4), 1.0, 1.0)
-
-
-
-def test_hyperplane_squeeze_refuses_non_finite_input_by_name():
-    u = np.array([1.0, 0.5, 0.0, -2.0])
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="^u must be finite"):
-            sy.hyperplane_squeeze(np.array([1.0, bad, 0.0, 0.0]), 1.0, 1.0)
-        with pytest.raises(ValueError, match="^bound must be finite"):
-            sy.hyperplane_squeeze(u, bad, 1.0)  # NaN used to give an all-NaN map
-        with pytest.raises(ValueError, match="^R must be finite"):
-            sy.hyperplane_squeeze(u, 1.0, bad)  # inf used to fail as a bare "Singular matrix"
-
-def test_hyperplane_squeeze_single_plane():
-    psi = sy.hyperplane_squeeze(np.array([2.0, 0.0]), bound=0.5, R=1.0)
-    J = sy.standard_J(1)
-    assert np.linalg.norm(psi.T @ J @ psi - J, "fro") <= 1e-9
 
 
 def test_random_symplectic_is_symplectic():
@@ -796,11 +725,10 @@ def test_certificate_worst_is_the_smallest_record_margin():
 
 def test_ball_clause_widths_equal_per_radius_calls():
     phi = sy.random_eps_symplectic(2, 0.1, seed=3)
-    for radii in ((0.5, 1.0, 2.0), (1, 3), ()):
-        report = sy.check_eps_nonexpanding(phi, 0.1, [np.eye(4)], ball_radii=radii)
-        assert [b["radius"] for b in report.ball_checks] == list(radii)
-        for r, ball in zip(radii, report.ball_checks):
-            assert ball["image_width"] == float(sy.symplectic_spectrum(phi @ (r * np.eye(4)))[0])
+    report = sy.check_eps_nonexpanding(phi, 0.1, [np.eye(4)])
+    assert [b["radius"] for b in report.ball_checks] == list(sy.BALL_RADII)
+    for r, ball in zip(sy.BALL_RADII, report.ball_checks):
+        assert ball["image_width"] == float(sy.symplectic_spectrum(phi @ (r * np.eye(4)))[0])
 
 
 def test_certificates_name_the_first_singular_ellipsoid():
@@ -828,10 +756,10 @@ def test_certificates_name_a_misshapen_ellipsoid():
 # its own width table: the reference that one shared pass must reproduce.
 
 
-def _reference_width_certificate(phi, eps, ellipsoids, kind, linear_case):
+def _reference_width_certificate(phi, eps, ellipsoids, kind):
     phi, n = sy._as_even_matrix(phi)
     singular = sy._conditioning(phi).singular
-    report = sy.CertificateReport(kind, eps, sy._width_rho(eps, n, linear_case))
+    report = sy.CertificateReport(kind, eps, sy._width_rho(eps, n, linear_case=True))
     if singular:
         report.passed = False
         report.note = "singular map: fails unconditionally (arbitrarily thin image ellipsoids)"
@@ -839,8 +767,8 @@ def _reference_width_certificate(phi, eps, ellipsoids, kind, linear_case):
     return phi, report, sy._width_table(phi, report.rho, ellipsoids)
 
 
-def _reference_nonsqueezing(phi, eps, ellipsoids, linear_case=True):
-    phi, report, t = _reference_width_certificate(phi, eps, ellipsoids, "nonsqueezing", linear_case)
+def _reference_nonsqueezing(phi, eps, ellipsoids):
+    phi, report, t = _reference_width_certificate(phi, eps, ellipsoids, "nonsqueezing")
     if t is None:
         return report
     margin = t.R1 - t.s_A * t.r1
@@ -851,8 +779,8 @@ def _reference_nonsqueezing(phi, eps, ellipsoids, linear_case=True):
     return report
 
 
-def _reference_nonexpanding(phi, eps, ellipsoids, linear_case=True, ball_radii=sy.BALL_RADII):
-    phi, report, t = _reference_width_certificate(phi, eps, ellipsoids, "nonexpanding", linear_case)
+def _reference_nonexpanding(phi, eps, ellipsoids):
+    phi, report, t = _reference_width_certificate(phi, eps, ellipsoids, "nonexpanding")
     if t is None:
         return report
     margin = t.e_A * t.r1 - t.R1  # NaN where e_A is undefined
@@ -861,7 +789,7 @@ def _reference_nonexpanding(phi, eps, ellipsoids, linear_case=True, ball_radii=s
     report.records = sy._records(
         {"r1": t.r1, "R1": t.R1, "e_A": t.e_A, "skipped": skipped, "pass": ok, "margin": margin}
     )
-    radii = list(ball_radii)
+    radii = list(sy.BALL_RADII)
     balls = np.multiply.outer(np.asarray(radii, dtype=float), np.eye(phi.shape[0]))
     ball_widths = sy.symplectic_spectrum(phi @ balls)[:, 0]
     bounds = np.asarray(radii, dtype=float) / report.rho
@@ -875,8 +803,8 @@ def _reference_nonexpanding(phi, eps, ellipsoids, linear_case=True, ball_radii=s
     return report
 
 
-def _reference_capacity(phi, eps, ellipsoids, linear_case=True):
-    phi, report, t = _reference_width_certificate(phi, eps, ellipsoids, "capacity", linear_case)
+def _reference_capacity(phi, eps, ellipsoids):
+    phi, report, t = _reference_width_certificate(phi, eps, ellipsoids, "capacity")
     if t is None:
         return report
     cap = math.pi * sy._squares(t.r1)
@@ -898,11 +826,11 @@ def _reference_capacity(phi, eps, ellipsoids, linear_case=True):
     return report
 
 
-def _reference_reports(phi, eps, batch, linear_case=True, ball_radii=sy.BALL_RADII):
+def _reference_reports(phi, eps, batch):
     return (
-        _reference_nonsqueezing(phi, eps, batch, linear_case),
-        _reference_nonexpanding(phi, eps, batch, linear_case, ball_radii),
-        _reference_capacity(phi, eps, batch, linear_case),
+        _reference_nonsqueezing(phi, eps, batch),
+        _reference_nonexpanding(phi, eps, batch),
+        _reference_capacity(phi, eps, batch),
     )
 
 
@@ -918,27 +846,22 @@ def test_width_certificates_equal_three_separate_passes(n):
     singular = np.eye(dim)
     singular[0, 0] = 0.0
     cases = [
-        (phi, 0.1 * math.sqrt(2.0), [random_ellipsoid(rng, n) for _ in range(9)], {}),
-        (phi, 0.5, mixed, {}),
-        (phi, 0.1, [], {}),
-        (crush, 0.0, mixed, {}),
-        (1.3 * np.eye(dim), 0.1, mixed, {}),  # fails the ball clause
-        (singular, 0.1, mixed, {}),
-        (singular, 0.1, [], {"ball_radii": ()}),
-        (phi, 0.2, mixed, {"linear_case": False}),
-        (phi, 0.2, mixed, {"ball_radii": ()}),
-        (phi, 0.2, mixed, {"ball_radii": (1, 3)}),
+        (phi, 0.1 * math.sqrt(2.0), [random_ellipsoid(rng, n) for _ in range(9)]),
+        (phi, 0.5, mixed),
+        (phi, 0.1, []),
+        (crush, 0.0, mixed),
+        (1.3 * np.eye(dim), 0.1, mixed),  # fails the ball clause
+        (singular, 0.1, mixed),
     ]
-    for phi_case, eps, batch, options in cases:
-        reports = sy.width_certificates(phi_case, eps, batch, **options)
-        for report, expected in zip(reports, _reference_reports(phi_case, eps, batch, **options)):
+    for phi_case, eps, batch in cases:
+        reports = sy.width_certificates(phi_case, eps, batch)
+        for report, expected in zip(reports, _reference_reports(phi_case, eps, batch)):
             # repr compares key order, types and float bits (0.0 against -0.0 too)
             assert repr(report.to_dict()) == repr(expected.to_dict())
-        linear_case = options.get("linear_case", True)
         selected = (
-            sy.check_eps_nonsqueezing(phi_case, eps, batch, linear_case),
-            sy.check_eps_nonexpanding(phi_case, eps, batch, **options),
-            sy.capacity_preservation_check(phi_case, eps, batch, linear_case),
+            sy.check_eps_nonsqueezing(phi_case, eps, batch),
+            sy.check_eps_nonexpanding(phi_case, eps, batch),
+            sy.capacity_preservation_check(phi_case, eps, batch),
         )
         assert [repr(r.to_dict()) for r in selected] == [repr(r.to_dict()) for r in reports]
 
