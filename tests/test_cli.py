@@ -343,13 +343,15 @@ _GOLDEN_POINTS = [[0.1, 0.2, -0.3, 0.4], [1.0, 0.0, 0.5, -0.25], [0.0, 0.0, 0.0,
 # the same platform as CERTIFY_STDOUT_SHA256 while the reports were still
 # written by json.dumps(indent=2); phi.txt is random_eps_symplectic(2, 0.05,
 # seed=2).  "suite" was recorded again once the Moser field became a series
-# about anchor times: its moser entry moved in the last bits.
+# about anchor times, and again once each anchor segment's RK4 steps became
+# one scalar polynomial in the field: each time its moser entry moved in the
+# last bits (worst_residual and the step-halving ratio).
 GOLDEN_SHA256 = {
     "analyze": "c5cb15016bbdb167342ec422923587bb8a92313134ac4d21189fe559336bb00f",
     "bounds": "a74446dfccdf27cba5764c0035e4f093ef66339c0f762c08b09950a7b4a58803",
     "homotopy": "d02a91b627dae590eeb85a65ee2fe2524e950b9c81bae190c45d0c0f73c45486",
     "homotopy --out": "70c9c582c0829367bffc400391f79e6cbfcf9c21400da86d27d36712913b0cf5",
-    "suite": "074b8391864bafba6099bcfbcf6e6572b33bad5c9f49389ad82440e5c8b7bcfc",
+    "suite": "8747f1ddb5bab3c4b7a81a9dc1165de327a8ad17f6c946a8600e672b794c72ab",
 }
 
 

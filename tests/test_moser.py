@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +61,7 @@ def test_degenerate_field_names_its_time():
     with pytest.raises(ValueError, match=r"interpolated two-form degenerates at t=1\.0"):
         _field(np.zeros((2, 2)), 1.0)
     with pytest.raises(ValueError, match=r"interpolated two-form degenerates at t=1\.0"):
-        mo._integrate_matrix_flow(-sy.standard_J(1), sy.standard_J(1), 10)
+        mo._integrate_matrix_flow(-sy.standard_J(1), sy.standard_J(1), 100)
 
 
 def test_field_series_about_a_time():
@@ -204,7 +208,7 @@ def _defect_matrix(n, eps, seed):
 def test_stacked_flow_matches_stepwise_rk4(n):
     for seed, eps in enumerate((0.0, 0.05, 0.3, 0.6, 0.68)):
         _, M, J = _defect_matrix(n, eps, seed)
-        for n_steps in (1, 2, 3, 7, 100, 101, 333, 1000):
+        for n_steps in (100, 101, 333, 1000):
             stacked = mo._integrate_matrix_flow(M, J, n_steps)
             reference = _rk4_reference_flow(M, J, n_steps)
             assert np.max(np.abs(stacked - reference)) <= 1e-13, (eps, n_steps)
@@ -218,19 +222,87 @@ def test_stacked_flow_residual_defect(n):
         assert sy.defect(phi @ psi) <= 1e-13, eps
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_grid_field_matches_the_per_time_solve(n):
-    J = sy.standard_J(n)
+def test_flow_refuses_fewer_steps_than_anchors():
+    # a step would then span more than 1 / FIELD_ANCHORS, past the series' bound;
+    # --step 1e-2, the coarsest FlowConfig accepts, gives FIELD_ANCHORS steps
+    assert mo.FlowConfig(step_size=1e-2).n_steps == mo.FIELD_ANCHORS == 100
+    _, M, J = _defect_matrix(2, 0.3, 0)
+    for n_steps in (1, 2, 3, 7, 99):
+        with pytest.raises(ValueError, match=rf"^the flow needs at least 100 steps, got {n_steps}$"):
+            mo._integrate_matrix_flow(M, J, n_steps)
+
+
+def _rk4_reference_segments(M, J, n_steps, m):
+    """The increment of each segment of m steps (the last one may be shorter):
+    stage-by-stage classical RK4 from Y = I at the segment's start, with C
+    solved at every stage time, and the increment carried apart from I."""
+    C = mo._flow_field(M, J, np.linspace(0.0, 1.0, 2 * n_steps + 1))
+    h, segments = 1.0 / n_steps, -(-n_steps // m)
+    zeros = np.zeros((segments * m - n_steps, *M.shape))  # zero field: the padding steps are I
+    c0, cm, c1 = (np.concatenate([c, zeros]).reshape(segments, m, *M.shape) for c in (C[0:-1:2], C[1::2], C[2::2]))
+    E = np.zeros((segments, *M.shape))
+    for i in range(m):
+        Y = np.eye(M.shape[0]) + E
+        k1 = c0[:, i] @ Y
+        k2 = cm[:, i] @ (Y + (0.5 * h) * k1)
+        k3 = cm[:, i] @ (Y + (0.5 * h) * k2)
+        k4 = c1[:, i] @ (Y + h * k3)
+        E = E + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return E
+
+
+def _maps_up_to_the_largest_defect(n):
     phis = [sy.random_eps_symplectic(n, eps, seed=seed) for seed, eps in enumerate((0.0, 0.1, 0.4, 0.7, sy.EPS_LIMIT - 1e-9))]
     # the largest defect that symplectify accepts, eps + 1e-12 with eps just below 1/sqrt(2)
     phis.append(sy.random_defective(n, sy.EPS_LIMIT + 1e-12, np.random.default_rng(n)))
     assert sy.defect(phis[-1]) > sy.EPS_LIMIT
-    for phi in phis:
+    return phis
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_segment_form_matches_a_per_step_product(n, monkeypatch):
+    # the last _compose call of a flow composes its segments' increments
+    composed, compose = [], mo._compose
+    monkeypatch.setattr(mo, "_compose", lambda D: composed.append(D) or compose(D))
+    J = sy.standard_J(n)
+    for phi in _maps_up_to_the_largest_defect(n):
         M = phi.T @ J @ phi - J
-        for n_steps in (100, 333, 1000, 10000):
-            solved = mo._flow_field(M, J, np.linspace(0.0, 1.0, 2 * n_steps + 1))
-            bound = 16 * np.finfo(float).eps * np.linalg.norm(solved, 2, axis=(1, 2)).max()
-            assert np.max(np.abs(mo._grid_field(M, J, n_steps) - solved)) <= bound, (sy.defect(phi), n_steps)
+        for n_steps in (100, 101, 333, 1000, 10000):
+            mo._integrate_matrix_flow(M, J, n_steps)
+            reference = _rk4_reference_segments(M, J, n_steps, -(-n_steps // mo.FIELD_ANCHORS))
+            # measured at most 11.6 u scale (at defect 0, where M is roundoff) and 4.9 u scale elsewhere
+            bound = 24 * np.finfo(float).eps * np.max(np.abs(reference))
+            assert np.max(np.abs(composed[-1] - reference)) <= bound, (sy.defect(phi), n_steps)
+
+
+def test_series_degree_leaves_psi_unchanged(monkeypatch):
+    # four more terms move psi by at most 2 u, at the largest defect symplectify
+    # accepts and the longest segment (2 steps of 1/101) and at 10000 steps;
+    # measured 0 at degree 14, and 3.3 u at degree 10 (n = 1, 101 steps)
+    cases = []
+    for n in (1, 2, 3, 4):
+        phi, J = sy.random_defective(n, sy.EPS_LIMIT + 1e-12, np.random.default_rng(n)), sy.standard_J(n)
+        cases += [(phi.T @ J @ phi - J, J, n_steps) for n_steps in (101, 10000)]
+    psis = []
+    try:
+        for degree in (mo.SERIES_DEGREE, mo.SERIES_DEGREE + 4):
+            monkeypatch.setattr(mo, "SERIES_DEGREE", degree)
+            mo._segment_series.cache_clear()  # the series are cached per step count only
+            psis.append([mo._integrate_matrix_flow(*case) for case in cases])
+    finally:
+        mo._segment_series.cache_clear()
+    for (M, _, n_steps), psi, finer in zip(cases, *psis):
+        assert np.max(np.abs(psi - finer)) <= 2 * np.finfo(float).eps * np.max(np.abs(finer)), (len(M), n_steps)
+
+
+def test_segment_series_is_built_on_first_use_and_read_only():
+    code = (
+        "from sympeps import cli, moser; assert moser._segment_series.cache_info().currsize == 0; "
+        "q = moser._segment_series(10, 1000); assert moser._segment_series(10, 1000) is q; "
+        "assert not q.flags.writeable and q[0] == 0.0 and len(q) == moser.SERIES_DEGREE + 1"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_grid_field_solves_at_anchor_times_only(monkeypatch):
