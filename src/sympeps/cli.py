@@ -38,64 +38,6 @@ def _sha256_params(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-_LEAF_TYPES = frozenset((str, int, float, bool, type(None)))
-
-
-@functools.lru_cache(maxsize=None)
-def _line_encoder(depth: int):
-    """json's C encoder, with each item of a container on its own line at
-    ``depth``; json.dumps with an indent runs the pure-Python encoder."""
-    return json.JSONEncoder(allow_nan=False, separators=(",\n" + "  " * depth, ": ")).encode
-
-
-def _indented_json(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte.
-
-    A container whose items all have an exact leaf type (str, int, float,
-    bool, None), or a list of such non-empty lists or of such non-empty
-    dicts, is one call of json's C encoder; the rest recurses here.
-    Non-finite floats raise ValueError and unserializable values TypeError."""
-    if isinstance(obj, dict):
-        opening, closing, items = "{", "}", obj.values()
-    elif isinstance(obj, (list, tuple)):
-        opening, closing, items = "[", "]", obj
-    else:
-        return _line_encoder(0)(obj)
-    if not obj:
-        return opening + closing
-    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-    types = set(map(type, items))
-    if _LEAF_TYPES.issuperset(types):
-        return opening + inner + _line_encoder(depth + 1)(obj)[1:-1] + outer + closing
-    if opening == "[" and (types == {list} or types == {dict}) and all(obj):
-        row_open, row_close = ("[", "]") if list in types else ("{", "}")
-        cells = itertools.chain.from_iterable(obj if list in types else map(dict.values, obj))
-        if _LEAF_TYPES.issuperset(map(type, cells)):
-            # Rows at depth + 1, their items at depth + 2.  An encoded string
-            # holds no raw newline and a row holds no container, so "],\n"
-            # or "},\n" only ever ends a row.
-            cell = inner + "  "
-            rows = _line_encoder(depth + 2)(obj)[2:-2].replace(
-                row_close + "," + cell + row_open, inner + row_close + "," + inner + row_open + cell
-            )
-            return "[" + inner + row_open + cell + rows + inner + row_close + outer + "]"
-    if opening == "[":
-        parts = [_indented_json(item, depth + 1) for item in obj]
-    else:
-        parts = [_json_key(key) + ": " + _indented_json(value, depth + 1) for key, value in obj.items()]
-    return opening + inner + ("," + inner).join(parts) + outer + closing
-
-
-def _json_key(key) -> str:
-    """A dict key encoded as json encodes it: int, float, bool and None keys
-    become strings, other keys raise TypeError."""
-    if not isinstance(key, str):
-        if not isinstance(key, (int, float)) and key is not None:
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = _line_encoder(0)(key)
-    return _line_encoder(0)(key)
-
-
 def _write_output(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -105,7 +47,7 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _emit(report: dict, human_lines, fmt: str = "json", out_path=None) -> None:
-    payload = _indented_json(report) + "\n"
+    payload = json.dumps(report, allow_nan=False) + "\n"
     if out_path:
         _write_output(out_path, payload)
     if fmt == "json":
@@ -331,7 +273,7 @@ def cmd_homotopy(args):
         human.append(f"norm bounds at {len(pts)} points: {'PASS' if bound_rep.passed else 'FAIL'}")
         passed = passed and bound_rep.passed
     if args.out:
-        _write_output(args.out, _indented_json(hf.to_json_dict()) + "\n")
+        _write_output(args.out, json.dumps(hf.to_json_dict(), allow_nan=False) + "\n")
         human.append(f"primitive written to {args.out}")
     report["passed"] = bool(passed)
     return report, human, passed

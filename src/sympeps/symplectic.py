@@ -172,6 +172,22 @@ def defect(phi) -> float:
     return value
 
 
+def defect_rounding_bound(phi) -> float:
+    """|defect(phi) - exact defect| <= k u (||Phi||_F^2 + sqrt(2n)) / sqrt(2),
+    k = 2n^2 + 2n + 4, to first order in u (1 / (1 - k u) covers the rest).
+
+    Phi^T J is exact; the length-2n inner products of (Phi^T J) Phi add
+    2n u ||Phi||_F^2, and subtracting J adds u (||Phi||_F^2 + sqrt(2n)).  The
+    norm, the root of one dot product of 4n^2 squares (4n^2 u relative in any
+    order), and the division by the rounded sqrt(2) add (2n^2 + 3) u relative.
+    """
+    phi, n = _as_even_matrix(phi)
+    k, u = 2 * n * n + 2 * n + 4, 2.0**-53
+    with np.errstate(over="ignore"):
+        fro2 = float(np.sum(phi * phi))
+    return k * u / (1.0 - k * u) * (fro2 + math.sqrt(2 * n)) / math.sqrt(2.0)
+
+
 @dataclass(frozen=True)
 class TwoForm:
     """Two-form on R^dim stored as a skew-symmetric matrix M, w(v, u) = <M v, u>."""
@@ -874,7 +890,7 @@ def save_matrix(path, A) -> None:
     """Write A as JSON when path ends in .json, else in the text format.  A
     non-finite entry has no JSON form: ValueError, and no file is written."""
     if str(path).endswith(".json"):
-        text = json.dumps(matrix_to_json_dict(A), indent=2, allow_nan=False) + "\n"
+        text = json.dumps(matrix_to_json_dict(A), allow_nan=False) + "\n"
     else:
         text = format_matrix_text(A)
     with open(path, "w", encoding="utf-8") as fh:

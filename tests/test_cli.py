@@ -10,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sympeps import cli
 from sympeps import moser as mo
@@ -116,43 +114,6 @@ def test_emit_refuses_non_finite_json_in_text_mode():
         cli._emit({"defect": float("inf")}, [], "text")
 
 
-_JSON_TEXT = st.text(st.characters() | st.sampled_from('[]{},:"\\\n\t\x00\x1f\u00e9\u2028\U0001f600'), max_size=6)
-_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e308])
-_JSON_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(10**40), max_value=10**40),
-    _JSON_FLOATS,
-    _JSON_FLOATS.map(np.float64),
-    _JSON_TEXT,
-)
-_JSON_KEYS = st.one_of(_JSON_TEXT, st.integers(), _JSON_FLOATS, _JSON_FLOATS.map(np.float64), st.booleans(), st.none())
-
-
-def _json_trees(depth):
-    """JSON-encodable trees of depth at most ``depth``, with flat
-    containers, lists of flat lists and lists of flat dicts drawn often."""
-    if depth == 0:
-        return _JSON_LEAVES
-    children = _json_trees(depth - 1)
-    return st.one_of(
-        _JSON_LEAVES,
-        st.lists(children, max_size=3),
-        st.lists(children, max_size=3).map(tuple),
-        st.dictionaries(_JSON_KEYS, children, max_size=3),
-        st.lists(_JSON_LEAVES, min_size=1, max_size=3),
-        st.lists(st.lists(_JSON_LEAVES, max_size=3), max_size=3),
-        st.lists(st.dictionaries(_JSON_KEYS, _JSON_LEAVES, max_size=3), max_size=3),
-    )
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_json_trees(5))
-def test_indented_json_matches_json_dumps(tree):
-    assert cli._indented_json(tree) == json.dumps(tree, indent=2, allow_nan=False)
-
-
 @pytest.mark.parametrize(
     "bad",
     [float("nan"), float("inf"), -float("inf"), np.float32(1), np.bool_(True), np.zeros(2)],
@@ -171,13 +132,16 @@ def test_indented_json_matches_json_dumps(tree):
     ],
     ids=["alone", "flat", "row", "dict-row", "nested", "key", "nested-key"],
 )
-def test_indented_json_refuses_what_json_dumps_refuses(bad, place):
+def test_indented_json_refuses_what_json_dumps_refuses(capsys, bad, place):
+    # named for the indented writer that _emit used before; the cases now pin
+    # _emit itself: no value without a standard JSON form is converted
     tree = place(bad)
     with pytest.raises((ValueError, TypeError)) as expected:
-        json.dumps(tree, indent=2, allow_nan=False)
+        json.dumps(tree, allow_nan=False)
     with pytest.raises((ValueError, TypeError)) as raised:
-        cli._indented_json(tree)
+        cli._emit(tree, [])
     assert type(raised.value) is expected.type
+    assert capsys.readouterr().out == ""
 
 
 def test_analyze_builds_the_standard_form_once(capsys, fixture_file, monkeypatch):
@@ -310,10 +274,20 @@ def test_canonical_ellipsoids_match_the_plane_scaling_list(n):
         assert not np.signbit(A).any()
 
 
+def _indented_sha256(text: str) -> str:
+    """sha256 of the JSON text re-indented as json.dumps(indent=2), the layout
+    the golden digests were recorded on, once text is checked to be the
+    one-line json.dumps of itself: together they fix text byte for byte."""
+    data = json.loads(text)
+    assert text == json.dumps(data) + "\n"
+    return hashlib.sha256((json.dumps(data, indent=2) + "\n").encode("utf-8")).hexdigest()
+
+
 # sha256 of the stdout of `certify phi.txt --eps 0.06 --seed <10 + n>` with
-# phi = random_eps_symplectic(n, 0.05, seed=n), recorded (numpy 2.4.6 on
-# x86-64) before the random batch and the grid were built as stacks; another
-# BLAS or LAPACK build may round differently and need its own digests.
+# phi = random_eps_symplectic(n, 0.05, seed=n), re-indented (see
+# _indented_sha256), recorded (numpy 2.4.6 on x86-64) before the random batch
+# and the grid were built as stacks; another BLAS or LAPACK build may round
+# differently and need its own digests.
 CERTIFY_STDOUT_SHA256 = {
     1: "71a93ad91909eb51189dc54cdca72ff2fa95d59f0a0bc536587a389d799b36a5",
     2: "08f89c79b42b9f1a046bd587fd0acba8cfc18c042283b3948de613a208ed27f5",
@@ -328,7 +302,7 @@ def test_certify_stdout_matches_its_golden_digest(capsys, tmp_path, monkeypatch,
     sy.save_matrix("phi.txt", sy.random_eps_symplectic(n, 0.05, seed=n))
     code, out, _ = run_cli(capsys, "certify", "phi.txt", "--eps", "0.06", "--seed", str(10 + n))
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CERTIFY_STDOUT_SHA256[n]
+    assert _indented_sha256(out) == CERTIFY_STDOUT_SHA256[n]
 
 
 # The homotopy input of the golden digests below: a 2-form on R^4 with
@@ -339,13 +313,13 @@ _GOLDEN_FORM = pf.PolyForm(4, 2, {
 })
 _GOLDEN_POINTS = [[0.1, 0.2, -0.3, 0.4], [1.0, 0.0, 0.5, -0.25], [0.0, 0.0, 0.0, 0.0]]
 
-# sha256 of stdout (and of the file homotopy writes to --out), recorded on
-# the same platform as CERTIFY_STDOUT_SHA256 while the reports were still
-# written by json.dumps(indent=2); phi.txt is random_eps_symplectic(2, 0.05,
-# seed=2).  "suite" was recorded again once the Moser field became a series
-# about anchor times, and again once each anchor segment's RK4 steps became
-# one scalar polynomial in the field: each time its moser entry moved in the
-# last bits (worst_residual and the step-halving ratio).
+# sha256 of stdout (and of the file homotopy writes to --out), re-indented
+# and recorded on the same platform as CERTIFY_STDOUT_SHA256; phi.txt is
+# random_eps_symplectic(2, 0.05, seed=2).  "suite" was recorded again once
+# the Moser field became a series about anchor times, and again once each
+# anchor segment's RK4 steps became one scalar polynomial in the field: each
+# time its moser entry moved in the last bits (worst_residual and the
+# step-halving ratio).
 GOLDEN_SHA256 = {
     "analyze": "c5cb15016bbdb167342ec422923587bb8a92313134ac4d21189fe559336bb00f",
     "bounds": "a74446dfccdf27cba5764c0035e4f093ef66339c0f762c08b09950a7b4a58803",
@@ -372,9 +346,9 @@ def test_stdout_matches_its_golden_digest(capsys, tmp_path, monkeypatch, command
     (tmp_path / "points.json").write_text(json.dumps(_GOLDEN_POINTS))
     code, out, _ = run_cli(capsys, *command)
     assert code == 0
-    digests = {command[0]: hashlib.sha256(out.encode("utf-8")).hexdigest()}
+    digests = {command[0]: _indented_sha256(out)}
     if command[0] == "homotopy":
-        digests["homotopy --out"] = hashlib.sha256((tmp_path / "h.json").read_bytes()).hexdigest()
+        digests["homotopy --out"] = _indented_sha256((tmp_path / "h.json").read_text(encoding="utf-8"))
     assert digests == {key: GOLDEN_SHA256[key] for key in digests}
 
 
@@ -491,6 +465,25 @@ def test_symplectify_rejects_defect_above_eps(capsys, fixture_file):
     code, _, err = run_cli(capsys, "symplectify", fixture_file, "--eps", "0.01")
     assert code == 1
     assert "exceeds" in err
+
+
+def test_symplectify_gives_no_verdict_inside_the_defect_rounding(capsys, tmp_path, fixture_file):
+    # ||Phi||_F^2 = 1.49e6: the computed defect 2.6e-11 of this symplectic map
+    # is rounding, under its bound 1.9e-9, so eps = 0 is neither met nor missed
+    rng = np.random.default_rng(0)
+    U, V = sy.random_symplectic(2, rng), sy.random_symplectic(2, rng)
+    path = str(tmp_path / "big.txt")
+    sy.save_matrix(path, U @ np.diag([1000.0, 1e-3, 1.0, 1.0]) @ V)
+    phi = sy.load_matrix(path)
+    d0, bound = sy.defect(phi), sy.defect_rounding_bound(phi)
+    assert 1e-12 < d0 < bound
+    code, out, err = run_cli(capsys, "symplectify", path, "--eps", "0")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: defect {d0:.6e} exceeds eps 0.000000e+00 by less than its rounding bound {bound:.6e}: no verdict\n"
+    code, out, err = run_cli(capsys, "symplectify", fixture_file, "--eps", "0.05")  # defect 0.1
+    assert (code, out) == (1, "")
+    assert err == "defect 1.000000e-01 exceeds eps 5.000000e-02\n"
 
 
 @pytest.mark.parametrize("eps", ["-0.5", "nan", "inf"])
@@ -824,6 +817,33 @@ def test_homotopy_parse_error(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "homotopy", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        (["analyze", "phi.txt", "--eps", "0.06"], []),
+        (["certify", "phi.txt", "--eps", "0.06", "--trials", "4", "--out", "report.json"], ["report.json"]),
+        (["symplectify", "phi.txt", "--eps", "0.06", "--out", "psi.json"], ["psi.json"]),
+        (["bounds", "--eps", "0.1", "--n", "3"], []),
+        (["homotopy", "form.json", "points.json", "--out", "h.json"], ["h.json"]),
+        (["suite", "--seed", "7", "--scale", "smoke"], []),
+    ],
+    ids=["analyze", "certify", "symplectify", "bounds", "homotopy", "suite"],
+)
+def test_every_json_text_is_one_line_json_dumps(capsys, tmp_path, monkeypatch, command, files):
+    monkeypatch.chdir(tmp_path)
+    sy.save_matrix("phi.txt", sy.random_eps_symplectic(2, 0.05, seed=2))
+    (tmp_path / "form.json").write_text(json.dumps(_GOLDEN_FORM.to_json_dict()))
+    (tmp_path / "points.json").write_text(json.dumps(_GOLDEN_POINTS))
+    code, out, _ = run_cli(capsys, *command)
+    assert code == 0
+    texts = [out] + [(tmp_path / name).read_text(encoding="utf-8") for name in files]
+    for text in texts:
+        assert text == json.dumps(json.loads(text), allow_nan=False) + "\n"
+    code, out, _ = run_cli(capsys, *command, "--format", "text")
+    assert code == 0
+    assert out and "{" not in out  # the table only
 
 
 def test_text_format_puts_table_on_stdout(capsys):

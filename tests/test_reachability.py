@@ -4,7 +4,7 @@ its reason.
 
 ``SCRIPT`` runs in a fresh ``python`` process with ``PYTHONPATH=src``, so
 neither earlier tests nor the ``lru_cache``s of ``cli._parser``,
-``_standard_J`` and ``_line_encoder`` can hide a call or add one.  It
+``_standard_J`` and ``moser._segment_series`` can hide a call or add one.  It
 collects every function, method, classmethod and property getter whose code
 lies under ``src/sympeps``, as ``module.qualname`` (the methods that
 dataclass and NamedTuple generate lie elsewhere and drop out), with the

@@ -36,30 +36,26 @@ def _exact_defect_sq(phi) -> Fraction:
 
 
 def test_defect_forward_error_against_exact_oracle():
-    # First-order worst case: Phi^T J is exact (one signed product per entry);
-    # the length-2n inner products of (Phi^T J) Phi err by at most
-    # 2n u ||Phi||_F^2; subtracting J adds u (||Phi||_F^2 + sqrt(2n)); the
-    # norm (at most 36 squares summed, a square root) and the division by
-    # sqrt(2) add under 9u relative.  In all (2n + 10) u (||Phi||_F^2 +
-    # sqrt(2n)) / sqrt(2), at most 12 n u (||Phi||_F^2 + 1) for n = 1..3:
-    # hence C = 12.  The largest ratio measured on these maps is about 1.5.
-    # The maps s S (I + t N) are built without defect itself, with s in
-    # {1e-3, 1, 1e3} and t leaning small (a tenth below 1e-4): at s = 1 a
-    # defect that cancels, such as one expanding the square, misses the bound.
-    C = 12
-    u = 2.0**-53
+    # defect_rounding_bound derives the bound.  The maps s S (I + t N) are
+    # built without defect itself, with s in {1e-3, 1, 1e3} and t leaning
+    # small (a tenth below 1e-4): at s = 1 a defect that cancels, such as one
+    # expanding the square, misses the bound.  The largest ratio of error to
+    # bound measured on these maps is 0.25, at n = 1.
     rng = np.random.default_rng(91)
+    seen = set()
     for _ in range(300):
-        n = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 5))
+        seen.add(n)
         S = sy.random_symplectic(n, rng)
         t = float(rng.uniform()) ** 4
         phi = S @ (np.eye(2 * n) + t * rng.standard_normal((2 * n, 2 * n)))
         phi = phi * 10.0 ** (3 * int(rng.integers(-1, 2)))
         got = sy.defect(phi)
-        bound = C * n * u * (float(np.sum(phi * phi)) + 1.0)
+        bound = sy.defect_rounding_bound(phi)
         exact_sq = _exact_defect_sq(phi)
         lo, hi = Fraction(max(got - bound, 0.0)), Fraction(got + bound)
         assert lo * lo <= exact_sq <= hi * hi, (n, got, bound, math.sqrt(exact_sq))
+    assert seen == {1, 2, 3, 4}
 
 
 def test_defect_odd_dimension_rejected():
@@ -561,7 +557,7 @@ def test_matrix_json_round_trip(tmp_path):
     path = tmp_path / "phi.json"
     sy.save_matrix(path, phi)
     np.testing.assert_array_equal(sy.load_matrix(path), phi)
-    assert path.read_text() == json.dumps({"n": 2, "rows": phi.tolist()}, indent=2) + "\n"
+    assert path.read_text() == json.dumps({"n": 2, "rows": phi.tolist()}) + "\n"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
