@@ -37,7 +37,6 @@ from .symplectic import (
     LambdaMuReport,
     SqueezeParams,
     StandardForm,
-    TwoForm,
     WidthCertificates,
     c_rho,
     capacity_preservation_check,

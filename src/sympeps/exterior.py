@@ -8,9 +8,9 @@ provided:
   invariant under orthonormal changes of frame;
 * ``comass`` -- the supremum of the covector over unit simple k-vectors.
   It is computed exactly for degrees k in {0, 1, 2, m-1, m} (for k = 2 as
-  the top spectral coefficient of the plane decomposition of the associated
-  skew matrix) and bracketed otherwise by a randomized lower bound together
-  with the ``norm2`` upper bound.
+  the top singular value of the associated skew matrix, which is its top
+  spectral coefficient) and bracketed otherwise by a randomized lower bound
+  together with the ``norm2`` upper bound.
 
 Interior multiplication and pullback by a square matrix (via k x k
 minors) round out the toolkit.
@@ -185,7 +185,7 @@ def comass(
 
     Exact mode (degrees 0, 1, 2, m-1, m only) returns lo == hi: the absolute
     coefficient for degrees 0 and m, ``norm2`` for degrees 1 and m-1, and the
-    largest spectral coefficient of the plane decomposition for degree 2.
+    top singular value of the associated skew matrix for degree 2.
 
     Sandwich mode returns the best of ``trials`` evaluations on random
     orthonormal k-frames as lo and ``norm2`` as hi; the true comass always

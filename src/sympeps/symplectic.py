@@ -29,7 +29,6 @@ import numpy as np
 from .exterior import Covector, json_int, json_numbers, skew_to_covector
 
 __all__ = [
-    "TwoForm",
     "StandardForm",
     "LambdaMuReport",
     "SqueezeParams",
@@ -69,7 +68,7 @@ __all__ = [
 ]
 
 SINGULAR_RTOL = 1e-12     # sigma_min below this times sigma_max counts as singular
-KERNEL_RTOL = 1e-10       # ||M u|| below this times ||M|| counts as kernel
+KERNEL_RTOL = 1e-10       # lambda^2 below this times the largest counts as kernel
 SKEW_RTOL = 1e-9
 CERT_TOL = 1e-10          # additive tolerance on certified inequalities
 SIGN_TOL = 1e-12
@@ -188,63 +187,18 @@ def defect_rounding_bound(phi) -> float:
     return k * u / (1.0 - k * u) * (fro2 + math.sqrt(2 * n)) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class TwoForm:
-    """Two-form on R^dim stored as a skew-symmetric matrix M, w(v, u) = <M v, u>."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        M = np.array(self.matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("two-form matrix must be square")
-        scale = np.linalg.norm(M, "fro")
-        if np.linalg.norm(M + M.T, "fro") > SKEW_RTOL * max(scale, 1e-300):
-            raise ValueError("two-form matrix is not skew-symmetric")
-        M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class StandardForm:
-    """Orthonormal plane decomposition of a two-form.
-
-    Columns of ``u`` and ``v`` pair up into planes on which the form acts with
-    spectral coefficient lambda_sq[j] = w(u_j, v_j) > 0 (ascending); ``kernel``
-    spans the radical.  v_j is parallel to M u_j.
-    """
+class StandardForm(NamedTuple):
+    """Orthonormal plane decomposition of a two-form: columns of ``u`` and
+    ``v`` pair up into planes on which the form acts with spectral coefficient
+    lambda_sq[j] = w(u_j, v_j) > 0 (ascending); v_j is parallel to M u_j."""
 
     lambda_sq: np.ndarray   # (p,) ascending positive
     u: np.ndarray           # (dim, p)
     v: np.ndarray           # (dim, p)
-    kernel: np.ndarray      # (dim, dim - 2p)
-
-    @property
-    def dim(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return 2 * self.u.shape[1]
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return np.sqrt(self.lambda_sq)
-
-    def reconstruct(self) -> np.ndarray:
-        """Skew matrix of sum_j lambda_j^2 alpha_j ^ beta_j."""
-        W = np.zeros((self.dim, self.dim))
-        for lam2, uj, vj in zip(self.lambda_sq, self.u.T, self.v.T):
-            W += lam2 * (np.outer(vj, uj) - np.outer(uj, vj))
-        return W
 
 
 def standard_form(w) -> StandardForm:
-    """Orthonormal basis and spectral coefficients of a skew two-form.
+    """Orthonormal planes of the two-form w(v, u) = <M v, u> of a skew M.
 
     Route: the Hermitian matrix iM has the eigenvalues +-lambda_j^2 and 0.  An
     eigenvector a + ib of a positive eigenvalue lambda^2 is one plane, with
@@ -252,16 +206,19 @@ def standard_form(w) -> StandardForm:
     v = M u / ||M u||.  Orthonormal eigenvectors w, w' of positive
     eigenvalues give orthogonal planes, since w is also orthogonal to the
     conjugate of w', an eigenvector of a negative one; so planes with equal
-    lambda need no pairing.  The kernel is the planes' orthogonal complement.
+    lambda need no pairing.
     """
-    form = w if isinstance(w, TwoForm) else TwoForm(np.asarray(w, dtype=float))
-    M = form.matrix
+    M = np.asarray(w, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("two-form matrix must be square")
+    scale = max(float(np.linalg.norm(M, "fro")), 1e-300)
+    if np.linalg.norm(M + M.T, "fro") > SKEW_RTOL * scale:
+        raise ValueError("two-form matrix is not skew-symmetric")
     evals, vecs = np.linalg.eigh(1j * M)
-    scale = float(np.abs(evals).max(initial=0.0))
-    planes = vecs[:, evals > KERNEL_RTOL * scale]
+    planes = vecs[:, evals > KERNEL_RTOL * np.abs(evals).max(initial=0.0)]
     # Fix the phase of each eigenvector: its largest-magnitude entry is real
     # and positive.  (A 0 x 0 form has no entries to take the argmax of.)
-    top = np.abs(planes).argmax(axis=0) if form.dim else np.zeros(0, dtype=int)
+    top = np.abs(planes).argmax(axis=0) if len(M) else np.zeros(0, dtype=int)
     peak = planes[top, np.arange(planes.shape[1])]
     a = (planes * (peak.conj() / np.abs(peak))).real
     u = a / np.linalg.norm(a, axis=0)
@@ -269,14 +226,12 @@ def standard_form(w) -> StandardForm:
     v = Mu / np.linalg.norm(Mu, axis=0)
     lam2 = np.einsum("ij,ij->j", v, Mu)
     order = np.argsort(lam2, kind="stable")
-    u, v = u[:, order], v[:, order]
-    kernel = np.linalg.svd(np.hstack([u, v]))[0][:, 2 * u.shape[1]:]
-    result = StandardForm(lam2[order], u, v, kernel)
-
-    rel = np.linalg.norm(result.reconstruct() - M, "fro") / max(np.linalg.norm(M, "fro"), 1e-300)
-    if rel > 1e-6:
+    lam2, u, v = lam2[order], u[:, order], v[:, order]
+    # M = sum_j lambda_j^2 (v_j u_j^T - u_j v_j^T)
+    rel = np.linalg.norm((v * lam2) @ u.T - (u * lam2) @ v.T - M, "fro") / scale
+    if not rel <= 1e-6:  # NaN too: a plane whose M u underflowed to 0
         raise np.linalg.LinAlgError(f"standard form reconstruction failed (relative error {rel:.3e})")
-    return result
+    return StandardForm(lam2, u, v)
 
 
 class _Conditioning(NamedTuple):
@@ -355,8 +310,11 @@ def lambda_mu_invariants(phi) -> LambdaMuReport:
         return LambdaMuReport(empty, empty, empty.astype(int), "singular", cond)
     J = _standard_J(n)
     sf = standard_form(phi.T @ J @ phi)
-    if sf.rank < 2 * n:
-        return LambdaMuReport(empty, empty, empty.astype(int), "singular", cond)
+    if len(sf.lambda_sq) < n:
+        # The lambda_j^2 are the singular values of Phi^T J Phi, so their ratio is at least
+        # cond^-2: conditioning loses a plane only above cond 1e5; underflow at any cond.
+        raise ValueError(f"a plane of Phi^T J Phi was lost to conditioning or underflow (condition "
+                         f"number {cond:.3e}), so the lambda/mu invariants are not resolved")
     om = np.einsum("ij,ij->j", J @ sf.u, sf.v)  # omega0(u_j, v_j)
     signs = np.where(np.abs(om) <= SIGN_TOL, 0, np.sign(om)).astype(int)
     if np.all(signs == 1):
@@ -365,7 +323,7 @@ def lambda_mu_invariants(phi) -> LambdaMuReport:
         classification = "anti-symplectic-like"
     else:
         classification = "mixed"
-    return LambdaMuReport(sf.lambdas, np.sqrt(np.abs(om)), signs, classification, cond)
+    return LambdaMuReport(np.sqrt(sf.lambda_sq), np.sqrt(np.abs(om)), signs, classification, cond)
 
 
 class DecompositionCheck(NamedTuple):
@@ -576,7 +534,8 @@ def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificat
     skipped = np.isnan(t.e_A)
     expand_ok = skipped | (expand >= -CERT_TOL)
     radii = np.array(BALL_RADII)
-    ball_widths = symplectic_spectrum(phi @ np.multiply.outer(radii, np.eye(phi.shape[0])))[:, 0]
+    # The balls, phi times powers of two, are as well-conditioned as phi.
+    ball_widths = _spectrum(phi @ np.multiply.outer(radii, np.eye(phi.shape[0])))[:, 0]
     bounds = radii / rho_val
     ball_ok = bounds - ball_widths >= -CERT_TOL
     cap = math.pi * _squares(t.r1)

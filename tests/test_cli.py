@@ -64,6 +64,25 @@ def test_analyze_singular_reports_and_exits_zero(capsys, tmp_path):
     assert json.loads(out)["classification"] == "singular"
 
 
+@pytest.mark.parametrize(
+    "scale, cond", [(None, "1.000e+06"), (2.0**-540, "2.691e+00")], ids=["cond-1e6", "scale-2^-540"]
+)
+def test_analyze_refuses_a_lost_plane(capsys, tmp_path, scale, cond):
+    # Nonsingular maps whose Phi^T J Phi loses a plane: condition 1e6, and a
+    # map of condition 2.69 whose squares underflow at scale 2^-540.
+    if scale is None:
+        phi = sy.plane_scaling([1e-3, 1e3])
+    else:
+        phi = scale * sy.random_symplectic(2, np.random.default_rng(4)) @ sy.plane_scaling([1.1, 0.95])
+    path = tmp_path / "phi.txt"
+    sy.save_matrix(path, phi)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: a plane of Phi^T J Phi was lost")
+    assert f"(condition number {cond})" in err and "not resolved" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_is_deterministic(capsys, fixture_file):
     _, out1, _ = run_cli(capsys, "analyze", fixture_file)
     _, out2, _ = run_cli(capsys, "analyze", fixture_file)
@@ -162,9 +181,9 @@ def test_analyze_builds_the_standard_form_once(capsys, fixture_file, monkeypatch
 
 
 def test_certify_builds_one_width_table(capsys, fixture_file, monkeypatch):
-    # phi, the stack, its image and the balls: 4 conditionings; the stack,
-    # its image and the balls: 3 spectra.  Three separate certificate passes
-    # took 10 and 7.
+    # phi, the stack and its image: 3 conditionings (the balls, phi scaled
+    # by powers of two, share phi's); the stack, its image and the balls: 3
+    # spectra.  Three separate certificate passes took 10 and 7.
     calls = {"_spectrum": 0, "_conditioning": 0}
     for name in calls:
         original = getattr(sy, name)
@@ -177,7 +196,7 @@ def test_certify_builds_one_width_table(capsys, fixture_file, monkeypatch):
     code, out, _ = run_cli(capsys, "certify", fixture_file, "--eps", "0.1", "--trials", "4")
     assert code == 0
     assert json.loads(out)["ellipsoids"] == 9 + 4
-    assert calls == {"_spectrum": 3, "_conditioning": 4}
+    assert calls == {"_spectrum": 3, "_conditioning": 3}
 
 def test_symplectify_computes_the_defect_twice(capsys, identity_file, tmp_path, monkeypatch):
     calls = []

@@ -71,12 +71,22 @@ def test_empty_matrix_rejected():
 
 def test_two_form_rejects_non_skew():
     with pytest.raises(ValueError, match="skew"):
-        sy.TwoForm(np.eye(4))
+        sy.standard_form(np.eye(4))
+    with pytest.raises(ValueError, match="square"):
+        sy.standard_form(np.zeros((2, 4)))
+
+
+def _reconstruct(sf) -> np.ndarray:
+    """Skew matrix of sum_j lambda_j^2 alpha_j ^ beta_j, plane by plane."""
+    W = np.zeros((sf.u.shape[0],) * 2)
+    for lam2, uj, vj in zip(sf.lambda_sq, sf.u.T, sf.v.T):
+        W += lam2 * (np.outer(vj, uj) - np.outer(uj, vj))
+    return W
 
 
 def test_standard_form_of_reference_structure():
     sf = sy.standard_form(sy.standard_J(1))
-    assert sf.rank == 2
+    assert len(sf.lambda_sq) == 1
     np.testing.assert_allclose(sf.lambda_sq, [1.0])
     np.testing.assert_allclose(sf.u[:, 0], [1.0, 0.0])
     np.testing.assert_allclose(sf.v[:, 0], [0.0, 1.0])
@@ -87,9 +97,8 @@ def test_standard_form_single_plane():
     M = np.zeros((4, 4))
     M[1, 0], M[0, 1] = eps, -eps
     sf = sy.standard_form(M)
-    assert sf.rank == 2
+    assert len(sf.lambda_sq) == 1 and sf.u.shape == sf.v.shape == (4, 1)
     assert sf.lambda_sq[0] == pytest.approx(eps, rel=1e-14)
-    assert sf.kernel.shape == (4, 2)
 
 
 def test_standard_form_reconstructs_random_skew():
@@ -99,10 +108,11 @@ def test_standard_form_reconstructs_random_skew():
         A = rng.normal(size=(dim, dim))
         M = A - A.T
         sf = sy.standard_form(M)
-        rel = np.linalg.norm(sf.reconstruct() - M, "fro") / np.linalg.norm(M, "fro")
+        rel = np.linalg.norm(_reconstruct(sf) - M, "fro") / np.linalg.norm(M, "fro")
         assert rel <= 1e-8
-        B = np.hstack([sf.u, sf.v, sf.kernel])
-        assert np.max(np.abs(B.T @ B - np.eye(dim))) <= 1e-9
+        B = np.hstack([sf.u, sf.v])
+        assert len(sf.lambda_sq) == dim // 2
+        assert np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= 1e-9
         # v_j parallel to M u_j with omega(u_j, v_j) = lambda_j^2 > 0
         for lam2, uj, vj in zip(sf.lambda_sq, sf.u.T, sf.v.T):
             assert vj @ (M @ uj) == pytest.approx(lam2, rel=1e-9)
@@ -110,9 +120,9 @@ def test_standard_form_reconstructs_random_skew():
 
 def test_standard_form_zero_matrix():
     sf = sy.standard_form(np.zeros((4, 4)))
-    assert sf.rank == 0 and sf.kernel.shape == (4, 4)
+    assert len(sf.lambda_sq) == 0 and sf.u.shape == sf.v.shape == (4, 0)
     sf = sy.standard_form(np.zeros((0, 0)))
-    assert sf.rank == 0 and sf.kernel.shape == (0, 0)
+    assert len(sf.lambda_sq) == 0 and sf.u.shape == sf.v.shape == (0, 0)
 
 
 def test_standard_form_near_degenerate_pairs():
@@ -133,14 +143,14 @@ def test_standard_form_near_degenerate_pairs():
         M = q @ skew @ q.T
         M = (M - M.T) / 2.0
         sf = sy.standard_form(M)
-        rel = np.linalg.norm(sf.reconstruct() - M, "fro") / np.linalg.norm(M, "fro")
+        rel = np.linalg.norm(_reconstruct(sf) - M, "fro") / np.linalg.norm(M, "fro")
         assert rel <= 8 * 6 * u, f"gap={gap}: rel={rel}"
 
 
 def test_standard_form_basis_orthonormal_near_degenerate_pairs_with_kernel():
     # Two planes with relative gap 0 to 1e-3, a third plane and a 2-dim
     # kernel in dim 8.  Eigenvectors of iM for lambda and -lambda are
-    # separated by 2 lambda, so every (u, v, kernel) basis is orthonormal to
+    # separated by 2 lambda, so every (u, v) plane basis is orthonormal to
     # rounding whatever the gap.  Squaring M instead mixes the eigenvectors
     # of a pair that the solver of -M^2 only just resolves: 5.6e-10 measured
     # on this fixture.
@@ -155,9 +165,9 @@ def test_standard_form_basis_orthonormal_near_degenerate_pairs_with_kernel():
         M = q @ skew @ q.T
         M = (M - M.T) / 2.0
         sf = sy.standard_form(M)
-        assert sf.rank == 6 and sf.kernel.shape == (8, 2)
-        B = np.hstack([sf.u, sf.v, sf.kernel])
-        assert np.max(np.abs(B.T @ B - np.eye(8))) <= 1e-12, f"gap={gap}"
+        assert len(sf.lambda_sq) == 3
+        B = np.hstack([sf.u, sf.v])
+        assert np.max(np.abs(B.T @ B - np.eye(6))) <= 1e-12, f"gap={gap}"
         np.testing.assert_allclose(sf.lambda_sq, [1.0, 1.0 + gap, 1.7], rtol=1e-14)
 
 
@@ -330,6 +340,44 @@ def test_defect_decomposition_zero_signs():
     assert list(rep.signs) == [0, 0]
     check = sy.defect_decomposition_check(perm)
     assert check.lhs == check.rhs == 4.0
+
+
+def _scaled_map(k: int) -> np.ndarray:
+    """2^k Phi, exact in floats, for a map Phi of condition 2.69."""
+    return 2.0**k * sy.random_symplectic(2, np.random.default_rng(4)) @ sy.plane_scaling([1.1, 0.95])
+
+
+def _lost_plane_maps():
+    """Nonsingular maps whose Phi^T J Phi loses a plane below the eigensolver's
+    resolution: condition 1e6 (lambda^2 ratio 1e-12), and a map of condition
+    2.69 whose squares underflow at scale 2^-540."""
+    return {"cond-1e6": sy.plane_scaling([1e-3, 1e3]), "scale-2^-540": _scaled_map(-540)}
+
+
+@pytest.mark.parametrize("name", ["cond-1e6", "scale-2^-540"])
+def test_lambda_mu_refuses_a_lost_plane(name):
+    phi = _lost_plane_maps()[name]
+    conditioning = sy._conditioning(phi)
+    assert not conditioning.singular
+    cond = f"{float(conditioning.cond):.3e}"
+    for func in (sy.lambda_mu_invariants, sy.defect_decomposition_check):
+        with pytest.raises(ValueError) as exc:
+            func(phi)
+        assert "a plane of Phi^T J Phi was lost" in str(exc.value)
+        assert f"condition number {cond}" in str(exc.value)
+        assert "not resolved" in str(exc.value)
+
+
+def test_standard_form_refuses_a_plane_whose_image_underflows():
+    # At scale 2^-536 the entries of Phi^T J Phi are subnormal: M u rounds to
+    # 0 on a plane that the eigensolver kept, v = M u / ||M u|| is NaN, and
+    # the reconstruction check must refuse NaN as it refuses a large error.
+    phi = _scaled_map(-536)
+    with np.errstate(all="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="reconstruction failed"):
+            sy.standard_form(phi.T @ sy.standard_J(2) @ phi)
+        with pytest.raises(ValueError, match="reconstruction failed"):
+            sy.lambda_mu_invariants(phi)
 
 
 def test_defect_decomposition_rejects_singular():
