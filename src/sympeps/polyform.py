@@ -248,9 +248,9 @@ def dilate(f: PolyForm, r) -> PolyForm:
     return PolyForm(f.m, f.k, out)
 
 
-# Largest exponent that a MonomialTable evaluates: ``values`` holds every power up to it of
-# each variable the form uses, at every point: 1001 x 3 x 1000 floats (24 MB) for a form that
-# uses three variables, on h_bound_check's rays.
+# Largest exponent that a MonomialTable evaluates: it holds every power up to it of each
+# variable the form uses, at every point; h_bound_check's rays evaluate the monomials only
+# at their end points, so 1001 x 200 powers at 8 points (13 MB) for a form on R^200.
 MAX_TABLE_EXPONENT = 1000
 
 # Points per ray at which h_bound_check samples ||f(t x)||, t evenly spaced in [0, 1].
@@ -281,16 +281,10 @@ class MonomialTable:
             )
         self.used = [(i, column) for i, column in enumerate(self.exps.T) if column.any()]
 
-    def values(self, X: np.ndarray) -> np.ndarray:
-        """Coefficient values at the points X, shape (T, m) -> (T, len(indices)).
-
-        Each monomial is its coefficient times x_i^e_i for each variable x_i
-        that the form uses, in turn, with powers by repeated multiplication;
-        each index sums its monomials in order.  Overflow gives inf or nan without a warning.
-        """
-        X = np.asarray(X, dtype=float)
-        if not self.indices:
-            return np.zeros((len(X), 0))
+    def _monomials(self, X: np.ndarray) -> np.ndarray:
+        """Monomial values at the points X, shape (T, m) -> (monomials, T): each is
+        its coefficient times x_i^e_i for each variable x_i that the form uses, in
+        turn, with powers by repeated multiplication.  Overflow gives inf or nan."""
         base = X.T[[i for i, _ in self.used]]
         powers = np.empty((self.degree + 1,) + base.shape)  # (degree + 1, len(used), T)
         powers[0] = 1.0
@@ -300,7 +294,40 @@ class MonomialTable:
             mono = np.repeat(self.coeffs[:, None], len(X), axis=1)
             for j, (_, column) in enumerate(self.used):
                 mono *= powers[column, j]
-            return np.add.reduceat(mono, self.starts, axis=0).T
+        return mono
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """Coefficient values at the points X, shape (T, m) -> (T, len(indices));
+        each index sums its monomials in order.  Overflow gives no warning."""
+        X = np.asarray(X, dtype=float)
+        if not self.indices:
+            return np.zeros((len(X), 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.add.reduceat(self._monomials(X), self.starts, axis=0).T
+
+    def ray_norms(self, X: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """||f(t x)|| for each point x of X and each t of ts, shape (P, len(ts)), for a form
+        with an index.  A monomial of total degree p is t^p times its value at x, so each
+        index sums its monomials at X per total degree and is evaluated by Horner in t,
+        with t^g for each gap g between the degrees; the squares are summed over the
+        indices in order.  It holds indices x P x len(ts) floats.  Overflow gives inf or nan."""
+        total = self.exps.sum(axis=1)
+        degrees = sorted(set(total.tolist()))
+        index = np.searchsorted(self.starts, np.arange(len(total)), side="right") - 1
+        graded = np.zeros((len(degrees), len(self.indices), len(X)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(graded, (np.searchsorted(degrees, total), index), self._monomials(X))
+            ray = np.repeat(graded[-1, :, :, None], len(ts), axis=2)  # (indices, P, len(ts))
+            for gap, part in zip(np.diff(degrees)[::-1], graded[-2::-1]):
+                ray *= ts ** float(gap)
+                ray += part[:, :, None]
+            if degrees[0]:
+                ray *= ts ** float(degrees[0])
+            np.square(ray, out=ray)
+            squares = ray[0]
+            for row in ray[1:]:
+                squares += row
+        return np.sqrt(squares)
 
     def norms(self, X: np.ndarray) -> np.ndarray:
         """Euclidean norm of the coefficient values at each point of X."""
@@ -339,7 +366,9 @@ class HBoundReport:
     ||x|| sqrt(m) * max_t for k = 1); the ray bound ||x|| / sqrt(k) * ||f(x)||
     applies when all coefficients are constant.  The max over the ray is
     estimated by dense sampling, which can only under-estimate the right-hand
-    side, so a nonnegative margin is conservative.
+    side up to the rounding of the samples, gamma u times sum_e |c_e (t x)^e|
+    with gamma a small multiple of the degree and the monomial count, so a
+    nonnegative margin is conservative up to that rounding.
     """
 
     m: int
@@ -397,7 +426,12 @@ def h_bound_check(
     else:
         f_table = MonomialTable(f)
         ts = np.linspace(0.0, 1.0, T_SAMPLES)
-        max_beta = np.array([np.max(f_table.norms(ts[:, None] * x)) for x in X])
+        # the rays of as many points at once as fit in 2^20 floats (8 MB), at least one, so
+        # that memory does not grow with the number of points
+        block = max(1, 2**20 // (len(f_table.indices) * T_SAMPLES))
+        max_beta = np.empty(len(X))
+        for i in range(0, len(X), block):
+            max_beta[i:i + block] = np.max(f_table.ray_norms(X[i:i + block], ts), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = radii * factor * max_beta
     bad = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs)))

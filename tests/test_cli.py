@@ -807,28 +807,47 @@ def test_unwritable_out_is_an_input_error(capsys, tmp_path, identity_file, comma
     assert f"error: cannot write output file {out_path!r}: " in err
 
 
-# Caps the process's address space at 2 GB before numpy is imported, then
-# runs the command line given after the script.
+# Caps the process's address space at the bytes given as the first argument,
+# before numpy is imported, then runs the command line given after them.
 _CAPPED_MAIN = """
 import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, resource.getrlimit(resource.RLIMIT_AS)[1]))
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_AS)[1]))
 from sympeps import cli
-sys.exit(cli.main(sys.argv[1:]))
+sys.exit(cli.main(sys.argv[2:]))
 """
+
+
+def _run_capped(tmp_path, limit, argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, str(limit), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def test_out_of_memory_is_an_input_error(tmp_path, identity_file):
     # 10^8 random ellipsoids ask numpy for 23.8 GiB, which fails at once under
     # the cap; never run this command without it
-    argv = ["certify", identity_file, "--eps", "0.1", "--trials", "100000000"]
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _run_capped(tmp_path, 2 * 10**9, ["certify", identity_file, "--eps", "0.1", "--trials", "100000000"])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: not enough memory for certify: Unable to allocate 23.8 GiB")
     assert "shape (100000000, 2, 4, 4)" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_norm_bounds_of_many_high_powers_fit_in_1_gb(tmp_path):
+    # x2^999 ... x200^999 dx1 on R^200: every exponent is within
+    # MAX_TABLE_EXPONENT, and the rays are evaluated from the point alone,
+    # where powers at their 1000 samples would ask for 1.48 GiB
+    m = 200
+    form = {"m": m, "k": 1, "terms": [{"index": [1], "poly": [{"exp": [0] + [999] * (m - 1), "num": "1", "den": "1"}]}]}
+    (tmp_path / "form.json").write_text(json.dumps(form))
+    (tmp_path / "point.json").write_text(json.dumps([[0.5] + [0.0] * (m - 1)]))
+    proc = _run_capped(tmp_path, 10**9, ["homotopy", "form.json", "point.json"])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["passed"] is True and report["bounds"]["rhs"] == [0.0]
 
 
 def test_homotopy_parse_error(capsys, tmp_path):

@@ -601,7 +601,54 @@ def _h_bound_reference(f, points, s, tol=1e-9):
     return report
 
 
+def _ray_gamma(f):
+    """gamma of the bound gamma u sum_e |c_e (t x)^e| on the rounding of a sample
+    ||f(t x)||, for ``MonomialTable.ray_norms`` and for the reference's sampling.
+
+    Let D be the largest total degree of f, N the most monomials of an index,
+    r the number of total degrees that occur and J the number of indices.  In
+    ray_norms a term c_e x^e t^p takes 1 rounding of c_e, p of the powers and
+    their product, N - 1 of its sum per (degree, index), at most r Horner
+    multiplications by t^g (each 1 rounding, plus 2 u for pow within 1 ulp) and
+    r - 1 Horner additions: D + N + 4r - 1 in all.  The reference evaluates at
+    the rounded products t x_i, p more, and sums the index in order: 2D + N.  So
+    each coefficient vector is within (2D + N + 4r) u sum_e |c_e (t x)^e| of the
+    exact one in the 1-norm over the indices, which bounds the change of its
+    2-norm.  The J squares, their sum and the square root add (J/2 + 1) u of the
+    norm.  The last 3 cover second-order terms and the rounding of
+    rhs = (radius factor) max_t, so that two sides' rhs differ by at most
+    2 gamma u radius factor sum_e |c_e x^e| (the sum grows with t on [0, 1]).
+    """
+    degrees = [sum(e) for poly in f.terms.values() for e in poly]
+    D, r = max(degrees), len(set(degrees))
+    N, J = max(len(poly) for poly in f.terms.values()), len(f.terms)
+    return 2 * D + N + 4 * r + J + 4
+
+
+def _exact_ray(f, x, t):
+    """Exact ||f(t x)||^2 and sum_e |c_e (t x)^e| at the float point x and sample t."""
+    y = [Fraction(float(t)) * Fraction(float(xi)) for xi in x]
+    square, scale = Fraction(0), Fraction(0)
+    for poly in f.terms.values():
+        value = Fraction(0)
+        for e, c in poly.items():
+            term = c * math.prod(yi**ei for yi, ei in zip(y, e))
+            value += term
+            scale += abs(term)
+        square += value * value
+    return square, scale
+
+
+def _within(norm, exact_square, bound):
+    """Whether |norm - sqrt(exact_square)| <= bound, decided exactly."""
+    lo, hi = Fraction(norm) - Fraction(bound), Fraction(norm) + Fraction(bound)
+    return hi * hi >= exact_square and (lo <= 0 or lo * lo <= exact_square)
+
+
 def test_h_bound_check_matches_per_point_reference():
+    # every field equal to the reference's, except rhs and margins of sampled
+    # forms: their rays are summed in another order (see _ray_gamma)
+    u = 2.0**-53
     rng = np.random.default_rng(21)
     covered = set()
     for _ in range(80):
@@ -611,6 +658,14 @@ def test_h_bound_check_matches_per_point_reference():
         for points in (pts, []):
             got = pf.h_bound_check(f, points, s=radius).to_dict()
             ref = _h_bound_reference(f, points, s=radius).to_dict()
+            if got["rhs_sampled"]:
+                factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1) if f.k > 1 else math.sqrt(f.m)
+                for x, new, old in zip(points, got["rhs"], ref["rhs"]):
+                    scale = float(_exact_ray(f, x, 1.0)[1]) * float(np.linalg.norm(x)) * factor
+                    assert abs(new - old) <= 2 * _ray_gamma(f) * u * scale
+                assert got["margins"] == [r - lhs for r, lhs in zip(got["rhs"], got["lhs"])]
+                for key in ("rhs", "margins"):
+                    got[key] = ref[key]
             assert json.dumps(got) == json.dumps(ref)
         covered.add((f.m, f.k, f.has_constant_coefficients()))
     assert {m for m, _, _ in covered} == set(range(2, 8))
@@ -621,6 +676,36 @@ def test_h_bound_check_matches_per_point_reference():
         pts = rng.normal(size=(3, m))
         got = pf.h_bound_check(zero, pts, s=10.0).to_dict()
         assert json.dumps(got) == json.dumps(_h_bound_reference(zero, pts, s=10.0).to_dict())
+
+
+def test_ray_norms_match_exact_rational_samples():
+    # ||f(t x)|| from ray_norms and from the reference's sampling at fl(t x),
+    # each against the exact value at t = 0, t = 1 and both sides' argmax
+    u = 2.0**-53
+    ts = np.linspace(0.0, 1.0, pf.T_SAMPLES)
+    rng = np.random.default_rng(31)
+    shapes = set()
+    checked = 0
+    while checked < 40:
+        f = random_polyform(rng, max_m=6, max_k=3, max_degree=int(rng.integers(1, 5)))
+        if f.has_constant_coefficients():
+            continue
+        checked += 1
+        table = pf.MonomialTable(f)
+        X = rng.normal(size=(3, f.m)) * rng.uniform(0.2, 2.0)
+        new = table.ray_norms(X, ts)
+        old = np.array([table.norms(ts[:, None] * x) for x in X])  # at fl(t x), as _h_bound_reference samples
+        assert new.shape == old.shape == (3, pf.T_SAMPLES)
+        gamma = _ray_gamma(f)
+        for x, new_row, old_row in zip(X, new, old):
+            for i in {0, pf.T_SAMPLES - 1, int(np.argmax(new_row)), int(np.argmax(old_row))}:
+                square, scale = _exact_ray(f, x, ts[i])
+                assert _within(new_row[i], square, gamma * u * float(scale))
+                assert _within(old_row[i], square, gamma * u * float(scale))
+        degrees = sorted({sum(e) for poly in f.terms.values() for e in poly})
+        shapes.add((degrees[0] > 0, max(np.diff(degrees), default=0) > 1, len(f.terms) > 1))
+    # forms without a constant term, with a gap of two or more degrees, and of several indices
+    assert {s[0] for s in shapes} == {s[1] for s in shapes} == {s[2] for s in shapes} == {False, True}
 
 
 def test_h_bound_check_refuses_points_like_the_reference():
@@ -660,3 +745,41 @@ def test_monomial_table_powers_only_its_variables():
         tracemalloc.stop()
     assert peak < 12e6
     assert values.tolist() == [[0.5**999]] * 1000
+
+
+def test_h_bound_check_evaluates_rays_at_their_end_points():
+    # x2^999 ... x8^999 dx1 on R^8 at 8 points: the powers of the 7 variables at
+    # the 1000 samples of one ray alone would be 1000 x 7 x 1000 floats (56 MB)
+    m = 8
+    f = pf.PolyForm(m, 1, {(1,): {(0,) + (999,) * (m - 1): 1}})
+    points = np.where(np.random.default_rng(8).random((8, m)) < 0.5, -1.0, 1.0)
+    tracemalloc.start()
+    try:
+        report = pf.h_bound_check(f, points, s=math.sqrt(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+    # |x_i| = 1, so ||f(t x)|| = t^6993 peaks at t = 1, and rhs = sqrt(8) sqrt(8) 1
+    assert report.rhs == pytest.approx([8.0] * 8, rel=1e-12)
+    assert report.passed
+
+
+def test_h_bound_check_memory_does_not_grow_with_the_points():
+    # x1 on each of the 21 indices of a 2-form on R^7 at 400 points: the ray
+    # samples of all points at once would be 21 x 400 x 1000 floats (67 MB)
+    m = 7
+    f = pf.PolyForm(m, 2, {idx: {(1,) + (0,) * (m - 1): 1} for idx in itertools.combinations(range(1, m + 1), 2)})
+    X = np.random.default_rng(40).uniform(-1.0, 1.0, (400, m))
+    tracemalloc.start()
+    try:
+        report = pf.h_bound_check(f, X, s=math.sqrt(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+    # each point's report is the one it gets alone, across the blocks of points
+    for i in (0, 48, 49, 399):
+        alone = pf.h_bound_check(f, X[i:i + 1], s=math.sqrt(m))
+        assert (report.lhs[i], report.rhs[i]) == (alone.lhs[0], alone.rhs[0])
+    assert report.passed
