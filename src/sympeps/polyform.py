@@ -8,13 +8,17 @@ p on a degree-k form by 1/(k + p).
 
 Polynomials are sparse dicts mapping exponent tuples (one entry per variable)
 to Fraction coefficients; zero terms are never stored, so dict equality is
-exact polynomial identity.  Floats enter in one place: a ``MonomialTable``
-evaluates a form at points, for ``evaluate`` and the norm-bound checks.
+exact polynomial identity.  d and iota_X also run on bare term dicts of any
+coefficient type: the identity check scales each multidegree block to
+integers and applies them there.  Floats enter in one place: a
+``MonomialTable`` evaluates a form at points, for ``evaluate`` and the
+norm-bound checks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -106,16 +110,6 @@ class PolyForm:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "PolyForm") -> "PolyForm":
-        if not isinstance(other, PolyForm):
-            return NotImplemented
-        if (self.m, self.k) != (other.m, other.k):
-            raise ValueError("form degree/dimension mismatch in addition")
-        out = {idx: dict(p) for idx, p in self.terms.items()}
-        for idx, p in other.terms.items():
-            out[idx] = poly_add(out.get(idx, {}), p)
-        return PolyForm(self.m, self.k, out)
-
     def coefficient_degree(self) -> int:
         if not self.terms:
             return -1
@@ -167,14 +161,12 @@ class PolyForm:
 # -- exterior derivative and the radial homotopy operator --------------------
 
 
-def d(f: PolyForm) -> PolyForm:
-    """Exterior derivative with exact coefficients; d(d(f)) = 0."""
-    if f.k >= f.m:
-        raise ValueError(f"exterior derivative of a top-degree form (k={f.k}, m={f.m})")
-    out: Dict[MultiIndex, Poly] = {}
-    for index, poly in f.terms.items():
+def _d_terms(terms: Mapping[MultiIndex, Mapping], m: int, out: dict) -> dict:
+    """Add d of the terms {index: {exponent: coefficient}} on R^m into out, per
+    target index in place, and return out; any coefficient type will do."""
+    for index, poly in terms.items():
         members = set(index)
-        for i in range(1, f.m + 1):
+        for i in range(1, m + 1):
             if i in members:
                 continue
             target = out.setdefault(tuple(sorted(index + (i,))), {})
@@ -184,7 +176,14 @@ def d(f: PolyForm) -> PolyForm:
                 if power:
                     lowered = e[:i - 1] + (power - 1,) + e[i:]
                     _add_term(target, lowered, -c * power if negate else c * power)
-    return PolyForm(f.m, f.k + 1, out)
+    return out
+
+
+def d(f: PolyForm) -> PolyForm:
+    """Exterior derivative with exact coefficients; d(d(f)) = 0."""
+    if f.k >= f.m:
+        raise ValueError(f"exterior derivative of a top-degree form (k={f.k}, m={f.m})")
+    return PolyForm(f.m, f.k + 1, _d_terms(f.terms, f.m, {}))
 
 
 def alpha(f: PolyForm) -> PolyForm:
@@ -201,18 +200,23 @@ def alpha(f: PolyForm) -> PolyForm:
     return PolyForm(f.m, f.k, out)
 
 
-def iota_radial(f: PolyForm) -> PolyForm:
-    """Contraction with the radial field sum_i x_i d/dx_i."""
-    if f.k < 1:
-        raise ValueError("radial contraction needs degree k >= 1")
-    out: Dict[MultiIndex, Poly] = {}
-    for index, poly in f.terms.items():
+def _iota_terms(terms: Mapping[MultiIndex, Mapping], out: dict) -> dict:
+    """Add iota_X of the terms {index: {exponent: coefficient}} into out, per
+    target index in place, and return out; any coefficient type will do."""
+    for index, poly in terms.items():
         for j, i in enumerate(index):
             target = out.setdefault(index[:j] + index[j + 1:], {})
             negate = contraction_sign(j) < 0
             for e, c in poly.items():
                 _add_term(target, e[:i - 1] + (e[i - 1] + 1,) + e[i:], -c if negate else c)
-    return PolyForm(f.m, f.k - 1, out)
+    return out
+
+
+def iota_radial(f: PolyForm) -> PolyForm:
+    """Contraction with the radial field sum_i x_i d/dx_i."""
+    if f.k < 1:
+        raise ValueError("radial contraction needs degree k >= 1")
+    return PolyForm(f.m, f.k - 1, _iota_terms(f.terms, {}))
 
 
 def h(f: PolyForm) -> PolyForm:
@@ -227,7 +231,7 @@ def h(f: PolyForm) -> PolyForm:
 
 
 def homotopy_identity_check(f: PolyForm, hf: Optional[PolyForm] = None) -> bool:
-    """Exact check of h(d f) + d(h f) == f (rational arithmetic, no tolerance).
+    """Exact check of h(d f) + d(h f) == f, in integers, with no tolerance.
 
     ``hf`` is h(f) when the caller has it already; omitted, it is computed.
     """
@@ -235,7 +239,35 @@ def homotopy_identity_check(f: PolyForm, hf: Optional[PolyForm] = None) -> bool:
         raise ValueError(f"identity check needs 1 <= k < m, got k={f.k}, m={f.m}")
     if hf is None:
         hf = h(f)
-    return (h(d(f)) + d(hf)) == f
+    if (hf.m, hf.k) != (f.m, f.k - 1):
+        raise ValueError(f"h(f) must have m={f.m} and k={f.k - 1}, got m={hf.m}, k={hf.k}")
+    # d, iota_X and alpha keep the multidegree v = e + 1_I of a term x^e dx_I, and alpha
+    # divides block v by |v| = k + |e|; so alpha commutes with d, and h(d f) = iota_X(d(alpha f)).
+    # Scale block v by l_v |v|, with l_v the lcm of the denominators of f and hf in that block:
+    # then l_v |v| alpha f = l_v f, l_v |v| hf and l_v |v| f have integer coefficients.  As d and
+    # iota_X are linear and keep the blocks, the identity holds iff it holds on each block, iff
+    # iota_X(d(l_v f)) + d(l_v |v| hf) == l_v |v| f there: the rational identity times positive
+    # integers (a constant of hf has |v| = 0 and no d).  One lcm for the whole form would make
+    # every integer as long as all the denominators together.
+    rows, lcm = [], {}
+    for form in (f, hf):
+        keyed = []
+        for index, poly in form.terms.items():
+            ones = [1 if i in index else 0 for i in range(1, f.m + 1)]
+            for e, c in poly.items():
+                v = tuple(map(operator.add, e, ones))
+                lcm[v] = math.lcm(lcm.get(v, 1), c.denominator)
+                keyed.append((index, e, c, v))
+        rows.append(keyed)
+    f_scaled, hf_scaled, target = {}, {}, {}
+    for index, e, c, v in rows[0]:
+        scaled = c.numerator * (lcm[v] // c.denominator)
+        f_scaled.setdefault(index, {})[e] = scaled
+        target.setdefault(index, {})[e] = scaled * sum(v)
+    for index, e, c, v in rows[1]:
+        hf_scaled.setdefault(index, {})[e] = c.numerator * (lcm[v] // c.denominator) * sum(v)
+    lhs = _d_terms(hf_scaled, f.m, _iota_terms(_d_terms(f_scaled, f.m, {}), {}))
+    return {index: poly for index, poly in lhs.items() if poly} == target
 
 
 def dilate(f: PolyForm, r) -> PolyForm:

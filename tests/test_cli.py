@@ -732,7 +732,7 @@ def test_homotopy_computes_each_primitive_once(capsys, tmp_path, monkeypatch):
     points.write_text("[[0.1, 0.2, -0.3], [0.0, 0.5, 0.1]]")
     code, out, _ = run_cli(capsys, "homotopy", str(form), str(points))
     assert code == 0 and json.loads(out)["bounds"]["passed"]
-    assert computed == [1, 2]  # h(f), then h(d f) in the identity check
+    assert computed == [1]  # h(f) alone: the identity check reuses it and never builds h(d f)
 
 
 @pytest.mark.parametrize("kind", ["matrix", "polyform", "points"])

@@ -236,7 +236,7 @@ def test_homotopy_identity_hand_expansion():
     assert hdf == pf.PolyForm(
         2, 1, {(1,): {(0, 1): Fraction(1, 2)}, (2,): {(1, 0): Fraction(-1, 2)}}
     )
-    assert (dhf + hdf) == f
+    assert _form_sum(dhf, hdf) == f
     assert pf.homotopy_identity_check(f)
 
 
@@ -278,6 +278,105 @@ def test_homotopy_identity_hypothesis_one_forms(m, num, den, p1, p2):
 def test_homotopy_identity_check_domain():
     with pytest.raises(ValueError, match="1 <= k < m"):
         pf.homotopy_identity_check(pf.PolyForm.basis(2, (1, 2)))
+    with pytest.raises(ValueError, match="must have m=3 and k=1"):
+        pf.homotopy_identity_check(pf.PolyForm.basis(3, (1, 2)), pf.PolyForm.basis(3, (1, 2)))
+
+
+def _form_sum(a, b):
+    """a + b, summed per index with poly_add."""
+    terms = {idx: dict(p) for idx, p in a.terms.items()}
+    for idx, p in b.terms.items():
+        terms[idx] = pf.poly_add(terms.get(idx, {}), p)
+    return pf.PolyForm(a.m, a.k, terms)
+
+
+def _identity_reference(f, hf):
+    """h(d f) + d(hf) == f in Fractions, from the poly_add references."""
+    return _form_sum(_iota_radial_reference(pf.alpha(_d_reference(f))), _d_reference(hf)) == f
+
+
+def _wrong_alpha_primitive(f):
+    """iota_X of f with each monomial of total degree p divided by k + p + 1, not k + p."""
+    scaled = {idx: {e: c / (f.k + sum(e) + 1) for e, c in p.items()} for idx, p in f.terms.items()}
+    return pf.iota_radial(pf.PolyForm(f.m, f.k, scaled))
+
+
+def _edited(form, change):
+    """A copy of form whose first monomial (by sorted index and exponent) is
+    changed to ``change(c)``, or dropped where that gives None."""
+    terms = {idx: dict(p) for idx, p in form.terms.items()}
+    idx = min(terms)
+    e = min(terms[idx])
+    value = change(terms[idx].pop(e))
+    if value is not None:
+        terms[idx][e] = value
+    return pf.PolyForm(form.m, form.k, terms)
+
+
+@pytest.mark.parametrize("f", [
+    pf.PolyForm(3, 1, {(1,): {(0, 1, 2): Fraction(3, 5)}, (3,): {(1, 0, 0): Fraction(-2)}}),
+    pf.PolyForm(4, 2, {(1, 2): {(0, 0, 1, 0): Fraction(1)}, (2, 4): {(2, 0, 1, 1): Fraction(-7, 3)}}),
+    pf.PolyForm.basis(3, (1, 2)),
+], ids=["1-form", "2-form", "area"])
+def test_homotopy_identity_check_refuses_wrong_primitives(f):
+    hf = pf.h(f)
+    wrong = {
+        "off by 1/7919": _edited(hf, lambda c: c + Fraction(1, 7919)),
+        "dropped monomial": _edited(hf, lambda c: None),
+        "zero form": pf.PolyForm(f.m, f.k - 1),
+        "alpha by k + p + 1": _wrong_alpha_primitive(f),
+    }
+    assert pf.homotopy_identity_check(f, hf) and _identity_reference(f, hf)
+    for name, g in wrong.items():
+        assert g != hf, name
+        assert not pf.homotopy_identity_check(f, g), name
+        assert not _identity_reference(f, g), name
+
+
+def test_homotopy_identity_check_matches_the_fraction_reference():
+    rng = np.random.default_rng(23)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        f = random_polyform(rng, max_m=7, max_k=3, max_degree=int(rng.integers(0, 5)))
+        hf = pf.h(f)
+        candidates = [hf, _wrong_alpha_primitive(f), pf.PolyForm(f.m, f.k - 1)]
+        if not hf.is_zero():
+            num, den = int(rng.integers(-9, 10)), int(rng.integers(1, 10))
+            candidates.append(_edited(hf, lambda c: c + Fraction(num, den)))
+            candidates.append(_edited(hf, lambda c: c * Fraction(int(rng.integers(2, 9)), 7919)))
+        if f.k == 1:
+            # a constant does not change d(hf): still a primitive
+            candidates.append(_form_sum(hf, pf.PolyForm(f.m, 0, {(): pf.poly_const(f.m, Fraction(5, 3))})))
+        else:
+            # nor does an exact form d g
+            e = tuple(int(p) for p in rng.integers(0, 3, size=f.m))
+            g = pf.PolyForm(f.m, f.k - 2, {tuple(range(1, f.k - 1)): {e: Fraction(int(rng.integers(1, 9)), 7)}})
+            candidates.append(_form_sum(hf, pf.d(g)))
+        for candidate in candidates:
+            expected = _identity_reference(f, candidate)
+            assert pf.homotopy_identity_check(f, candidate) == expected
+            seen[expected] += 1
+    assert seen[True] >= 300 and seen[False] >= 600
+
+
+def test_homotopy_identity_check_on_wide_distinct_denominators():
+    # 1,020 monomials on R^4 with 1,020 distinct 13-digit denominators, so that
+    # each multidegree block's lcm is long
+    exponents = [e for e in itertools.product(range(7), repeat=4) if sum(e) <= 6][:170]
+    indices = list(itertools.combinations(range(1, 5), 2))
+    terms, n = {}, 0
+    for idx in indices:
+        terms[idx] = {}
+        for e in exponents:
+            terms[idx][e] = Fraction((-1) ** n, 10**12 + 1 + 2 * n)
+            n += 1
+    f = pf.PolyForm(4, 2, terms)
+    assert sum(len(p) for p in f.terms.values()) == 1020
+    assert len({c.denominator for p in f.terms.values() for c in p.values()}) == 1020
+    hf = pf.h(f)
+    assert pf.homotopy_identity_check(f, hf) and _identity_reference(f, hf)
+    off = _edited(hf, lambda c: c + Fraction(1, 7919))
+    assert not pf.homotopy_identity_check(f, off) and not _identity_reference(f, off)
 
 
 def test_dilation_equivariance_exact():
