@@ -2,9 +2,9 @@
 
 Measures how far linear maps are from being symplectic, certifies
 quantitative non-squeezing and capacity preservation on ellipsoids, computes
-symplectic spectra and two-form normal forms, applies an exact radial
-homotopy operator to polynomial differential forms, and constructs
-Moser-flow corrections with verified error bounds.
+symplectic spectra and the plane decomposition of the pullback of omega0 by
+a map, applies an exact radial homotopy operator to polynomial differential
+forms, and constructs Moser-flow corrections with verified error bounds.
 """
 
 from .exterior import (

@@ -207,11 +207,9 @@ def cmd_bounds(args):
     if not 0.0 <= args.eps < threshold:
         raise InputError(f"--eps must lie in [0, {threshold:.6f}), got {args.eps}")
     z0_bisect, z0_closed = symplectic.cubic_z0()
-    # squeezing_params of the identity, whose singular values are exactly 1:
-    # no 2n x 2n matrix, so any n is answered in constant memory.
-    rho_I = symplectic._width_rho(args.eps, args.n, linear_case=True)
-    _, _, s_I, e_I = (float(v) for v in symplectic._squeeze_bounds(np.ones(1), rho_I))
-    e_I = None if math.isnan(e_I) else e_I
+    # the identity's constants do not depend on n: any n in constant memory
+    identity = symplectic.squeezing_params(np.eye(2), args.eps)
+    rho_I, s_I, e_I = identity.rho, identity.s_A, identity.e_A
     report = {
         "inputs": {"sha256": _sha256_params(f"bounds eps={args.eps!r} n={args.n}")},
         "eps": args.eps,

@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .symplectic import EPS_LIMIT, _as_even_matrix, _standard_J, defect, defect_rounding_bound, rho
+from .symplectic import EPS_LIMIT, _as_even_matrix, _pullback_matrix, _standard_J, defect, defect_rounding_bound, rho
 
 METHOD = "rk4-classical"
 # The exact psi, the symplectic polar factor, has margins >= 0 and residual 0.
@@ -192,7 +192,7 @@ def symplectify(phi, eps: float, config: Optional[FlowConfig] = None) -> Symplec
     if d0 > eps + 1e-12:
         raise ValueError(f"defect {d0:.6e} exceeds eps {eps:.6e} by less than its rounding bound {d0_err:.6e}: no verdict")
     J = _standard_J(n)
-    M = phi.T @ J @ phi - J
+    M = _pullback_matrix(phi) - J
     psi = _integrate_matrix_flow(M, J, config.n_steps)
     rho_val = rho(eps, n, linear_case=True)
     residual = defect(phi @ psi)

@@ -149,8 +149,8 @@ class PolyForm:
                     if den == 0:
                         raise ValueError("JSON field 'den' must be nonzero")
                     coeff = Fraction(json_int(entry["num"], "num"), den)
-                    poly[e] = poly.get(e, Fraction(0)) + coeff
-                terms[idx] = poly_add(terms.get(idx, {}), poly)
+                    poly[e] = poly[e] + coeff if e in poly else coeff
+                terms[idx] = poly_add(terms[idx], poly) if idx in terms else _canonical(poly)
         except KeyError as exc:
             raise ValueError(f"malformed polyform JSON: missing field {exc}") from exc
         except TypeError as exc:

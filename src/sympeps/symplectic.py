@@ -3,11 +3,11 @@
 
 The module measures how far a linear map is from being symplectic (the
 pullback defect), computes symplectic spectra of ellipsoids and the
-orthonormal standard form of a two-form, extracts the lambda/mu conformality
-invariants, runs quantitative non-squeezing / non-expanding / capacity
-certificates on batches of ellipsoids, evaluates the cubic constants and the
-explicit error bound K behind the rigidity estimates, and provides seeded
-random (eps-)symplectic generators for property testing.
+orthonormal standard form of a map's pullback Phi^* omega0, extracts the
+lambda/mu conformality invariants, runs quantitative non-squeezing /
+non-expanding / capacity certificates on batches of ellipsoids, evaluates the
+cubic constants and the explicit error bound K behind the rigidity estimates,
+and provides seeded random (eps-)symplectic generators for property testing.
 
 Conventions.  The reference complex structure J maps (x, y) |-> (-y, x) on
 each coordinate plane, so the reference two-form is omega0(v, w) = <J v, w>.
@@ -69,7 +69,6 @@ __all__ = [
 
 SINGULAR_RTOL = 1e-12     # sigma_min below this times sigma_max counts as singular
 KERNEL_RTOL = 1e-10       # lambda^2 below this times the largest counts as kernel
-SKEW_RTOL = 1e-9
 CERT_TOL = 1e-10          # additive tolerance on certified inequalities
 SIGN_TOL = 1e-12
 BALL_RADII = (0.5, 1.0, 2.0)
@@ -104,6 +103,11 @@ def _as_even_matrix(A, what: str = "matrix", stacked: bool = False) -> Tuple[np.
     if A.shape[-1] == 0:
         raise ValueError("half-dimension n must be >= 1")
     return A, A.shape[-1] // 2
+
+
+def _pullback_matrix(A: np.ndarray) -> np.ndarray:
+    """A^T J A, the matrix of omega0 pulled back by A, or by each A of a stack."""
+    return A.swapaxes(-1, -2) @ _standard_J(A.shape[-1] // 2) @ A
 
 
 def omega0_covector(n: int) -> Covector:
@@ -164,7 +168,7 @@ def defect(phi) -> float:
     phi, n = _as_even_matrix(phi)
     J = _standard_J(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        M = phi.T @ J @ phi - J
+        M = _pullback_matrix(phi) - J
         value = float(np.linalg.norm(M, "fro") / math.sqrt(2.0))
     if not math.isfinite(value):
         raise ValueError("Phi^T J Phi - J overflows: the defect is not finite")
@@ -188,8 +192,8 @@ def defect_rounding_bound(phi) -> float:
 
 
 class StandardForm(NamedTuple):
-    """Orthonormal plane decomposition of a two-form: columns of ``u`` and
-    ``v`` pair up into planes on which the form acts with spectral coefficient
+    """Orthonormal plane decomposition of Phi^* omega0: columns of ``u`` and
+    ``v`` pair up into planes on which it acts with spectral coefficient
     lambda_sq[j] = w(u_j, v_j) > 0 (ascending); v_j is parallel to M u_j."""
 
     lambda_sq: np.ndarray   # (p,) ascending positive
@@ -197,8 +201,9 @@ class StandardForm(NamedTuple):
     v: np.ndarray           # (dim, p)
 
 
-def standard_form(w) -> StandardForm:
-    """Orthonormal planes of the two-form w(v, u) = <M v, u> of a skew M.
+def standard_form(phi) -> StandardForm:
+    """Orthonormal planes of the pullback of omega0 by the map phi, the
+    two-form w(v, u) = <M v, u> with M = Phi^T J Phi.
 
     Route: the Hermitian matrix iM has the eigenvalues +-lambda_j^2 and 0.  An
     eigenvector a + ib of a positive eigenvalue lambda^2 is one plane, with
@@ -208,17 +213,14 @@ def standard_form(w) -> StandardForm:
     conjugate of w', an eigenvector of a negative one; so planes with equal
     lambda need no pairing.
     """
-    M = np.asarray(w, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("two-form matrix must be square")
+    phi, _ = _as_even_matrix(phi)
+    M = _pullback_matrix(phi)
     scale = max(float(np.linalg.norm(M, "fro")), 1e-300)
-    if np.linalg.norm(M + M.T, "fro") > SKEW_RTOL * scale:
-        raise ValueError("two-form matrix is not skew-symmetric")
     evals, vecs = np.linalg.eigh(1j * M)
-    planes = vecs[:, evals > KERNEL_RTOL * np.abs(evals).max(initial=0.0)]
+    planes = vecs[:, evals > KERNEL_RTOL * np.abs(evals).max()]
     # Fix the phase of each eigenvector: its largest-magnitude entry is real
-    # and positive.  (A 0 x 0 form has no entries to take the argmax of.)
-    top = np.abs(planes).argmax(axis=0) if len(M) else np.zeros(0, dtype=int)
+    # and positive.
+    top = np.abs(planes).argmax(axis=0)
     peak = planes[top, np.arange(planes.shape[1])]
     a = (planes * (peak.conj() / np.abs(peak))).real
     u = a / np.linalg.norm(a, axis=0)
@@ -277,7 +279,7 @@ def _spectrum(A: np.ndarray) -> np.ndarray:
     """symplectic_spectrum of A, or of each matrix of a stack, without the
     singularity check: for callers that hold the conditioning already."""
     n = A.shape[-1] // 2
-    M = A.swapaxes(-1, -2) @ _standard_J(n) @ A
+    M = _pullback_matrix(A)
     # iM is Hermitian with the eigenvalues +-r_j^2, so its top n are the
     # squared spectrum, ascending.  Near SINGULAR_RTOL, r_1^2 / ||M|| falls
     # below the solver's resolution and the n-th can come out negative: clip.
@@ -308,14 +310,13 @@ def lambda_mu_invariants(phi) -> LambdaMuReport:
     empty = np.zeros(0)
     if singular:
         return LambdaMuReport(empty, empty, empty.astype(int), "singular", cond)
-    J = _standard_J(n)
-    sf = standard_form(phi.T @ J @ phi)
+    sf = standard_form(phi)
     if len(sf.lambda_sq) < n:
         # The lambda_j^2 are the singular values of Phi^T J Phi, so their ratio is at least
         # cond^-2: conditioning loses a plane only above cond 1e5; underflow at any cond.
         raise ValueError(f"a plane of Phi^T J Phi was lost to conditioning or underflow (condition "
                          f"number {cond:.3e}), so the lambda/mu invariants are not resolved")
-    om = np.einsum("ij,ij->j", J @ sf.u, sf.v)  # omega0(u_j, v_j)
+    om = np.einsum("ij,ij->j", _standard_J(n) @ sf.u, sf.v)  # omega0(u_j, v_j)
     signs = np.where(np.abs(om) <= SIGN_TOL, 0, np.sign(om)).astype(int)
     if np.all(signs == 1):
         classification = "symplectic-like"

@@ -53,19 +53,13 @@ def test_comass_exact_two_form_top_spectral_value():
 
 
 def test_comass_exact_two_form_matches_standard_form():
+    # the comass of Phi^* omega0 is its largest spectral coefficient lambda^2
     rng = np.random.default_rng(3)
     for _ in range(20):
-        m = int(rng.integers(2, 8))
-        c = ex.Covector(
-            m, 2, {(1, 2): float(rng.normal()), **(
-                {(1, min(3, m)): float(rng.normal())} if m >= 3 else {}
-            )}
-        )
-        if not c.coeffs:
-            continue
-        exact = ex.comass(c, "exact")[0]
-        sf = sy.standard_form(ex.covector_to_skew(c))
-        assert exact == pytest.approx(float(sf.lambda_sq[-1]), rel=1e-12)
+        n = int(rng.integers(1, 5))
+        phi = rng.normal(size=(2 * n, 2 * n))
+        exact = ex.comass(ex.pullback(phi, sy.omega0_covector(n)), "exact")[0]
+        assert exact == pytest.approx(float(sy.standard_form(phi).lambda_sq[-1]), rel=1e-12)
 
 
 def test_comass_exact_unsupported_degree():

@@ -508,6 +508,27 @@ def test_polyform_json_round_trip():
     assert pf.PolyForm.from_json_dict(data) == f
 
 
+def test_polyform_json_adds_repeated_entries_in_order():
+    # A repeated exponent within one entry list, a repeated index, and sums
+    # that cancel: a monomial, then a whole index (which comes back later).
+    # The key order is pinned too, since h sums its monomials in it.
+    def entry(exp, num, den=1):
+        return {"exp": exp, "num": str(num), "den": str(den)}
+
+    data = {"m": 2, "k": 1, "terms": [
+        {"index": [2], "poly": [entry([1, 0], 3), entry([0, 1], 1, 2), entry([0, 1], 1, 2)]},
+        {"index": [1], "poly": [entry([0, 0], 2)]},
+        {"index": [2], "poly": [entry([1, 0], -3), entry([2, 0], 5, 7)]},
+        {"index": [1], "poly": [entry([0, 0], -2)]},
+        {"index": [1], "poly": [entry([0, 2], 1)]},
+    ]}
+    f = pf.PolyForm.from_json_dict(data)
+    assert f.terms == {(2,): {(0, 1): Fraction(1), (2, 0): Fraction(5, 7)}, (1,): {(0, 2): Fraction(1)}}
+    assert [(idx, list(poly)) for idx, poly in f.terms.items()] == [((2,), [(0, 1), (2, 0)]), ((1,), [(0, 2)])]
+    assert pf.h(f).to_json_dict() == {"m": 2, "k": 0, "terms": [{"index": [], "poly": [
+        entry([0, 2], 1, 2), entry([1, 2], 1, 3), entry([2, 1], 5, 21)]}]}
+
+
 def test_polyform_json_big_integers_survive():
     big = Fraction(10**40 + 1, 3**30)
     f = pf.PolyForm(2, 1, {(1,): {(5, 0): big}})

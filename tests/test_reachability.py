@@ -34,7 +34,6 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 UNREACHED = {
-    "symplectic.squeezing_params": "bound by the benchmark tracer, perfbench/tracing.py (ROADMAP item 4)",
     "symplectic.capacity_preservation_check": "bound by the benchmark tracer, perfbench/tracing.py (ROADMAP item 4)",
     "symplectic.asymmetric_defect_map": "called by the fixed acceptance tests, tests/test_acceptance.py",
     "symplectic.check_eps_nonsqueezing": "called by the fixed acceptance tests, tests/test_acceptance.py",
@@ -44,7 +43,6 @@ UNREACHED = {
 }
 
 UNSET = {
-    "symplectic._as_even_matrix.what": "set only by squeezing_params, which the benchmark tracer binds (ROADMAP item 4)",
     "suite.run_suite.scale": "--scale full takes about 13 s; CI's full-scale step runs it",
     "suite.random_polyform.max_m": "the tests draw forms up to m = 7",
     "suite.random_polyform.max_k": "the tests draw forms up to m = 7",
@@ -95,6 +93,9 @@ forms = {
 for path, (index, exp, num) in forms.items():
     terms = [{"index": index, "poly": [{"exp": exp, "num": num, "den": "2"}]}]
     json.dump({"m": 3, "k": len(index), "terms": terms}, open(path, "w"))
+# two terms of one index, which the parser adds
+entry = {"exp": [0, 1, 0], "num": "1", "den": "2"}
+json.dump({"m": 3, "k": 1, "terms": [{"index": [1], "poly": [entry]}] * 2}, open("repeat.json", "w"))
 json.dump([[0.1, 0.2, -0.3], [0.0, 0.5, 0.1]], open("points.json", "w"))
 commands = [
     "analyze matrix.txt",
@@ -107,6 +108,7 @@ commands = [
     "homotopy form2.json points.json --out h.json",
     "homotopy form1.json points.json",
     "homotopy const.json points.json",
+    "homotopy repeat.json points.json",
     "suite --scale smoke",
 ]
 
