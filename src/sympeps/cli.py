@@ -47,7 +47,7 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _emit(report: dict, human_lines, fmt: str = "json", out_path=None) -> None:
-    payload = json.dumps(report, allow_nan=False) + "\n"
+    payload = json.dumps(report, allow_nan=False, check_circular=False) + "\n"
     if out_path:
         _write_output(out_path, payload)
     if fmt == "json":

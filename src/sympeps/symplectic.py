@@ -18,6 +18,7 @@ sqrt(1/2) times the Frobenius norm.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -459,8 +460,34 @@ class _Widths(NamedTuple):
     e_A: np.ndarray
 
 
-def _width_table(phi: np.ndarray, rho_val: float, ellipsoids: Sequence) -> _Widths:
-    """The widths of a batch of ellipsoids, computed on the stack of them."""
+def _image_cleared(phi_cond: _Conditioning, own: _Conditioning) -> np.ndarray:
+    """Per matrix A of a stack, from the conditioning of phi and of the stack:
+    whether phi A is certainly nonsingular at SINGULAR_RTOL, by
+    kappa(phi A) <= kappa(phi) kappa(A).
+
+    The margin (d = dim, u = 2^-53, top = sigma_max(phi) sigma_max(A) and
+    low = sigma_min(phi) sigma_min(A)): the computed product is phi A + E with
+    ||E|| <= ||E||_F <= gamma_d ||phi||_F ||A||_F ~ d^2 u top, and its SVD
+    adds about d u ||phi A||; the SVDs of phi and A give their sigma_min to
+    about d u times their condition numbers.  With
+    delta = (d^2 + 3d) u kappa(phi) kappa(A), the computed condition number of
+    phi A is at most kappa(phi) kappa(A) (1 + delta) / (1 - delta), which stays
+    below 1 / SINGULAR_RTOL while kappa(phi) kappa(A) < 0.5 / SINGULAR_RTOL
+    and delta <= 1/3; the second bites only from d = 78.  The range guard,
+    top < 2^500 and low > 2^-500, keeps phi A and its SVD away from overflow
+    and from underflow, where rounding is absolute rather than relative:
+    (1e-200 I, 1e-200 I) has kappa 1, yet phi A is the zero matrix."""
+    d = own.svals.shape[-1]
+    limit = min(0.5 / SINGULAR_RTOL, 1.0 / (3.0 * (d * d + 3 * d) * 2.0**-53))
+    with np.errstate(over="ignore"):  # an infinite product is not cleared
+        top = phi_cond.svals[0] * own.svals[..., 0]
+        low = phi_cond.svals[-1] * own.svals[..., -1]
+        return (top < 2.0**500) & (low > 2.0**-500) & (phi_cond.cond * own.cond < limit)
+
+
+def _width_table(phi: np.ndarray, phi_cond: _Conditioning, rho_val: float, ellipsoids: Sequence) -> _Widths:
+    """The widths of a batch of ellipsoids, computed on the stack of them;
+    phi_cond is the conditioning of phi."""
     dim = phi.shape[0]
     mats = [np.asarray(A, dtype=float) for A in ellipsoids]
     for i, A in enumerate(mats):
@@ -468,12 +495,16 @@ def _width_table(phi: np.ndarray, rho_val: float, ellipsoids: Sequence) -> _Widt
             raise ValueError(f"ellipsoid {i} has shape {A.shape}, expected ({dim}, {dim})")
     stack = np.array(mats).reshape(len(mats), dim, dim)
     image = phi @ stack
-    own, img = _conditioning(stack), _conditioning(image)
-    # Fail as a loop over the batch would: at the first ellipsoid with a
-    # singular A or phi A, checking A first.
-    first = np.flatnonzero(own.singular | img.singular)[:1]
-    own.at(first).require_nonsingular("ellipsoid matrix")
-    img.at(first).require_nonsingular("matrix")
+    own = _conditioning(stack)
+    # Only the images that the bound leaves open get an SVD; every singular A
+    # is among them.  Fail as a loop over the batch would: at the first
+    # ellipsoid with a singular A or phi A, checking A first.
+    rest = np.flatnonzero(~_image_cleared(phi_cond, own))
+    if rest.size:
+        img = _conditioning(image[rest])
+        first = np.flatnonzero(own.singular[rest] | img.singular)[:1]
+        own.at(rest[first]).require_nonsingular("ellipsoid matrix")
+        img.at(first).require_nonsingular("matrix")
     _, _, s_A, e_A = _squeeze_bounds(own.svals, rho_val)
     return _Widths(_spectrum(stack)[:, 0], _spectrum(image)[:, 0], s_A, e_A)
 
@@ -485,14 +516,19 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.tolist()], dtype=float)
 
 
+def _column(x: np.ndarray) -> list:
+    """A float column as Python floats, None where an entry is NaN (undefined)."""
+    values = x.tolist()
+    if np.isnan(x).any():
+        values = [None if v != v else v for v in values]  # v != v: NaN
+    return values
+
+
 def _records(columns: dict) -> List[dict]:
-    """One record per ellipsoid: its index, then each column's entry as a
-    Python value, None where the entry is NaN (undefined)."""
-    rows = zip(*(c.tolist() for c in columns.values()))
-    return [
-        {"index": i, **{k: None if v != v else v for k, v in zip(columns, row)}}  # v != v: NaN
-        for i, row in enumerate(rows)
-    ]
+    """One record per ellipsoid: its index, then each column's entry; the
+    columns are lists of Python values."""
+    keys = ("index", *columns)
+    return [dict(zip(keys, row)) for row in zip(itertools.count(), *columns.values())]
 
 
 def _worst(margins: np.ndarray) -> Optional[dict]:
@@ -522,13 +558,13 @@ def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificat
     c = pi r_1^2, the upper bound where e_A is defined.  A singular phi fails
     all three unconditionally, with no table."""
     phi, n = _as_even_matrix(phi)
-    singular = _conditioning(phi).singular
+    phi_cond = _conditioning(phi)
     rho_val = _width_rho(eps, n, linear_case=True)
-    if singular:
+    if phi_cond.singular:
         note = "singular map: fails unconditionally (arbitrarily thin image ellipsoids)"
         fail = (CertificateReport(kind, eps, rho_val, passed=False, note=note) for kind in WidthCertificates._fields)
         return WidthCertificates(*fail)
-    t = _width_table(phi, rho_val, ellipsoids)
+    t = _width_table(phi, phi_cond, rho_val, ellipsoids)
     squeeze = t.R1 - t.s_A * t.r1
     squeeze_ok = squeeze >= -CERT_TOL
     expand = t.e_A * t.r1 - t.R1  # NaN where e_A is undefined
@@ -547,15 +583,19 @@ def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificat
     lower_ok = lower >= -CERT_TOL
     upper_ok = upper >= -CERT_TOL
     cap_ok = lower_ok & (upper_ok | undefined)
+    r1, R1, s_A, e_A = map(_column, t)
     return WidthCertificates(
         CertificateReport(
             "nonsqueezing", eps, rho_val,
-            _records({"r1": t.r1, "R1": t.R1, "s_A": t.s_A, "margin": squeeze, "pass": squeeze_ok}),
+            _records({"r1": r1, "R1": R1, "s_A": s_A, "margin": _column(squeeze), "pass": squeeze_ok.tolist()}),
             passed=bool(squeeze_ok.all()), worst=_worst(squeeze),
         ),
         CertificateReport(
             "nonexpanding", eps, rho_val,
-            _records({"r1": t.r1, "R1": t.R1, "e_A": t.e_A, "skipped": skipped, "pass": expand_ok, "margin": expand}),
+            _records({
+                "r1": r1, "R1": R1, "e_A": e_A, "skipped": skipped.tolist(), "pass": expand_ok.tolist(),
+                "margin": _column(expand),
+            }),
             [
                 {"radius": r, "image_width": w, "bound": b, "pass": p}
                 for r, w, b, p in zip(BALL_RADII, ball_widths.tolist(), bounds.tolist(), ball_ok.tolist())
@@ -565,9 +605,9 @@ def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificat
         CertificateReport(
             "capacity", eps, rho_val,
             _records({
-                "capacity": cap, "image_capacity": cap_img, "s_A": t.s_A, "e_A": t.e_A,
-                "lower_margin": lower, "lower_pass": lower_ok, "upper_margin": upper,
-                "upper_pass": np.where(undefined, None, upper_ok), "pass": cap_ok,
+                "capacity": _column(cap), "image_capacity": _column(cap_img), "s_A": s_A, "e_A": e_A,
+                "lower_margin": _column(lower), "lower_pass": lower_ok.tolist(), "upper_margin": _column(upper),
+                "upper_pass": np.where(undefined, None, upper_ok).tolist(), "pass": cap_ok.tolist(),
             }),
             passed=bool(cap_ok.all()), worst=_worst(np.fmin(lower, upper)),
         ),

@@ -15,7 +15,7 @@ from sympeps import cli
 from sympeps import moser as mo
 from sympeps import polyform as pf
 from sympeps import symplectic as sy
-from sympeps.suite import random_ellipsoid
+from sympeps.suite import random_ellipsoid, random_ellipsoids
 
 
 def run_cli(capsys, *argv):
@@ -180,23 +180,46 @@ def test_analyze_builds_the_standard_form_once(capsys, fixture_file, monkeypatch
 
 
 
-def test_certify_builds_one_width_table(capsys, fixture_file, monkeypatch):
-    # phi, the stack and its image: 3 conditionings (the balls, phi scaled
-    # by powers of two, share phi's); the stack, its image and the balls: 3
-    # spectra.  Three separate certificate passes took 10 and 7.
-    calls = {"_spectrum": 0, "_conditioning": 0}
-    for name in calls:
+def _count_calls(monkeypatch, names):
+    """Patch each named function of symplectic to record its first argument."""
+    calls = {name: [] for name in names}
+    for name in names:
         original = getattr(sy, name)
 
         def counted(*args, _original=original, _name=name):
-            calls[_name] += 1
+            calls[_name].append(args[0])
             return _original(*args)
 
         monkeypatch.setattr(sy, name, counted)
+    return calls
+
+
+def test_certify_builds_one_width_table(capsys, fixture_file, tmp_path, monkeypatch):
+    # phi and the stack: 2 conditionings (the balls, phi scaled by powers of
+    # two, share phi's, and every image phi A is cleared by the bound
+    # kappa(phi) kappa(A) < 5e11); the stack, its image and the balls: 3
+    # spectra.  Three separate certificate passes took 10 and 7.
+    calls = _count_calls(monkeypatch, ("_spectrum", "_conditioning"))
     code, out, _ = run_cli(capsys, "certify", fixture_file, "--eps", "0.1", "--trials", "4")
     assert code == 0
     assert json.loads(out)["ellipsoids"] == 9 + 4
-    assert calls == {"_spectrum": 3, "_conditioning": 3}
+    assert [np.shape(a) for a in calls["_conditioning"]] == [(4, 4), (13, 4, 4)]
+    assert len(calls["_spectrum"]) == 3
+    # kappa(phi) = 4e11: only the ellipsoids with kappa(A) < 1.25 are cleared,
+    # and the one extra SVD is of the images of the others; the first of them
+    # that is singular, phi diag(0.5, 0.5, 2, 2) of condition 1.6e12, is named
+    path = tmp_path / "cond-4e11.txt"
+    sy.save_matrix(path, sy.plane_scaling([1e-6, 4e5]))
+    ellipsoids = cli._canonical_ellipsoids(2) + list(random_ellipsoids(np.random.default_rng(cli.DEFAULT_SEED), 2, 4))
+    open_ = [A for A in ellipsoids if np.linalg.cond(A) >= 1.25]
+    assert len(open_) == 9  # cleared: the unit ball, 0.5 I, 2 I and the third random one (kappa 1.20)
+    calls = _count_calls(monkeypatch, ("_conditioning",))
+    code, _, err = run_cli(capsys, "certify", str(path), "--eps", "0.1", "--trials", "4")
+    assert code == 2
+    assert "error: singular matrix (condition number 1.600e+12)" in err
+    assert [np.shape(a) for a in calls["_conditioning"]] == [(4, 4), (13, 4, 4), (9, 4, 4)]
+    np.testing.assert_array_equal(calls["_conditioning"][2], sy.plane_scaling([1e-6, 4e5]) @ np.array(open_))
+
 
 def test_symplectify_computes_the_defect_twice(capsys, identity_file, tmp_path, monkeypatch):
     calls = []

@@ -85,6 +85,9 @@ for info in pkgutil.iter_modules(sympeps.__path__):
 
 open("matrix.txt", "w").write("n 2\n1.02 0 0 0\n0 1.02 0 0\n0 0 1 0\n0 0 0 1\n")
 json.dump({"n": 1, "rows": [[1.01, 0.0], [0.0, 1.0]]}, open("matrix.json", "w"))
+# symplectic, condition 2.5e11: the bound kappa(phi) kappa(A) < 5e11 leaves phi A
+# open for every ellipsoid with kappa(A) >= 2, and the SVD of those images runs
+open("thin.txt", "w").write("n 2\n500000 0 0 0\n0 2e-06 0 0\n0 0 1 0\n0 0 0 1\n")
 forms = {
     "form2.json": ([1, 2], [1, 0, 2], "3"),
     "form1.json": ([1], [0, 1, 0], "1"),
@@ -101,6 +104,7 @@ commands = [
     "analyze matrix.txt",
     "analyze matrix.json --format text --eps 0.1",
     "certify matrix.txt --eps 0.1",
+    "certify thin.txt --eps 0.1",
     "symplectify matrix.txt --eps 0.1 --out psi.txt",
     "symplectify matrix.txt --eps 0.1 --out psi.json",
     "bounds --eps 0.1 --n 2",

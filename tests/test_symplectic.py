@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sympeps import cli
 from sympeps import symplectic as sy
 from sympeps.suite import random_ellipsoid
 
@@ -832,7 +834,32 @@ def test_certificates_name_a_misshapen_ellipsoid():
 
 
 # The three certificates as separate passes, each validating phi and building
-# its own width table: the reference that one shared pass must reproduce.
+# its own width table by the SVD of every A and every phi A, and its records
+# from the float arrays: the reference that one shared pass must reproduce.
+
+
+def _reference_width_table(phi, rho_val, ellipsoids):
+    dim = phi.shape[0]
+    mats = [np.asarray(A, dtype=float) for A in ellipsoids]
+    for i, A in enumerate(mats):
+        if A.shape != (dim, dim):
+            raise ValueError(f"ellipsoid {i} has shape {A.shape}, expected ({dim}, {dim})")
+    stack = np.array(mats).reshape(len(mats), dim, dim)
+    image = phi @ stack
+    own, img = sy._conditioning(stack), sy._conditioning(image)
+    first = np.flatnonzero(own.singular | img.singular)[:1]
+    own.at(first).require_nonsingular("ellipsoid matrix")
+    img.at(first).require_nonsingular("matrix")
+    _, _, s_A, e_A = sy._squeeze_bounds(own.svals, rho_val)
+    return sy._Widths(sy._spectrum(stack)[:, 0], sy._spectrum(image)[:, 0], s_A, e_A)
+
+
+def _reference_records(columns):
+    rows = zip(*(c.tolist() for c in columns.values()))
+    return [
+        {"index": i, **{k: None if v != v else v for k, v in zip(columns, row)}}  # v != v: NaN
+        for i, row in enumerate(rows)
+    ]
 
 
 def _reference_width_certificate(phi, eps, ellipsoids, kind):
@@ -843,7 +870,7 @@ def _reference_width_certificate(phi, eps, ellipsoids, kind):
         report.passed = False
         report.note = "singular map: fails unconditionally (arbitrarily thin image ellipsoids)"
         return phi, report, None
-    return phi, report, sy._width_table(phi, report.rho, ellipsoids)
+    return phi, report, _reference_width_table(phi, report.rho, ellipsoids)
 
 
 def _reference_nonsqueezing(phi, eps, ellipsoids):
@@ -852,7 +879,7 @@ def _reference_nonsqueezing(phi, eps, ellipsoids):
         return report
     margin = t.R1 - t.s_A * t.r1
     ok = margin >= -sy.CERT_TOL
-    report.records = sy._records({"r1": t.r1, "R1": t.R1, "s_A": t.s_A, "margin": margin, "pass": ok})
+    report.records = _reference_records({"r1": t.r1, "R1": t.R1, "s_A": t.s_A, "margin": margin, "pass": ok})
     report.passed = bool(ok.all())
     report.worst = sy._worst(margin)
     return report
@@ -865,7 +892,7 @@ def _reference_nonexpanding(phi, eps, ellipsoids):
     margin = t.e_A * t.r1 - t.R1  # NaN where e_A is undefined
     skipped = np.isnan(t.e_A)
     ok = skipped | (margin >= -sy.CERT_TOL)
-    report.records = sy._records(
+    report.records = _reference_records(
         {"r1": t.r1, "R1": t.R1, "e_A": t.e_A, "skipped": skipped, "pass": ok, "margin": margin}
     )
     radii = list(sy.BALL_RADII)
@@ -894,7 +921,7 @@ def _reference_capacity(phi, eps, ellipsoids):
     lower_ok = lower >= -sy.CERT_TOL
     upper_ok = upper >= -sy.CERT_TOL
     ok = lower_ok & (upper_ok | undefined)
-    report.records = sy._records({
+    report.records = _reference_records({
         "capacity": cap, "image_capacity": cap_img, "s_A": t.s_A, "e_A": t.e_A,
         "lower_margin": lower, "lower_pass": lower_ok,
         "upper_margin": upper, "upper_pass": np.where(undefined, None, upper_ok),
@@ -970,6 +997,73 @@ def test_width_certificates_raise_as_three_separate_passes(n):
         assert raised[0] is ValueError
         for reference in (_reference_nonsqueezing, _reference_nonexpanding, _reference_capacity):
             assert _raised(lambda: reference(phi, eps, batch)) == raised
+
+
+def _conditioned(rng, n, cond, k):
+    """U diag(sigma) V with U, V random orthogonal and sigma from 2^k down to
+    2^k / cond, geometrically spaced."""
+    dim = 2 * n
+    U, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    V, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    sigma = np.ldexp(np.geomspace(1.0, 1.0 / cond, dim), k)
+    return (U * sigma) @ V
+
+
+def _outcome(call):
+    """repr of the three reports, or the (type, message) raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return [repr(report.to_dict()) for report in call()]
+    except Exception as exc:  # LinAlgError too: an infinite image fails in the eigensolver
+        return type(exc), str(exc)
+
+
+# kappa(phi) kappa(A) < 5e11 clears phi A of singularity without its SVD: the
+# conditions straddle that margin and 1e12, and the scales 2^k its range guard
+BOUND_CONDS = (1.0, 1e5, 2.4e11, 4e11, 9e11, 2e12)
+BOUND_SCALES = (-1000, -560, -500, 0, 500, 560)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_width_certificates_by_the_bound_equal_the_svd_of_every_image(n):
+    rng = np.random.default_rng(300 + n)
+    grid = list(itertools.product(BOUND_CONDS, BOUND_SCALES))
+    tiny = np.ldexp(np.eye(2 * n), -664)  # phi A underflows to 0, yet kappa(phi) kappa(A) = 1
+    cases = [(tiny, [np.eye(2 * n), tiny])]
+    if n == 2:  # kappa(phi) = 4e11 on the canonical grid: phi diag(0.5, 0.5, 2, 2) is singular
+        cases.append((sy.plane_scaling([1e-6, 4e5]), cli._canonical_ellipsoids(2)))
+    for cond, k in grid:
+        phi = _conditioned(rng, n, cond, k)
+        for _ in range(3):
+            picks = rng.integers(len(grid), size=3)
+            cases.append((phi, [_conditioned(rng, n, *grid[i]) for i in picks]))
+    refused = []
+    for phi, batch in cases:
+        got = _outcome(lambda: sy.width_certificates(phi, 0.1, batch))
+        assert got == _outcome(lambda: _reference_reports(phi, 0.1, batch))
+        if isinstance(got, tuple):
+            refused.append(got)
+    assert len(cases) == 1 + (n == 2) + 3 * len(grid)
+    assert (ValueError, "singular matrix (condition number inf)") in refused
+    if n == 2:
+        assert (ValueError, "singular matrix (condition number 1.600e+12)") in refused
+
+
+def test_image_bound_margin_and_range():
+    def cleared(phi, A):
+        return sy._image_cleared(sy._conditioning(phi), sy._conditioning(A[None])).tolist() == [True]
+
+    # kappa(phi) kappa(A) below 5e11 clears phi A up to dimension 76; from 78
+    # the rounding of the product and of the SVDs narrows the margin
+    for dim in (4, 76, 78):
+        phi = np.diag([4.9e11] + [1.0] * (dim - 1))
+        assert cleared(phi, np.eye(dim)) is (dim < 78)
+    assert not cleared(np.diag([5e11, 1.0, 1.0, 1.0]), np.eye(4))
+    assert not cleared(np.diag([2.5e11, 1.0, 1.0, 1.0]), np.diag([2.0, 1.0, 1.0, 1.0]))
+    # the range guard: sigma_max(phi) sigma_max(A) below 2^500 and
+    # sigma_min(phi) sigma_min(A) above 2^-500; an overflowing product is not cleared
+    for k, ok in ((-250, False), (-249, True), (249, True), (250, False), (600, False)):
+        assert cleared(np.ldexp(np.eye(4), k), np.ldexp(np.eye(4), k)) is ok
 
 
 # -- finite or refused ---------------------------------------------------------
