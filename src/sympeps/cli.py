@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -121,21 +120,6 @@ def cmd_analyze(args):
     return report, human, True
 
 
-def _canonical_ellipsoids(n: int) -> list:
-    """The unit ball plus a grid of plane-diagonal ellipsoids (capped for large
-    n), as the matrices of one zero stack with its diagonals set."""
-    radii = (0.5, 1.0, 2.0)
-    ball = (1.0,) * n
-    if n <= 4:
-        combos = itertools.product(radii, repeat=n)
-    else:
-        combos = ((r,) * n for r in radii)
-    diagonals = np.repeat([ball] + [c for c in combos if c != ball], 2, axis=1)
-    grid = np.zeros((len(diagonals), 2 * n, 2 * n))
-    grid[:, np.arange(2 * n), np.arange(2 * n)] = diagonals
-    return list(grid)
-
-
 def cmd_certify(args):
     if not 0.0 <= args.eps < symplectic.EPS_LIMIT:
         raise InputError(f"--eps must lie in [0, 1/sqrt(2)), got {args.eps}")
@@ -145,27 +129,36 @@ def cmd_certify(args):
     dft = symplectic.defect(phi)  # first, so that an overflowing map is refused
     n = phi.shape[0] // 2
     eps_prime = math.sqrt(2.0) * args.eps
-    rng = np.random.default_rng(args.seed)
-    ellipsoids = _canonical_ellipsoids(n) + list(suite.random_ellipsoids(rng, n, args.trials))
-    sq, ex, cap = symplectic.width_certificates(phi, eps_prime, ellipsoids)
-    passed = sq.passed and ex.passed and cap.passed
+    batch = suite.ellipsoid_batch(n, args.trials, args.seed)
+    certs = symplectic.width_certificates(phi, eps_prime, batch)
+    sq, ex, cap, widths = certs
+    passed = certs.passed
+    grid = batch[: len(batch) - args.trials]
+    named = sorted({rep.worst["index"] for rep in (sq, ex, cap) if rep.worst is not None})
     report = {
-        "schema": 2,
+        "schema": 3,
         "inputs": {"matrix": args.matrix, "sha256": _sha256_file(args.matrix)},
+        "n": n,
         "eps": args.eps,
         "eps_prime": eps_prime,
         "seed": args.seed,
-        "ellipsoids": len(ellipsoids),
+        "ellipsoids": len(batch),
         "defect": dft,
+        "batch": {
+            "canonical_radii": grid.diagonal(axis1=1, axis2=2)[:, ::2].tolist(),
+            "trials": args.trials,
+            "sha256": hashlib.sha256(np.ascontiguousarray(batch, dtype="<f8").tobytes()).hexdigest(),
+        },
+        "widths": widths,
         "nonsqueezing": sq.to_dict(),
         "nonexpanding": ex.to_dict(),
         "capacity": cap.to_dict(),
-        "passed": bool(passed),
-        "ellipsoid_matrices": [A.tolist() for A in ellipsoids],
+        "passed": passed,
+        "witnesses": [{"index": i, "A": batch[i].tolist()} for i in named],
     }
     human = [
         f"eps = {args.eps}  (width parameter eps' = sqrt(2) eps = {eps_prime:.6g})",
-        f"ellipsoids checked: {len(ellipsoids)}",
+        f"ellipsoids checked: {len(batch)}",
         f"non-squeezing: {'PASS' if sq.passed else 'FAIL'}",
         f"non-expanding: {'PASS' if ex.passed else 'FAIL'}",
         f"capacity:      {'PASS' if cap.passed else 'FAIL'}",

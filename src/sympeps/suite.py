@@ -116,6 +116,18 @@ def random_ellipsoid(rng: np.random.Generator, n: int) -> np.ndarray:
     return random_ellipsoids(rng, n, 1)[0]
 
 
+def ellipsoid_batch(n: int, trials: int, seed: int) -> np.ndarray:
+    """The batch that ``certify`` checks, as one (count, 2n, 2n) stack: the
+    unit ball, then the other plane-diagonal ellipsoids whose plane radii
+    are each 0.5, 1 or 2 (every combination for n <= 4, the three balls
+    beyond), then ``trials`` random ellipsoids from ``default_rng(seed)``."""
+    radii = (0.5, 1.0, 2.0)
+    combos = itertools.product(radii, repeat=n) if n <= 4 else ((r,) * n for r in radii)
+    planes = sorted(combos, key=lambda c: c != (1.0,) * n)  # the unit ball first
+    grid = np.repeat(planes, 2, axis=1)[:, :, None] * np.eye(2 * n)
+    return np.concatenate([grid, random_ellipsoids(np.random.default_rng(seed), n, trials)])
+
+
 # -- individual suites ---------------------------------------------------------
 
 
@@ -234,8 +246,7 @@ def nonsqueezing_suite(rng: np.random.Generator, maps: int, ellipsoids: int) -> 
         phi = symplectic.random_defective(n, eps, rng)
         batch = random_ellipsoids(rng, n, ellipsoids)
         eps_prime = math.sqrt(2.0) * eps
-        certificates = symplectic.width_certificates(phi, eps_prime, batch)
-        failures += not all(report.passed for report in certificates)
+        failures += not symplectic.width_certificates(phi, eps_prime, batch).passed
     return {
         "name": "nonsqueezing",
         "count": maps,

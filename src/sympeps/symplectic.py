@@ -18,7 +18,6 @@ sqrt(1/2) times the Frobenius norm.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -423,9 +422,11 @@ def squeezing_params(A, eps: float) -> SqueezeParams:
 class CertificateReport:
     """Pass/fail record of a width or capacity inequality over ellipsoid batches.
 
-    Records refer to the ellipsoids of the batch by ``index``; ``worst`` is
-    the index and value of the smallest certified margin, or None when no
-    margin is defined (an empty batch, every record skipped, a singular map).
+    Record i holds the margins and verdicts of ellipsoid i of the batch, and
+    no width: those are the batch's one table, ``WidthCertificates.widths``.
+    ``worst`` is the index and value of the smallest certified margin, or
+    None when no margin is defined (an empty batch, every record skipped, a
+    singular map).
     """
 
     kind: str
@@ -525,10 +526,9 @@ def _column(x: np.ndarray) -> list:
 
 
 def _records(columns: dict) -> List[dict]:
-    """One record per ellipsoid: its index, then each column's entry; the
-    columns are lists of Python values."""
-    keys = ("index", *columns)
-    return [dict(zip(keys, row)) for row in zip(itertools.count(), *columns.values())]
+    """One record per ellipsoid, of each column's entry; the columns are
+    lists of Python values."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def _worst(margins: np.ndarray) -> Optional[dict]:
@@ -542,60 +542,74 @@ def _worst(margins: np.ndarray) -> Optional[dict]:
 
 
 class WidthCertificates(NamedTuple):
-    """The three reports of one certificate pass over a batch of ellipsoids."""
+    """The three reports of one certificate pass over a batch of ellipsoids,
+    and the width table they read: ``widths`` maps r1, R1, s_A and e_A to
+    one list of Python floats each, in batch order, with None where a value
+    is undefined (e_A of a thin ellipsoid); it is None for a singular map."""
 
     nonsqueezing: CertificateReport
     nonexpanding: CertificateReport
     capacity: CertificateReport
+    widths: Optional[dict]
+
+    @property
+    def passed(self) -> bool:
+        return self.nonsqueezing.passed and self.nonexpanding.passed and self.capacity.passed
+
+
+def _holds(margin: np.ndarray, scale) -> np.ndarray:
+    """margin >= -CERT_TOL min(1, scale): the tolerance shrinks with what
+    the margin compares, so a verdict does not change when the ellipsoid is
+    scaled down, and it is never looser than CERT_TOL.  False where the
+    margin is NaN (undefined)."""
+    return margin >= -CERT_TOL * np.minimum(1.0, scale)
 
 
 def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificates:
     """Three views of one width table of the batch (r_1, R_1: the linear
     symplectic widths of A B_1 and of phi(A B_1)).  nonsqueezing checks
     s_A r_1 <= R_1; nonexpanding checks R_1 <= e_A r_1 where e_A is defined
-    (elsewhere the record is skipped) and width(phi B_r) <= r / rho for each
-    r in BALL_RADII; capacity checks s_A^2 c(E) <= c(phi E) <= e_A^2 c(E), with
-    c = pi r_1^2, the upper bound where e_A is defined.  A singular phi fails
-    all three unconditionally, with no table."""
+    (elsewhere the record is skipped, with margin None) and
+    width(phi B_r) <= r / rho for each r in BALL_RADII; capacity checks
+    s_A^2 c(E) <= c(phi E) <= e_A^2 c(E), with c = pi r_1^2, the upper bound
+    where e_A is defined.  Each margin may fall below zero by CERT_TOL times
+    min(1, s), s being r_1 for a width, c(E) for a capacity and r for the
+    ball B_r.  A singular phi fails all three unconditionally, with no
+    table."""
     phi, n = _as_even_matrix(phi)
     phi_cond = _conditioning(phi)
     rho_val = _width_rho(eps, n, linear_case=True)
     if phi_cond.singular:
         note = "singular map: fails unconditionally (arbitrarily thin image ellipsoids)"
-        fail = (CertificateReport(kind, eps, rho_val, passed=False, note=note) for kind in WidthCertificates._fields)
-        return WidthCertificates(*fail)
+        fail = (CertificateReport(kind, eps, rho_val, passed=False, note=note) for kind in WidthCertificates._fields[:3])
+        return WidthCertificates(*fail, widths=None)
     t = _width_table(phi, phi_cond, rho_val, ellipsoids)
     squeeze = t.R1 - t.s_A * t.r1
-    squeeze_ok = squeeze >= -CERT_TOL
+    squeeze_ok = _holds(squeeze, t.r1)
     expand = t.e_A * t.r1 - t.R1  # NaN where e_A is undefined
-    skipped = np.isnan(t.e_A)
-    expand_ok = skipped | (expand >= -CERT_TOL)
+    expand_ok = np.isnan(t.e_A) | _holds(expand, t.r1)
     radii = np.array(BALL_RADII)
     # The balls, phi times powers of two, are as well-conditioned as phi.
     ball_widths = _spectrum(phi @ np.multiply.outer(radii, np.eye(phi.shape[0])))[:, 0]
     bounds = radii / rho_val
-    ball_ok = bounds - ball_widths >= -CERT_TOL
+    ball_ok = _holds(bounds - ball_widths, radii)
     cap = math.pi * _squares(t.r1)
     cap_img = math.pi * _squares(t.R1)
     lower = cap_img - _squares(t.s_A) * cap
     upper = _squares(t.e_A) * cap - cap_img  # NaN where e_A is undefined
     undefined = np.isnan(upper)
-    lower_ok = lower >= -CERT_TOL
-    upper_ok = upper >= -CERT_TOL
+    lower_ok = _holds(lower, cap)
+    upper_ok = _holds(upper, cap)
     cap_ok = lower_ok & (upper_ok | undefined)
-    r1, R1, s_A, e_A = map(_column, t)
     return WidthCertificates(
         CertificateReport(
             "nonsqueezing", eps, rho_val,
-            _records({"r1": r1, "R1": R1, "s_A": s_A, "margin": _column(squeeze), "pass": squeeze_ok.tolist()}),
+            _records({"margin": _column(squeeze), "pass": squeeze_ok.tolist()}),
             passed=bool(squeeze_ok.all()), worst=_worst(squeeze),
         ),
         CertificateReport(
             "nonexpanding", eps, rho_val,
-            _records({
-                "r1": r1, "R1": R1, "e_A": e_A, "skipped": skipped.tolist(), "pass": expand_ok.tolist(),
-                "margin": _column(expand),
-            }),
+            _records({"margin": _column(expand), "pass": expand_ok.tolist()}),
             [
                 {"radius": r, "image_width": w, "bound": b, "pass": p}
                 for r, w, b, p in zip(BALL_RADII, ball_widths.tolist(), bounds.tolist(), ball_ok.tolist())
@@ -605,12 +619,12 @@ def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificat
         CertificateReport(
             "capacity", eps, rho_val,
             _records({
-                "capacity": _column(cap), "image_capacity": _column(cap_img), "s_A": s_A, "e_A": e_A,
                 "lower_margin": _column(lower), "lower_pass": lower_ok.tolist(), "upper_margin": _column(upper),
                 "upper_pass": np.where(undefined, None, upper_ok).tolist(), "pass": cap_ok.tolist(),
             }),
             passed=bool(cap_ok.all()), worst=_worst(np.fmin(lower, upper)),
         ),
+        dict(zip(t._fields, map(_column, t))),
     )
 
 

@@ -14,8 +14,9 @@ import pytest
 from sympeps import cli
 from sympeps import moser as mo
 from sympeps import polyform as pf
+from sympeps import suite
 from sympeps import symplectic as sy
-from sympeps.suite import random_ellipsoid, random_ellipsoids
+from sympeps.suite import random_ellipsoid
 
 
 def run_cli(capsys, *argv):
@@ -210,7 +211,7 @@ def test_certify_builds_one_width_table(capsys, fixture_file, tmp_path, monkeypa
     # that is singular, phi diag(0.5, 0.5, 2, 2) of condition 1.6e12, is named
     path = tmp_path / "cond-4e11.txt"
     sy.save_matrix(path, sy.plane_scaling([1e-6, 4e5]))
-    ellipsoids = cli._canonical_ellipsoids(2) + list(random_ellipsoids(np.random.default_rng(cli.DEFAULT_SEED), 2, 4))
+    ellipsoids = suite.ellipsoid_batch(2, 4, cli.DEFAULT_SEED)
     open_ = [A for A in ellipsoids if np.linalg.cond(A) >= 1.25]
     assert len(open_) == 9  # cleared: the unit ball, 0.5 I, 2 I and the third random one (kappa 1.20)
     calls = _count_calls(monkeypatch, ("_conditioning",))
@@ -277,21 +278,72 @@ def test_certify_deterministic(capsys, tmp_path):
     assert out1 == out2
 
 
-def test_certify_writes_each_ellipsoid_once(capsys, tmp_path):
+def _batch_sha256(batch):
+    return hashlib.sha256(np.ascontiguousarray(batch, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_certify_names_its_batch_by_radii_seed_and_digest(capsys, tmp_path):
     path = tmp_path / "eps.txt"
     sy.save_matrix(path, sy.random_eps_symplectic(2, 0.02, seed=3))
     code, out, _ = run_cli(capsys, "certify", str(path), "--eps", "0.02", "--trials", "3", "--seed", "5")
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == 2
+    assert report["schema"] == 3
+    assert "ellipsoid_matrices" not in report
+    # the report's n, trials and seed regenerate the batch, and its digest proves it
+    batch = suite.ellipsoid_batch(report["n"], report["batch"]["trials"], report["seed"])
+    assert (report["n"], report["batch"]["trials"], report["seed"]) == (2, 3, 5)
+    assert report["ellipsoids"] == len(batch) == 9 + 3
+    assert report["batch"]["sha256"] == _batch_sha256(batch)
+    assert report["batch"]["canonical_radii"] == [np.diag(A)[::2].tolist() for A in batch[:9]]
+    assert report["batch"]["canonical_radii"][0] == [1.0, 1.0]  # the unit ball first
     rng = np.random.default_rng(5)
-    batch = cli._canonical_ellipsoids(2) + [random_ellipsoid(rng, 2) for _ in range(3)]
-    assert report["ellipsoids"] == len(report["ellipsoid_matrices"]) == len(batch) == 12
-    assert report["ellipsoid_matrices"] == [A.tolist() for A in batch]
-    for key in ("nonsqueezing", "nonexpanding", "capacity"):
-        records = report[key]["records"]
-        assert [rec["index"] for rec in records] == list(range(12))
-        assert not any("A" in rec for rec in records)
+    np.testing.assert_array_equal(batch[9:], [random_ellipsoid(rng, 2) for _ in range(3)])
+    # one width table; each record holds only its certificate's own fields
+    widths = report["widths"]
+    assert list(widths) == ["r1", "R1", "s_A", "e_A"] and all(len(col) == 12 for col in widths.values())
+    for key, fields in (("nonsqueezing", ["margin", "pass"]), ("nonexpanding", ["margin", "pass"]),
+                        ("capacity", ["lower_margin", "lower_pass", "upper_margin", "upper_pass", "pass"])):
+        assert [list(rec) for rec in report[key]["records"]] == [fields] * 12
+    # the witnesses: each ellipsoid that a worst names, once, in index order
+    named = sorted({report[key]["worst"]["index"] for key in ("nonsqueezing", "nonexpanding", "capacity")})
+    assert [w["index"] for w in report["witnesses"]] == named
+    for witness in report["witnesses"]:
+        i = witness["index"]
+        assert witness["A"] == batch[i].tolist()
+        assert float(sy.symplectic_spectrum(np.array(witness["A"]))[0]) == widths["r1"][i]
+
+
+def test_certify_names_the_failing_worst_ellipsoid_among_its_witnesses(capsys, tmp_path):
+    phi = sy.plane_scaling([0.1, 1.0])
+    path = tmp_path / "crush.txt"
+    sy.save_matrix(path, phi)
+    code, out, _ = run_cli(capsys, "certify", str(path), "--eps", "0", "--trials", "4")
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    worst = report["nonsqueezing"]["worst"]
+    i = worst["index"]
+    assert worst["margin"] < 0 and report["nonsqueezing"]["records"][i] == {"margin": worst["margin"], "pass": False}
+    witnesses = {w["index"]: np.array(w["A"]) for w in report["witnesses"]}
+    batch = suite.ellipsoid_batch(2, 4, cli.DEFAULT_SEED)
+    assert report["batch"]["sha256"] == _batch_sha256(batch)
+    np.testing.assert_array_equal(witnesses[i], batch[i])
+    # the failing margin follows from the witness and the width table
+    widths = report["widths"]
+    assert float(sy.symplectic_spectrum(phi @ witnesses[i])[0]) == widths["R1"][i]
+    assert widths["R1"][i] - widths["s_A"][i] * widths["r1"][i] == worst["margin"]
+
+
+def test_certify_singular_map_has_no_width_table_and_no_witnesses(capsys, tmp_path):
+    path = tmp_path / "singular.txt"
+    sy.save_matrix(path, np.diag([0.0, 1.0, 1.0, 1.0]))
+    code, out, _ = run_cli(capsys, "certify", str(path), "--eps", "0.1", "--trials", "2")
+    assert code == 1
+    report = json.loads(out)
+    assert report["widths"] is None and report["witnesses"] == []
+    assert report["batch"]["sha256"] == _batch_sha256(suite.ellipsoid_batch(2, 2, cli.DEFAULT_SEED))
+    assert all(report[key]["records"] == [] for key in ("nonsqueezing", "nonexpanding", "capacity"))
 
 
 def _canonical_ellipsoids_loop(n):
@@ -309,7 +361,7 @@ def _canonical_ellipsoids_loop(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_canonical_ellipsoids_match_the_plane_scaling_list(n):
-    grid, expected = cli._canonical_ellipsoids(n), _canonical_ellipsoids_loop(n)
+    grid, expected = suite.ellipsoid_batch(n, 0, 0), _canonical_ellipsoids_loop(n)
     assert len(grid) == len(expected) == (3**n if n <= 4 else 3)
     for A, B in zip(grid, expected):
         assert A.shape == B.shape and np.array_equal(A, B)
@@ -327,14 +379,17 @@ def _indented_sha256(text: str) -> str:
 
 # sha256 of the stdout of `certify phi.txt --eps 0.06 --seed <10 + n>` with
 # phi = random_eps_symplectic(n, 0.05, seed=n), re-indented (see
-# _indented_sha256), recorded (numpy 2.4.6 on x86-64) before the random batch
-# and the grid were built as stacks; another BLAS or LAPACK build may round
-# differently and need its own digests.
+# _indented_sha256), recorded (numpy 2.4.6 on x86-64) when the report became
+# schema 3: one width table, slim records, the batch named by its radii,
+# trials and digest, and only the witness ellipsoids written out.  The
+# schema-2 reports of the same runs, mapped to schema 3, equal these by repr
+# of every value.  Another BLAS or LAPACK build may round differently and
+# need its own digests.
 CERTIFY_STDOUT_SHA256 = {
-    1: "71a93ad91909eb51189dc54cdca72ff2fa95d59f0a0bc536587a389d799b36a5",
-    2: "08f89c79b42b9f1a046bd587fd0acba8cfc18c042283b3948de613a208ed27f5",
-    3: "5a562f3701629f119a6e004028cd97b2899b448164560d4dbe9ab44603c236af",
-    4: "7a0cb17df9a758b061e3af08bcf2bab8d266336abe356373dd0f72e83bebdf0b",
+    1: "64f79ab1c2100f6c223336b9aad944facbfdbcd1adbe344e80717ace8cc27726",
+    2: "8c7bb8aaea686729a697972799329b80a1375bf35aae4b39a2166a66555ed231",
+    3: "72f0fa85865bbc83f32db16df7156c8d0ebb5982fe13d7a2cfc69b59374c4db6",
+    4: "a9b74c833e0540382509b5b3ee217e2109bf7809ab60064985c4261f8d8d5fe9",
 }
 
 

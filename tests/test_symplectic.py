@@ -6,9 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sympeps import cli
 from sympeps import symplectic as sy
-from sympeps.suite import random_ellipsoid
+from sympeps.suite import ellipsoid_batch, random_ellipsoid
 
 
 def test_defect_identity_is_zero():
@@ -468,8 +467,10 @@ def test_certificates_pass_for_symplectic_map_at_zero():
     exp = sy.check_eps_nonexpanding(psi, 0.0, batch)
     cap = sy.capacity_preservation_check(psi, 0.0, batch)
     assert sq.passed and exp.passed and cap.passed
-    for rec in sq.records:  # equality r1 = R1 at eps = 0
-        assert rec["R1"] == pytest.approx(rec["r1"], rel=1e-9)
+    widths = sy.width_certificates(psi, 0.0, batch).widths
+    assert len(widths["r1"]) == len(widths["R1"]) == len(batch)
+    for r1, R1 in zip(widths["r1"], widths["R1"]):  # equality r1 = R1 at eps = 0
+        assert R1 == pytest.approx(r1, rel=1e-9)
 
 
 def test_certificates_pass_for_eps_symplectic_maps():
@@ -489,14 +490,16 @@ def test_nonsqueezing_fails_for_plane_crush():
     phi = sy.plane_scaling([0.1, 1.0])
     report = sy.check_eps_nonsqueezing(phi, 0.0, [np.eye(4)])
     assert not report.passed
-    assert report.records[0]["R1"] == pytest.approx(0.1, abs=1e-9)
+    assert sy.width_certificates(phi, 0.0, [np.eye(4)]).widths["R1"][0] == pytest.approx(0.1, abs=1e-9)
 
 
 def test_capacity_lower_bound_fails_for_plane_crush():
     phi = sy.plane_scaling([0.1, 1.0])
     report = sy.capacity_preservation_check(phi, 0.0, [np.eye(4)])
     assert not report.passed
-    assert report.records[0]["image_capacity"] == pytest.approx(math.pi * 0.01, rel=1e-9)
+    assert report.records[0]["lower_pass"] is False
+    R1 = sy.width_certificates(phi, 0.0, [np.eye(4)]).widths["R1"][0]
+    assert math.pi * R1**2 == pytest.approx(math.pi * 0.01, rel=1e-9)  # the image capacity
 
 
 def test_nonexpanding_ball_clause_fails_for_dilation():
@@ -511,9 +514,10 @@ def test_nonexpanding_ball_clause_fails_for_dilation():
 
 def test_nonexpanding_skips_ineligible_ellipsoids():
     phi = np.eye(4)
-    report = sy.check_eps_nonexpanding(phi, 0.5, [sy.plane_scaling([0.01, 10.0])])
-    assert report.records[0]["skipped"] is True
-    assert report.passed  # skipped records do not fail the certificate
+    certs = sy.width_certificates(phi, 0.5, [sy.plane_scaling([0.01, 10.0])])
+    assert certs.widths["e_A"][0] is None  # skipped
+    assert certs.nonexpanding.records[0] == {"margin": None, "pass": True}
+    assert certs.nonexpanding.passed  # skipped records do not fail the certificate
 
 
 def test_certificates_fail_unconditionally_for_singular_map():
@@ -526,6 +530,7 @@ def test_certificates_fail_unconditionally_for_singular_map():
         report = checker(singular, 0.1, [np.eye(4)])
         assert not report.passed
         assert "singular" in report.note
+    assert sy.width_certificates(singular, 0.1, [np.eye(4)]).widths is None  # no table
 
 
 def test_certificate_report_serializes():
@@ -533,8 +538,8 @@ def test_certificate_report_serializes():
     data = json.loads(json.dumps(report.to_dict()))
     assert data["kind"] == "nonsqueezing"
     assert data["passed"] is True
-    assert [rec["index"] for rec in data["records"]] == [0, 1]
-    assert not any("A" in rec for rec in data["records"])
+    # record i is ellipsoid i: it holds only the certificate's own fields
+    assert [list(rec) for rec in data["records"]] == [["margin", "pass"]] * 2
 
 
 def test_random_symplectic_is_symplectic():
@@ -704,33 +709,85 @@ POW_DIFFERS = 1.8903560604397107
 
 def _scalar_records(phi, eps_prime, A):
     """The records of the three certificates for one ellipsoid, by the scalar
-    formulas of a per-ellipsoid loop."""
+    formulas of a per-ellipsoid loop, in the schema-2 layout: each record
+    repeats the widths it reads.  A margin may fall below zero by CERT_TOL
+    times min(1, r1) for a width and min(1, pi r1^2) for a capacity."""
     params = sy.squeezing_params(A, eps_prime)
     r1 = float(sy.symplectic_spectrum(A)[0])
     R1 = float(sy.symplectic_spectrum(phi @ A)[0])
     s_A, e_A = params.s_A, params.e_A
+    tol = sy.CERT_TOL * min(1.0, r1)
     margin = R1 - s_A * r1
-    sq = {"r1": r1, "R1": R1, "s_A": s_A, "margin": margin, "pass": margin >= -sy.CERT_TOL}
+    sq = {"r1": r1, "R1": R1, "s_A": s_A, "margin": margin, "pass": margin >= -tol}
     ex = {"r1": r1, "R1": R1, "e_A": e_A, "skipped": True, "pass": True, "margin": None}
     if e_A is not None:
         margin = e_A * r1 - R1
-        ex.update({"skipped": False, "pass": margin >= -sy.CERT_TOL, "margin": margin})
+        ex.update({"skipped": False, "pass": margin >= -tol, "margin": margin})
     cap, cap_img = math.pi * r1**2, math.pi * R1**2
+    cap_tol = sy.CERT_TOL * min(1.0, cap)
     lower = cap_img - s_A**2 * cap
     upper = None if e_A is None else e_A**2 * cap - cap_img
-    upper_pass = None if upper is None else upper >= -sy.CERT_TOL
+    upper_pass = None if upper is None else upper >= -cap_tol
     capacity = {
         "capacity": cap,
         "image_capacity": cap_img,
         "s_A": s_A,
         "e_A": e_A,
         "lower_margin": lower,
-        "lower_pass": lower >= -sy.CERT_TOL,
+        "lower_pass": lower >= -cap_tol,
         "upper_margin": upper,
         "upper_pass": upper_pass,
-        "pass": lower >= -sy.CERT_TOL and upper_pass is not False,
+        "pass": lower >= -cap_tol and upper_pass is not False,
     }
     return sq, ex, capacity
+
+
+# The fields that each schema-3 record keeps, in order.
+SLIM_KEYS = (
+    ("margin", "pass"),
+    ("margin", "pass"),
+    ("lower_margin", "lower_pass", "upper_margin", "upper_pass", "pass"),
+)
+
+
+def _capacity(width):
+    """pi width^2, None for an undefined width (NaN, from an overflowing batch)."""
+    return None if width is None else math.pi * width**2
+
+
+def _schema3(sq, ex, cap):
+    """The width table and the slim records that schema 3 writes, from the
+    schema-2 records of the three certificates, once every value that schema
+    3 drops is checked to follow, bit for bit, from what it keeps: the index
+    is the position, the widths repeated across certificates agree, skipped
+    is whether e_A is undefined, and the capacities are pi r1^2 and pi R1^2."""
+    assert len(sq) == len(ex) == len(cap)
+    widths = {"r1": [], "R1": [], "s_A": [], "e_A": []}
+    for i, (a, b, c) in enumerate(zip(sq, ex, cap)):
+        assert a["index"] == b["index"] == c["index"] == i
+        assert repr((b["r1"], b["R1"], c["s_A"], c["e_A"])) == repr((a["r1"], a["R1"], a["s_A"], b["e_A"]))
+        assert b["skipped"] is (b["e_A"] is None)
+        assert repr((c["capacity"], c["image_capacity"])) == repr((_capacity(a["r1"]), _capacity(a["R1"])))
+        for key, value in zip(widths, (a["r1"], a["R1"], a["s_A"], b["e_A"])):
+            widths[key].append(value)
+    rows = [[{k: rec[k] for k in keys} for rec in records] for records, keys in zip((sq, ex, cap), SLIM_KEYS)]
+    return widths, rows
+
+
+def _schema3_reports(reports):
+    """(widths, the three report dicts) of schema 3 from three schema-2
+    reports; a singular map's reports have no records and no table."""
+    dicts = [report.to_dict() for report in reports]
+    if dicts[0]["note"]:
+        return None, dicts
+    widths, rows = _schema3(*(d["records"] for d in dicts))
+    return widths, [{**d, "records": r} for d, r in zip(dicts, rows)]
+
+
+def _view(certs):
+    """What the report of one certificate pass carries: (widths, the three
+    report dicts)."""
+    return certs.widths, [report.to_dict() for report in certs[:3]]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -745,23 +802,21 @@ def test_certificate_widths_equal_per_ellipsoid_calls(n, size):
         r1 = float(sy.symplectic_spectrum(batch[2])[0])
         assert math.pi * r1**2 != math.pi * (r1 * r1)
     eps_prime = math.sqrt(2.0) * 0.1
-    sq = sy.check_eps_nonsqueezing(phi, eps_prime, batch)
-    ex = sy.check_eps_nonexpanding(phi, eps_prime, batch)
-    cap = sy.capacity_preservation_check(phi, eps_prime, batch)
+    certs = sy.width_certificates(phi, eps_prime, batch)
+    sq, ex, cap = certs[:3]
     assert len(sq.records) == len(ex.records) == len(cap.records) == size
-    undefined = 0
-    for i, A in enumerate(batch):
-        for report, expected in zip((sq, ex, cap), _scalar_records(phi, eps_prime, A)):
-            # repr compares key order, types and float bits (0.0 against -0.0 too)
-            assert repr(report.records[i]) == repr({"index": i, **expected})
-        undefined += ex.records[i]["skipped"]
-    assert undefined == (1 if size > 1 else 0)
+    scalar = [_scalar_records(phi, eps_prime, A) for A in batch]
+    expected = _schema3(*([{"index": i, **rows[k]} for i, rows in enumerate(scalar)] for k in range(3)))
+    # repr compares key order, types and float bits (0.0 against -0.0 too)
+    assert repr(certs.widths) == repr(expected[0])
+    assert repr([sq.records, ex.records, cap.records]) == repr(expected[1])
+    assert certs.widths["e_A"].count(None) == (1 if size > 1 else 0)
     for report in (sq, ex, cap):
         assert report.passed is all(rec["pass"] for rec in report.records + report.ball_checks)
 
 
 def _worst_from_records(report, keys):
-    margins = [(rec[k], rec["index"]) for rec in report.records for k in keys if rec[k] is not None]
+    margins = [(rec[k], i) for i, rec in enumerate(report.records) for k in keys if rec[k] is not None]
     if not margins:
         return None
     margin, index = min(margins)
@@ -804,6 +859,47 @@ def test_certificate_worst_is_the_smallest_record_margin():
     assert singular.worst is None and singular.to_dict()["worst"] is None
 
 
+def _verdicts(certs):
+    """Every pass field of the three reports: per record, then the ball clause."""
+    return [
+        ([[v for k, v in rec.items() if k.endswith("pass")] for rec in report.records],
+         [ball["pass"] for ball in report.ball_checks], report.passed)
+        for report in certs[:3]
+    ]
+
+
+def test_certificate_verdicts_do_not_depend_on_the_ellipsoid_scale():
+    # Margins scale with the ellipsoid (widths as s, capacities as s^2), and
+    # so does the tolerance below 1: each verdict of a batch is the verdict
+    # of the batch scaled by 2^k, for every k in [-500, 500].  An absolute
+    # tolerance passed the plane crushes below s = 2^-33.
+    rng = np.random.default_rng(95)
+    for n in (1, 2):
+        dim = 2 * n
+        base = [random_ellipsoid(rng, n) for _ in range(4)]
+        base += [np.eye(dim), np.diag(np.linspace(0.05, 1.0, dim)), POW_DIFFERS * np.eye(dim)]
+        maps = [
+            (sy.random_eps_symplectic(n, 0.1, seed=n), math.sqrt(2.0) * 0.1),  # passes
+            (0.5 * np.eye(dim), 0.01),  # halves every width: fails below
+            (sy.plane_scaling([0.5] + [2.0] * (n - 1)), 0.3),
+            (2.0 * np.eye(dim), 0.3),  # fails nonexpanding and the ball clause
+        ]
+        scales = range(-500, 501)
+        batch = [np.ldexp(A, k) for k in scales for A in base]
+        for phi, eps in maps:
+            at_one = _verdicts(sy.width_certificates(phi, eps, base))
+            scaled = _verdicts(sy.width_certificates(phi, eps, batch))
+            for (records, balls, _), (want, want_balls, _) in zip(scaled, at_one):
+                assert balls == want_balls
+                assert records == want * len(scales)
+        assert not any(rec[-1] for rec in _verdicts(sy.width_certificates(0.5 * np.eye(dim), 0.01, base))[0][0])
+    # the plane crush of one plane at s = 1e-10: 0.5 s against s_A s, s_A = 0.995
+    certs = sy.width_certificates(0.5 * np.eye(2), 0.01, [1e-10 * np.eye(2)])
+    assert certs.nonsqueezing.records == [{"margin": certs.nonsqueezing.records[0]["margin"], "pass": False}]
+    assert -5e-11 < certs.nonsqueezing.worst["margin"] < -4.9e-11
+    assert not certs.nonsqueezing.passed and not certs.capacity.passed and certs.nonexpanding.passed
+
+
 def test_ball_clause_widths_equal_per_radius_calls():
     phi = sy.random_eps_symplectic(2, 0.1, seed=3)
     report = sy.check_eps_nonexpanding(phi, 0.1, [np.eye(4)])
@@ -835,7 +931,9 @@ def test_certificates_name_a_misshapen_ellipsoid():
 
 # The three certificates as separate passes, each validating phi and building
 # its own width table by the SVD of every A and every phi A, and its records
-# from the float arrays: the reference that one shared pass must reproduce.
+# from the float arrays, in the schema-2 layout (every record names its index
+# and repeats its widths): the reference that one shared pass must reproduce
+# once _schema3_reports maps it to the one table and the slim records.
 
 
 def _reference_width_table(phi, rho_val, ellipsoids):
@@ -878,7 +976,7 @@ def _reference_nonsqueezing(phi, eps, ellipsoids):
     if t is None:
         return report
     margin = t.R1 - t.s_A * t.r1
-    ok = margin >= -sy.CERT_TOL
+    ok = margin >= -sy.CERT_TOL * np.minimum(1.0, t.r1)
     report.records = _reference_records({"r1": t.r1, "R1": t.R1, "s_A": t.s_A, "margin": margin, "pass": ok})
     report.passed = bool(ok.all())
     report.worst = sy._worst(margin)
@@ -891,7 +989,7 @@ def _reference_nonexpanding(phi, eps, ellipsoids):
         return report
     margin = t.e_A * t.r1 - t.R1  # NaN where e_A is undefined
     skipped = np.isnan(t.e_A)
-    ok = skipped | (margin >= -sy.CERT_TOL)
+    ok = skipped | (margin >= -sy.CERT_TOL * np.minimum(1.0, t.r1))
     report.records = _reference_records(
         {"r1": t.r1, "R1": t.R1, "e_A": t.e_A, "skipped": skipped, "pass": ok, "margin": margin}
     )
@@ -899,7 +997,7 @@ def _reference_nonexpanding(phi, eps, ellipsoids):
     balls = np.multiply.outer(np.asarray(radii, dtype=float), np.eye(phi.shape[0]))
     ball_widths = sy.symplectic_spectrum(phi @ balls)[:, 0]
     bounds = np.asarray(radii, dtype=float) / report.rho
-    ball_ok = bounds - ball_widths >= -sy.CERT_TOL
+    ball_ok = bounds - ball_widths >= -sy.CERT_TOL * np.minimum(1.0, radii)
     report.ball_checks = [
         {"radius": r, "image_width": w, "bound": b, "pass": p}
         for r, w, b, p in zip(radii, ball_widths.tolist(), bounds.tolist(), ball_ok.tolist())
@@ -918,8 +1016,8 @@ def _reference_capacity(phi, eps, ellipsoids):
     lower = cap_img - sy._squares(t.s_A) * cap
     upper = sy._squares(t.e_A) * cap - cap_img  # NaN where e_A is undefined
     undefined = np.isnan(upper)
-    lower_ok = lower >= -sy.CERT_TOL
-    upper_ok = upper >= -sy.CERT_TOL
+    lower_ok = lower >= -sy.CERT_TOL * np.minimum(1.0, cap)
+    upper_ok = upper >= -sy.CERT_TOL * np.minimum(1.0, cap)
     ok = lower_ok & (upper_ok | undefined)
     report.records = _reference_records({
         "capacity": cap, "image_capacity": cap_img, "s_A": t.s_A, "e_A": t.e_A,
@@ -960,16 +1058,15 @@ def test_width_certificates_equal_three_separate_passes(n):
         (singular, 0.1, mixed),
     ]
     for phi_case, eps, batch in cases:
-        reports = sy.width_certificates(phi_case, eps, batch)
-        for report, expected in zip(reports, _reference_reports(phi_case, eps, batch)):
-            # repr compares key order, types and float bits (0.0 against -0.0 too)
-            assert repr(report.to_dict()) == repr(expected.to_dict())
+        certs = sy.width_certificates(phi_case, eps, batch)
+        # repr compares key order, types and float bits (0.0 against -0.0 too)
+        assert repr(_view(certs)) == repr(_schema3_reports(_reference_reports(phi_case, eps, batch)))
         selected = (
             sy.check_eps_nonsqueezing(phi_case, eps, batch),
             sy.check_eps_nonexpanding(phi_case, eps, batch),
             sy.capacity_preservation_check(phi_case, eps, batch),
         )
-        assert [repr(r.to_dict()) for r in selected] == [repr(r.to_dict()) for r in reports]
+        assert [repr(r.to_dict()) for r in selected] == [repr(r.to_dict()) for r in certs[:3]]
 
 
 def _raised(call):
@@ -1010,10 +1107,10 @@ def _conditioned(rng, n, cond, k):
 
 
 def _outcome(call):
-    """repr of the three reports, or the (type, message) raised."""
+    """repr of what call returns, or the (type, message) raised."""
     try:
         with np.errstate(all="ignore"):
-            return [repr(report.to_dict()) for report in call()]
+            return repr(call())
     except Exception as exc:  # LinAlgError too: an infinite image fails in the eigensolver
         return type(exc), str(exc)
 
@@ -1031,7 +1128,7 @@ def test_width_certificates_by_the_bound_equal_the_svd_of_every_image(n):
     tiny = np.ldexp(np.eye(2 * n), -664)  # phi A underflows to 0, yet kappa(phi) kappa(A) = 1
     cases = [(tiny, [np.eye(2 * n), tiny])]
     if n == 2:  # kappa(phi) = 4e11 on the canonical grid: phi diag(0.5, 0.5, 2, 2) is singular
-        cases.append((sy.plane_scaling([1e-6, 4e5]), cli._canonical_ellipsoids(2)))
+        cases.append((sy.plane_scaling([1e-6, 4e5]), ellipsoid_batch(2, 0, 0)))
     for cond, k in grid:
         phi = _conditioned(rng, n, cond, k)
         for _ in range(3):
@@ -1039,8 +1136,8 @@ def test_width_certificates_by_the_bound_equal_the_svd_of_every_image(n):
             cases.append((phi, [_conditioned(rng, n, *grid[i]) for i in picks]))
     refused = []
     for phi, batch in cases:
-        got = _outcome(lambda: sy.width_certificates(phi, 0.1, batch))
-        assert got == _outcome(lambda: _reference_reports(phi, 0.1, batch))
+        got = _outcome(lambda: _view(sy.width_certificates(phi, 0.1, batch)))
+        assert got == _outcome(lambda: _schema3_reports(_reference_reports(phi, 0.1, batch)))
         if isinstance(got, tuple):
             refused.append(got)
     assert len(cases) == 1 + (n == 2) + 3 * len(grid)
