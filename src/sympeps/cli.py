@@ -28,11 +28,6 @@ from . import __version__, moser, polyform, suite, symplectic
 DEFAULT_SEED = 20250810
 
 
-def _sha256_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _sha256_params(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -42,7 +37,7 @@ def _write_output(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(f"cannot write output file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 def _emit(report: dict, human_lines, fmt: str = "json", out_path=None) -> None:
@@ -59,38 +54,38 @@ def _emit(report: dict, human_lines, fmt: str = "json", out_path=None) -> None:
 
 
 def _read(path: str, what: str, parse):
-    """parse(path), with any failure to read or parse the file refused by
-    name: RecursionError is json's decoder on deeply nested input."""
+    """(parse(text), sha256 of the bytes) from the one read of the file, with
+    any failure to read or parse it refused by name: RecursionError is json's
+    decoder on deeply nested input."""
     try:
-        return parse(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return parse(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
     except (OSError, ValueError, RecursionError) as exc:
-        raise InputError(f"cannot read {what} file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-class InputError(Exception):
-    """Raised for unreadable or malformed inputs (exit code 2)."""
+def _read_matrix(path: str):
+    """The matrix file at path, and the report's inputs entry that names it."""
+    phi, sha256 = _read(path, "matrix", lambda text: symplectic.read_matrix(text, path))
+    return phi, {"matrix": path, "sha256": sha256}
 
 
 def _require_nonnegative(option: str, value: int) -> None:
     if value < 0:
-        raise InputError(f"{option} must be >= 0, got {value}")
+        raise ValueError(f"{option} must be >= 0, got {value}")
 
 
 def cmd_analyze(args):
     if args.eps is not None and not math.isfinite(args.eps):
-        raise InputError(f"--eps must be finite, got {args.eps}")
-    phi = _read(args.matrix, "matrix", symplectic.load_matrix)
+        raise ValueError(f"--eps must be finite, got {args.eps}")
+    phi, inputs = _read_matrix(args.matrix)
     dim = phi.shape[0]
     n = dim // 2
     dft = symplectic.defect(phi)
     rep = symplectic.lambda_mu_invariants(phi)
     report = {
-        "inputs": {"matrix": args.matrix, "sha256": _sha256_file(args.matrix)},
+        "inputs": inputs,
         "n": n,
         "defect": dft,
         "condition": None if math.isinf(rep.condition) else rep.condition,
@@ -122,10 +117,10 @@ def cmd_analyze(args):
 
 def cmd_certify(args):
     if not 0.0 <= args.eps < symplectic.EPS_LIMIT:
-        raise InputError(f"--eps must lie in [0, 1/sqrt(2)), got {args.eps}")
+        raise ValueError(f"--eps must lie in [0, 1/sqrt(2)), got {args.eps}")
     _require_nonnegative("--trials", args.trials)
     _require_nonnegative("--seed", args.seed)
-    phi = _read(args.matrix, "matrix", symplectic.load_matrix)
+    phi, inputs = _read_matrix(args.matrix)
     dft = symplectic.defect(phi)  # first, so that an overflowing map is refused
     n = phi.shape[0] // 2
     eps_prime = math.sqrt(2.0) * args.eps
@@ -137,7 +132,7 @@ def cmd_certify(args):
     named = sorted({rep.worst["index"] for rep in (sq, ex, cap) if rep.worst is not None})
     report = {
         "schema": 3,
-        "inputs": {"matrix": args.matrix, "sha256": _sha256_file(args.matrix)},
+        "inputs": inputs,
         "n": n,
         "eps": args.eps,
         "eps_prime": eps_prime,
@@ -169,18 +164,16 @@ def cmd_certify(args):
 
 def cmd_symplectify(args):
     if not 0.0 <= args.eps < math.inf:
-        raise InputError(f"--eps must be finite and >= 0, got {args.eps}")
+        raise ValueError(f"--eps must be finite and >= 0, got {args.eps}")
     if not args.eps < symplectic.EPS_LIMIT:
-        raise InputError(f"--eps must be < 1/sqrt(2), got {args.eps}")
-    phi = _read(args.matrix, "matrix", symplectic.load_matrix)
-    # hashed before psi is written: --out may name the input file
-    inputs = {"matrix": args.matrix, "sha256": _sha256_file(args.matrix)}
+        raise ValueError(f"--eps must be < 1/sqrt(2), got {args.eps}")
+    phi, inputs = _read_matrix(args.matrix)
     rep = moser.symplectify(phi, args.eps, moser.FlowConfig(step_size=args.step))
     psi_path = args.out or (args.matrix + ".psi.txt")
     try:
         symplectic.save_matrix(psi_path, rep.psi)
     except OSError as exc:
-        raise InputError(f"cannot write output file {psi_path!r}: {exc}") from exc
+        raise ValueError(f"cannot write output file {psi_path!r}: {exc}") from exc
     report = {"inputs": inputs, "psi_file": psi_path, "report": rep.to_dict()}
     human = [
         f"input defect     {rep.input_defect:.6e}",
@@ -195,10 +188,10 @@ def cmd_symplectify(args):
 
 def cmd_bounds(args):
     if args.n < 1:
-        raise InputError(f"--n must be >= 1, got {args.n}")
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     threshold = symplectic.squeeze_eps_threshold()
     if not 0.0 <= args.eps < threshold:
-        raise InputError(f"--eps must lie in [0, {threshold:.6f}), got {args.eps}")
+        raise ValueError(f"--eps must lie in [0, {threshold:.6f}), got {args.eps}")
     z0_bisect, z0_closed = symplectic.cubic_z0()
     # the identity's constants do not depend on n: any n in constant memory
     identity = symplectic.squeezing_params(np.eye(2), args.eps)
@@ -233,30 +226,22 @@ def _points(data, m: int) -> np.ndarray:
     """A points file's list as one (P, m) block of finite floats."""
     if not isinstance(data, list):
         raise ValueError(f"points JSON must be a list of points, got {type(data).__name__}")
-    X = polyform.point_block(data, m)
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"non-finite entry {X[i, j]} at point {i + 1}, coordinate {j + 1}")
-    return X
+    return polyform.point_block(data, m)
 
 
 def cmd_homotopy(args):
-    form = _read(args.polyform, "polyform", lambda path: polyform.PolyForm.from_json_dict(_load_json(path)))
+    form, sha256 = _read(args.polyform, "polyform", lambda text: polyform.PolyForm.from_json_dict(json.loads(text)))
     if not 1 <= form.k < form.m:
-        raise InputError(f"homotopy command needs 1 <= k < m, got k={form.k}, m={form.m}")
+        raise ValueError(f"homotopy command needs 1 <= k < m, got k={form.k}, m={form.m}")
     hf = polyform.h(form)
-    report = {
-        "inputs": {"polyform": args.polyform, "sha256": _sha256_file(args.polyform)},
-        "h": hf.to_json_dict(),
-    }
+    report = {"inputs": {"polyform": args.polyform, "sha256": sha256}, "h": hf.to_json_dict()}
     human = [f"m={form.m} k={form.k}: computed the degree-{hf.k} primitive"]
     identity = polyform.homotopy_identity_check(form, hf)
     report["identity_exact"] = bool(identity)
     human.append(f"h(d f) + d(h f) == f exactly: {identity}")
     passed = identity
     if args.points:
-        pts = _read(args.points, "points", lambda path: _points(_load_json(path), form.m))
+        pts, _ = _read(args.points, "points", lambda text: _points(json.loads(text), form.m))
         with np.errstate(over="ignore"):  # h_bound_check names a point whose norm overflows
             radius = max(float(np.linalg.norm(p)) for p in pts) if len(pts) else 1.0
         bound_rep = polyform.h_bound_check(form, pts, s=radius, hf=hf)
@@ -264,7 +249,7 @@ def cmd_homotopy(args):
         human.append(f"norm bounds at {len(pts)} points: {'PASS' if bound_rep.passed else 'FAIL'}")
         passed = passed and bound_rep.passed
     if args.out:
-        _write_output(args.out, json.dumps(hf.to_json_dict(), allow_nan=False) + "\n")
+        _write_output(args.out, json.dumps(report["h"]) + "\n")
         human.append(f"primitive written to {args.out}")
     report["passed"] = bool(passed)
     return report, human, passed
@@ -366,7 +351,7 @@ def main(argv=None) -> int:
     except moser.DefectAboveBudget as exc:  # a verdict, though a ValueError
         sys.stderr.write(f"{exc}\n")
         return 1
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError as exc:  # numpy's message names the shape it could not allocate

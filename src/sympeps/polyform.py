@@ -371,8 +371,8 @@ class MonomialTable:
 
 
 def point_block(points: Sequence[Sequence[float]], m: int) -> np.ndarray:
-    """The points as one (P, m) float array; the first point of another
-    shape, or a point that holds a non-number, is refused by name."""
+    """The points as one (P, m) array of finite floats; a point of another
+    shape, or an entry that is not a finite number, is refused by name."""
     try:
         xs = [np.asarray(json_numbers(p), dtype=float) for p in points]
     except TypeError as exc:
@@ -380,7 +380,12 @@ def point_block(points: Sequence[Sequence[float]], m: int) -> np.ndarray:
     for x in xs:
         if x.shape != (m,):
             raise ValueError(f"point dimension {x.shape} does not match m={m}")
-    return np.array(xs).reshape(len(xs), m)
+    X = np.array(xs).reshape(len(xs), m)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"non-finite entry {X[i, j]} at point {i + 1}, coordinate {j + 1}")
+    return X
 
 
 def evaluate(f: PolyForm, x: Sequence[float]) -> Covector:

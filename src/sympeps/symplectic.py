@@ -63,6 +63,7 @@ __all__ = [
     "format_matrix_text",
     "matrix_to_json_dict",
     "matrix_from_json_dict",
+    "read_matrix",
     "load_matrix",
     "save_matrix",
 ]
@@ -310,7 +311,11 @@ def lambda_mu_invariants(phi) -> LambdaMuReport:
     empty = np.zeros(0)
     if singular:
         return LambdaMuReport(empty, empty, empty.astype(int), "singular", cond)
-    sf = standard_form(phi)
+    try:
+        sf = standard_form(phi)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{exc} at condition number {cond:.3e}, so the lambda/mu invariants "
+                         f"are not resolved") from exc
     if len(sf.lambda_sq) < n:
         # The lambda_j^2 are the singular values of Phi^T J Phi, so their ratio is at least
         # cond^-2: conditioning loses a plane only above cond 1e5; underflow at any cond.
@@ -891,13 +896,16 @@ def matrix_from_json_dict(data) -> np.ndarray:
     return _require_finite(A)
 
 
-def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if str(path).endswith(".json") or stripped.startswith("{"):
+def read_matrix(text: str, path) -> np.ndarray:
+    """The matrix in a file's text: JSON if path ends in .json or text starts with '{', else text format."""
+    if str(path).endswith(".json") or text.lstrip().startswith("{"):
         return matrix_from_json_dict(json.loads(text))
     return parse_matrix_text(text)
+
+
+def load_matrix(path) -> np.ndarray:
+    with open(path, "r", encoding="utf-8") as fh:
+        return read_matrix(fh.read(), path)
 
 
 def save_matrix(path, A) -> None:

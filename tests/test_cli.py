@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import itertools
 import json
@@ -82,6 +83,23 @@ def test_analyze_refuses_a_lost_plane(capsys, tmp_path, scale, cond):
     assert err.startswith("error: a plane of Phi^T J Phi was lost")
     assert f"(condition number {cond})" in err and "not resolved" in err
     assert "Traceback" not in err
+
+
+def test_analyze_names_the_condition_of_a_failed_reconstruction(capsys, tmp_path):
+    # condition 2.2e11: standard_form keeps every plane, but they rebuild
+    # Phi^T J Phi only to a relative 1.3e-6
+    rng = np.random.default_rng(94)
+    U, V = sy.random_symplectic(2, rng), sy.random_symplectic(2, rng)
+    r = 10 ** rng.uniform(4.5, 5.5)
+    a, b = rng.uniform(0.5, 2, 2)
+    path = tmp_path / "phi.txt"
+    sy.save_matrix(path, U @ np.diag([r, 1 / r, a, b]) @ V)
+    cond = float(sy._conditioning(sy.load_matrix(path)).cond)
+    assert 2e11 < cond < 3e11
+    code, out, err = run_cli_without_warnings(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: standard form reconstruction failed (relative error ")
+    assert f") at condition number {cond:.3e}, so the lambda/mu invariants are not resolved\n" in err
 
 
 def test_analyze_is_deterministic(capsys, fixture_file):
@@ -522,6 +540,50 @@ def test_symplectify_out_over_its_input_reports_the_input_hash(capsys, tmp_path)
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() != before  # psi replaced the input
     assert json.loads(out)["inputs"]["sha256"] == before
+
+
+def test_each_input_file_is_opened_once_and_hashed_as_read(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    phi = sy.plane_scaling([0.9, 1.1])
+    sy.save_matrix("phi.txt", phi)
+    (tmp_path / "form.json").write_text(json.dumps(_GOLDEN_FORM.to_json_dict()))
+    (tmp_path / "points.json").write_text(json.dumps(_GOLDEN_POINTS))
+    eps = repr(sy.defect(phi) + 1e-9)
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        opened.append((os.fspath(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    for argv, opens in [
+        (["analyze", "phi.txt"], [("phi.txt", "rb")]),
+        (["certify", "phi.txt", "--eps", eps, "--trials", "2"], [("phi.txt", "rb")]),
+        (["homotopy", "form.json", "points.json"], [("form.json", "rb"), ("points.json", "rb")]),
+        # the one other open is psi's write over the input
+        (["symplectify", "phi.txt", "--eps", eps, "--out", "phi.txt"], [("phi.txt", "rb"), ("phi.txt", "w")]),
+    ]:
+        want = hashlib.sha256((tmp_path / argv[1]).read_bytes()).hexdigest()
+        opened.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", recording_open)
+            code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert opened == opens
+        assert json.loads(out)["inputs"]["sha256"] == want
+
+
+@pytest.mark.parametrize("name", ["phi.txt", "phi.json"])
+def test_a_crlf_input_gives_the_same_report_and_the_hash_of_its_bytes(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    sy.save_matrix(name, sy.random_eps_symplectic(2, 0.05, seed=2))
+    lf = (tmp_path / name).read_bytes()
+    crlf = lf.replace(b"\n", b"\r\n")
+    code, out_lf, _ = run_cli(capsys, "analyze", name)
+    (tmp_path / name).write_bytes(crlf)
+    assert run_cli(capsys, "analyze", name)[:2] == (
+        code, out_lf.replace(hashlib.sha256(lf).hexdigest(), hashlib.sha256(crlf).hexdigest()))
+    assert code == 0 and b"\r\n" in crlf
 
 
 def test_symplectify_plane_scaling(capsys, tmp_path):

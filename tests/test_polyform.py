@@ -436,6 +436,19 @@ def test_points_that_hold_a_non_number_are_refused_by_name():
         pf.point_block([[0.5, True]], 2)
 
 
+def test_a_non_finite_point_is_refused_by_name():
+    # point_block refuses it for every caller: h_bound_check once called a
+    # NaN point's norm an overflow, and evaluate returned a NaN covector
+    f = pf.PolyForm.basis(3, (1,))
+    message = "non-finite entry nan at point 1, coordinate 1"
+    with pytest.raises(ValueError, match=message):
+        pf.h_bound_check(f, [[math.nan, 0.0, 0.0]], s=1.0)
+    with pytest.raises(ValueError, match=message):
+        pf.evaluate(f, [math.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite entry -inf at point 2, coordinate 3"):
+        pf.point_block([[0.0, 0.0, 0.0], [0.0, 0.0, -math.inf]], 3)
+
+
 def _exact_value_and_scale(poly, x):
     """Sum of c x^e and sum of |c x^e| over the monomials, in exact rationals."""
     terms = [c * math.prod(xi**p for xi, p in zip(x, e)) for e, c in poly.items()]

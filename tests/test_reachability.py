@@ -40,6 +40,7 @@ UNREACHED = {
     "symplectic.check_eps_nonexpanding": "called by the fixed acceptance tests, tests/test_acceptance.py",
     "polyform.PolyForm.basis": "called by the benchmark tracer's self-test, perfbench/selftest.py",
     "polyform.d": "public API; the check uses `_d_terms`",
+    "symplectic.load_matrix": "library path reader, bound by the benchmark tracer, perfbench/tracing.py (ROADMAP item 4)",
 }
 
 UNSET = {
