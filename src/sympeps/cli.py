@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import __version__, moser, polyform, suite, symplectic
+from . import __version__, exact, moser, polyform, suite, symplectic
 
 DEFAULT_SEED = 20250810
 
@@ -96,7 +96,7 @@ def cmd_analyze(args):
     }
     if args.eps is not None:
         report["eps"] = args.eps
-        report["within_eps"] = bool(dft <= args.eps)
+        report["within_eps"] = exact.defect_within(phi, dft, args.eps)
     human = [f"defect           {dft:.12g}", f"classification   {rep.classification}"]
     if rep.classification != "singular":
         check = symplectic._decomposition_identity(n, dft, rep)

@@ -17,7 +17,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .symplectic import EPS_LIMIT, _as_even_matrix, _pullback_matrix, _standard_J, defect, defect_rounding_bound, rho
+from .exact import defect_within
+from .symplectic import EPS_LIMIT, _as_even_matrix, _pullback_matrix, _standard_J, defect, rho
 
 METHOD = "rk4-classical"
 # The exact psi, the symplectic polar factor, has margins >= 0 and residual 0.
@@ -173,9 +174,10 @@ class SymplectifyReport:
 def symplectify(phi, eps: float, config: Optional[FlowConfig] = None) -> SymplectifyReport:
     """Integrate the correction flow and verify its bounds.
 
-    Requires eps in [0, 1/sqrt(2)) (else ValueError, checked first) and
-    defect(phi) <= eps + 1e-12: above that, DefectAboveBudget when the excess
-    also exceeds defect_rounding_bound(phi), else ValueError.
+    Requires eps in [0, 1/sqrt(2)) (else ValueError, checked first) and an
+    exact defect of at most eps + 1e-12 (else DefectAboveBudget), which
+    ``exact.defect_within`` decides in integers where defect(phi) is within
+    its rounding bound of that.
     Returns psi = Y(1) of the matrix ODE Y' = C(t) Y, Y(0) = I, with the
     residual defect of phi @ psi and the displacement / sandwich margins at
     tolerance 1e-6.
@@ -184,13 +186,11 @@ def symplectify(phi, eps: float, config: Optional[FlowConfig] = None) -> Symplec
     phi, n = _as_even_matrix(phi)
     if not 0.0 <= eps < EPS_LIMIT:
         raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
-    d0, d0_err = defect(phi), defect_rounding_bound(phi)
+    d0 = defect(phi)
     # The flow needs D below 1/sqrt(2) + 1e-12, where its series bound holds;
-    # above eps + 1e-12, d0 is a verdict only past defect's own rounding.
-    if d0 > eps + max(1e-12, d0_err):
+    # a map drawn at defect eps may land a few units in the last place above it.
+    if not defect_within(phi, d0, eps + 1e-12):
         raise DefectAboveBudget(f"defect {d0:.6e} exceeds eps {eps:.6e}")
-    if d0 > eps + 1e-12:
-        raise ValueError(f"defect {d0:.6e} exceeds eps {eps:.6e} by less than its rounding bound {d0_err:.6e}: no verdict")
     J = _standard_J(n)
     M = _pullback_matrix(phi) - J
     psi = _integrate_matrix_flow(M, J, config.n_steps)

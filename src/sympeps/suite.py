@@ -98,17 +98,17 @@ def random_polyform(
 def random_ellipsoids(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """A (count, 2n, 2n) stack of random non-singular matrices q1 diag(s) q2,
     q1 and q2 orthogonal and s in [1/2, 2].  Each matrix draws its two
-    Gaussian matrices and then s, in that order, so the stack does not depend
-    on how many matrices one call makes; all 2 count QR factorizations run as
-    one stacked call."""
+    Gaussian matrices and then log s, in that order and in place, so the stack
+    does not depend on how many matrices one call makes; log s is
+    uniform(-log 2, log 2)'s own low + (high - low) u."""
     dim = 2 * n
     gauss = np.empty((count, 2, dim, dim))
-    svals = np.empty((count, 1, dim))
+    u = np.empty((count, 1, dim))
     for i in range(count):
-        gauss[i] = rng.standard_normal((2, dim, dim))
-        svals[i, 0] = np.exp(rng.uniform(-math.log(2.0), math.log(2.0), size=dim))
+        rng.standard_normal(out=gauss[i])
+        rng.random(out=u[i, 0])
     q, _ = np.linalg.qr(gauss)
-    return (q[:, 0] * svals) @ q[:, 1]
+    return (q[:, 0] * np.exp(2.0 * math.log(2.0) * u - math.log(2.0))) @ q[:, 1]
 
 
 def random_ellipsoid(rng: np.random.Generator, n: int) -> np.ndarray:

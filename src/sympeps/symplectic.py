@@ -187,8 +187,7 @@ def defect_rounding_bound(phi) -> float:
     """
     phi, n = _as_even_matrix(phi)
     k, u = 2 * n * n + 2 * n + 4, 2.0**-53
-    with np.errstate(over="ignore"):
-        fro2 = float(np.sum(phi * phi))
+    fro2 = float(np.vdot(phi, phi))  # inf, with no warning, where it overflows
     return k * u / (1.0 - k * u) * (fro2 + math.sqrt(2 * n)) / math.sqrt(2.0)
 
 
@@ -258,7 +257,12 @@ class _Conditioning(NamedTuple):
 def _conditioning(A: np.ndarray) -> _Conditioning:
     """Singular values and condition number of A, or of each matrix of a
     stack, and whether it counts as singular at SINGULAR_RTOL."""
-    svals = np.linalg.svd(A, compute_uv=False)
+    return _conditioned(np.linalg.svd(A, compute_uv=False))
+
+
+def _conditioned(svals: np.ndarray) -> _Conditioning:
+    """The conditioning that singular values give, descending along the last
+    axis; only the first and the last are read."""
     top, low = svals[..., 0], svals[..., -1]
     cond = np.divide(top, low, out=np.full_like(top, np.inf), where=low != 0.0)
     singular = (top == 0.0) | (low <= SINGULAR_RTOL * top)
@@ -483,7 +487,7 @@ def _image_cleared(phi_cond: _Conditioning, own: _Conditioning) -> np.ndarray:
     top < 2^500 and low > 2^-500, keeps phi A and its SVD away from overflow
     and from underflow, where rounding is absolute rather than relative:
     (1e-200 I, 1e-200 I) has kappa 1, yet phi A is the zero matrix."""
-    d = own.svals.shape[-1]
+    d = phi_cond.svals.shape[-1]
     limit = min(0.5 / SINGULAR_RTOL, 1.0 / (3.0 * (d * d + 3 * d) * 2.0**-53))
     with np.errstate(over="ignore"):  # an infinite product is not cleared
         top = phi_cond.svals[0] * own.svals[..., 0]
@@ -491,17 +495,43 @@ def _image_cleared(phi_cond: _Conditioning, own: _Conditioning) -> np.ndarray:
         return (top < 2.0**500) & (low > 2.0**-500) & (phi_cond.cond * own.cond < limit)
 
 
+def _plane_diagonal(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Which matrices of a stack (k, 2n, 2n) are diag(r_1, r_1, ..., r_n, r_n)
+    with every r_j in [2^-100, 2^100], and for those the rows
+    (sigma_max, sigma_min) = (max r_j, min r_j); min r_j is also r_1.
+
+    Such an A has singular values |r_j| and A^T J A = diag(r_j^2 J_j), so its
+    symplectic spectrum is r_j too.  In that range LAPACK returns the radii
+    bit for bit; its own rescaling first moved a value at |log2 r| ~ 208 for
+    the spectrum and ~ 459 for the SVD, so the closed form changes no value."""
+    radii = stack.diagonal(axis1=1, axis2=2)[:, 0::2]
+    diagonal = np.repeat(radii, 2, axis=1)[:, :, None] * np.eye(stack.shape[-1])
+    rows = (stack == diagonal).all(axis=(1, 2)) & ((radii >= 2.0**-100) & (radii <= 2.0**100)).all(axis=1)
+    radii = radii[rows]
+    return rows, np.stack([radii.max(axis=1), radii.min(axis=1)], axis=1)
+
+
 def _width_table(phi: np.ndarray, phi_cond: _Conditioning, rho_val: float, ellipsoids: Sequence) -> _Widths:
     """The widths of a batch of ellipsoids, computed on the stack of them;
-    phi_cond is the conditioning of phi."""
+    phi_cond is the conditioning of phi.  A float stack of shape (k, dim, dim)
+    is read as it is."""
     dim = phi.shape[0]
-    mats = [np.asarray(A, dtype=float) for A in ellipsoids]
-    for i, A in enumerate(mats):
-        if A.shape != (dim, dim):
-            raise ValueError(f"ellipsoid {i} has shape {A.shape}, expected ({dim}, {dim})")
-    stack = np.array(mats).reshape(len(mats), dim, dim)
+    stack = ellipsoids
+    if not (isinstance(stack, np.ndarray) and stack.dtype == float and stack.shape[1:] == (dim, dim)):
+        mats = [np.asarray(A, dtype=float) for A in ellipsoids]
+        for i, A in enumerate(mats):
+            if A.shape != (dim, dim):
+                raise ValueError(f"ellipsoid {i} has shape {A.shape}, expected ({dim}, {dim})")
+        stack = np.array(mats).reshape(len(mats), dim, dim)
     image = phi @ stack
-    own = _conditioning(stack)
+    # The plane-diagonal ellipsoids take sigma_max, sigma_min and r1 in closed
+    # form; only the others get an SVD and, once all are nonsingular, a spectrum.
+    plane, extremes = _plane_diagonal(stack)
+    lapack = ~plane
+    other = stack[lapack]
+    svals = np.empty((len(stack), 2))
+    svals[plane], svals[lapack] = extremes, np.linalg.svd(other, compute_uv=False)[:, [0, -1]]
+    own = _conditioned(svals)
     # Only the images that the bound leaves open get an SVD; every singular A
     # is among them.  Fail as a loop over the batch would: at the first
     # ellipsoid with a singular A or phi A, checking A first.
@@ -511,8 +541,10 @@ def _width_table(phi: np.ndarray, phi_cond: _Conditioning, rho_val: float, ellip
         first = np.flatnonzero(own.singular[rest] | img.singular)[:1]
         own.at(rest[first]).require_nonsingular("ellipsoid matrix")
         img.at(first).require_nonsingular("matrix")
-    _, _, s_A, e_A = _squeeze_bounds(own.svals, rho_val)
-    return _Widths(_spectrum(stack)[:, 0], _spectrum(image)[:, 0], s_A, e_A)
+    _, _, s_A, e_A = _squeeze_bounds(svals, rho_val)
+    r1 = svals[:, 1].copy()
+    r1[lapack] = _spectrum(other)[:, 0]
+    return _Widths(r1, _spectrum(image)[:, 0], s_A, e_A)
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
@@ -528,12 +560,6 @@ def _column(x: np.ndarray) -> list:
     if np.isnan(x).any():
         values = [None if v != v else v for v in values]  # v != v: NaN
     return values
-
-
-def _records(columns: dict) -> List[dict]:
-    """One record per ellipsoid, of each column's entry; the columns are
-    lists of Python values."""
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def _worst(margins: np.ndarray) -> Optional[dict]:
@@ -609,12 +635,12 @@ def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificat
     return WidthCertificates(
         CertificateReport(
             "nonsqueezing", eps, rho_val,
-            _records({"margin": _column(squeeze), "pass": squeeze_ok.tolist()}),
+            [{"margin": m, "pass": p} for m, p in zip(_column(squeeze), squeeze_ok.tolist())],
             passed=bool(squeeze_ok.all()), worst=_worst(squeeze),
         ),
         CertificateReport(
             "nonexpanding", eps, rho_val,
-            _records({"margin": _column(expand), "pass": expand_ok.tolist()}),
+            [{"margin": m, "pass": p} for m, p in zip(_column(expand), expand_ok.tolist())],
             [
                 {"radius": r, "image_width": w, "bound": b, "pass": p}
                 for r, w, b, p in zip(BALL_RADII, ball_widths.tolist(), bounds.tolist(), ball_ok.tolist())
@@ -623,10 +649,13 @@ def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificat
         ),
         CertificateReport(
             "capacity", eps, rho_val,
-            _records({
-                "lower_margin": _column(lower), "lower_pass": lower_ok.tolist(), "upper_margin": _column(upper),
-                "upper_pass": np.where(undefined, None, upper_ok).tolist(), "pass": cap_ok.tolist(),
-            }),
+            [
+                {"lower_margin": lm, "lower_pass": lp, "upper_margin": um, "upper_pass": up, "pass": p}
+                for lm, lp, um, up, p in zip(
+                    _column(lower), lower_ok.tolist(), _column(upper),
+                    np.where(undefined, None, upper_ok).tolist(), cap_ok.tolist(),
+                )
+            ],
             passed=bool(cap_ok.all()), worst=_worst(np.fmin(lower, upper)),
         ),
         dict(zip(t._fields, map(_column, t))),

@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from sympeps import cli
+from sympeps import exact
 from sympeps import moser as mo
 from sympeps import polyform as pf
 from sympeps import suite
@@ -213,17 +215,28 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
+def _count_svds(monkeypatch):
+    """Patch np.linalg.svd to record the matrix or stack of each call."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda A, *args, **kwargs: calls.append(A) or svd(A, *args, **kwargs))
+    return calls
+
+
 def test_certify_builds_one_width_table(capsys, fixture_file, tmp_path, monkeypatch):
-    # phi and the stack: 2 conditionings (the balls, phi scaled by powers of
-    # two, share phi's, and every image phi A is cleared by the bound
-    # kappa(phi) kappa(A) < 5e11); the stack, its image and the balls: 3
-    # spectra.  Three separate certificate passes took 10 and 7.
-    calls = _count_calls(monkeypatch, ("_spectrum", "_conditioning"))
+    # phi and the 4 random trials: 2 SVDs, since the 9 plane-diagonal
+    # ellipsoids of the grid take their singular values and r1 from their
+    # radii, the balls (phi scaled by powers of two) share phi's, and every
+    # image phi A is cleared by the bound kappa(phi) kappa(A) < 5e11; the
+    # trials, the 13 images and the 3 balls: 3 spectra.  Three separate
+    # certificate passes took 10 SVDs and 7 spectra.
+    svds = _count_svds(monkeypatch)
+    calls = _count_calls(monkeypatch, ("_spectrum",))
     code, out, _ = run_cli(capsys, "certify", fixture_file, "--eps", "0.1", "--trials", "4")
     assert code == 0
     assert json.loads(out)["ellipsoids"] == 9 + 4
-    assert [np.shape(a) for a in calls["_conditioning"]] == [(4, 4), (13, 4, 4)]
-    assert len(calls["_spectrum"]) == 3
+    assert [np.shape(a) for a in svds] == [(4, 4), (4, 4, 4)]
+    np.testing.assert_array_equal(svds[1], suite.ellipsoid_batch(2, 4, cli.DEFAULT_SEED)[9:])
+    assert [np.shape(a) for a in calls["_spectrum"]] == [(4, 4, 4), (13, 4, 4), (3, 4, 4)]
     # kappa(phi) = 4e11: only the ellipsoids with kappa(A) < 1.25 are cleared,
     # and the one extra SVD is of the images of the others; the first of them
     # that is singular, phi diag(0.5, 0.5, 2, 2) of condition 1.6e12, is named
@@ -232,12 +245,12 @@ def test_certify_builds_one_width_table(capsys, fixture_file, tmp_path, monkeypa
     ellipsoids = suite.ellipsoid_batch(2, 4, cli.DEFAULT_SEED)
     open_ = [A for A in ellipsoids if np.linalg.cond(A) >= 1.25]
     assert len(open_) == 9  # cleared: the unit ball, 0.5 I, 2 I and the third random one (kappa 1.20)
-    calls = _count_calls(monkeypatch, ("_conditioning",))
+    svds.clear()
     code, _, err = run_cli(capsys, "certify", str(path), "--eps", "0.1", "--trials", "4")
     assert code == 2
     assert "error: singular matrix (condition number 1.600e+12)" in err
-    assert [np.shape(a) for a in calls["_conditioning"]] == [(4, 4), (13, 4, 4), (9, 4, 4)]
-    np.testing.assert_array_equal(calls["_conditioning"][2], sy.plane_scaling([1e-6, 4e5]) @ np.array(open_))
+    assert [np.shape(a) for a in svds] == [(4, 4), (4, 4, 4), (9, 4, 4)]
+    np.testing.assert_array_equal(svds[2], sy.plane_scaling([1e-6, 4e5]) @ np.array(open_))
 
 
 def test_symplectify_computes_the_defect_twice(capsys, identity_file, tmp_path, monkeypatch):
@@ -626,9 +639,10 @@ def test_symplectify_rejects_defect_above_eps(capsys, fixture_file):
     assert "exceeds" in err
 
 
-def test_symplectify_gives_no_verdict_inside_the_defect_rounding(capsys, tmp_path, fixture_file):
-    # ||Phi||_F^2 = 1.49e6: the computed defect 2.6e-11 of this symplectic map
-    # is rounding, under its bound 1.9e-9, so eps = 0 is neither met nor missed
+def test_symplectify_decides_exactly_inside_the_defect_rounding(capsys, tmp_path, fixture_file):
+    # ||Phi||_F^2 = 1.49e6: the computed defect 2.6e-11 of this map lies within
+    # its rounding bound 1.9e-9 of eps + 1e-12 at eps = 0, so the exact defect
+    # 2.51e-11 of the saved matrix decides, and it exceeds the budget
     rng = np.random.default_rng(0)
     U, V = sy.random_symplectic(2, rng), sy.random_symplectic(2, rng)
     path = str(tmp_path / "big.txt")
@@ -636,10 +650,13 @@ def test_symplectify_gives_no_verdict_inside_the_defect_rounding(capsys, tmp_pat
     phi = sy.load_matrix(path)
     d0, bound = sy.defect(phi), sy.defect_rounding_bound(phi)
     assert 1e-12 < d0 < bound
+    assert 2.5e-11 < math.sqrt(exact.defect_squared(phi)) < 2.52e-11
     code, out, err = run_cli(capsys, "symplectify", path, "--eps", "0")
-    assert code == 2
-    assert out == ""
-    assert err == f"error: defect {d0:.6e} exceeds eps 0.000000e+00 by less than its rounding bound {bound:.6e}: no verdict\n"
+    assert (code, out) == (1, "")
+    assert err == f"defect {d0:.6e} exceeds eps 0.000000e+00\n"
+    # and at eps = 2.6e-11, within the same band, it meets the budget
+    code, out, _ = run_cli(capsys, "symplectify", path, "--eps", "2.6e-11", "--out", str(tmp_path / "psi.txt"))
+    assert code == 0 and json.loads(out)["report"]["input_defect"] == d0
     code, out, err = run_cli(capsys, "symplectify", fixture_file, "--eps", "0.05")  # defect 0.1
     assert (code, out) == (1, "")
     assert err == "defect 1.000000e-01 exceeds eps 5.000000e-02\n"

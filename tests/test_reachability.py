@@ -104,6 +104,8 @@ json.dump([[0.1, 0.2, -0.3], [0.0, 0.5, 0.1]], open("points.json", "w"))
 commands = [
     "analyze matrix.txt",
     "analyze matrix.json --format text --eps 0.1",
+    # diag(1.01, 1) has defect 0.01 to within its rounding bound: decided exactly
+    "analyze matrix.json --eps 0.01",
     "certify matrix.txt --eps 0.1",
     "certify thin.txt --eps 0.1",
     "symplectify matrix.txt --eps 0.1 --out psi.txt",

@@ -1053,6 +1053,7 @@ def test_width_certificates_equal_three_separate_passes(n):
         (phi, 0.1 * math.sqrt(2.0), [random_ellipsoid(rng, n) for _ in range(9)]),
         (phi, 0.5, mixed),
         (phi, 0.1, []),
+        (phi, 0.1 * math.sqrt(2.0), ellipsoid_batch(n, 3, n)),  # the canonical grid, as certify's stack
         (crush, 0.0, mixed),
         (1.3 * np.eye(dim), 0.1, mixed),  # fails the ball clause
         (singular, 0.1, mixed),
@@ -1161,6 +1162,63 @@ def test_image_bound_margin_and_range():
     # sigma_min(phi) sigma_min(A) above 2^-500; an overflowing product is not cleared
     for k, ok in ((-250, False), (-249, True), (249, True), (250, False), (600, False)):
         assert cleared(np.ldexp(np.eye(4), k), np.ldexp(np.eye(4), k)) is ok
+
+
+def _lapack_extremes(stack):
+    """sigma_max, sigma_min and r_1 of each matrix of a stack, by LAPACK."""
+    svals = np.linalg.svd(stack, compute_uv=False)
+    return svals[:, [0, -1]], sy._spectrum(stack)[:, 0]
+
+
+def _plane_diagonal_stacks():
+    """The canonical grid for n = 1..4, the three balls for n = 5..8, and
+    2,000 seeded plane-diagonal matrices, n = 1..8, with radii in
+    [2^-100, 2^100] (the endpoints among them)."""
+    stacks = [ellipsoid_batch(n, 0, 0) for n in range(1, 9)]
+    rng = np.random.default_rng(17)
+    for n in range(1, 9):
+        radii = np.ldexp(rng.uniform(0.5, 1.0, (250, n)), rng.integers(-99, 101, (250, n)))
+        radii[:2, 0] = 2.0**-100, 2.0**100
+        stacks.append(np.repeat(radii, 2, axis=1)[:, :, None] * np.eye(2 * n))
+    return stacks
+
+
+def test_plane_diagonal_closed_form_equals_lapack():
+    counted = 0
+    for stack in _plane_diagonal_stacks():
+        rows, extremes = sy._plane_diagonal(stack)
+        assert rows.all()
+        svals, r1 = _lapack_extremes(stack)
+        assert np.array_equal(extremes, svals)
+        assert np.array_equal(extremes[:, 1], r1)
+        counted += len(stack)
+    assert counted == sum(3**n for n in range(1, 5)) + 4 * 3 + 2000
+
+
+def test_plane_diagonal_rows_outside_its_reach_take_lapack(monkeypatch):
+    def diag(*entries):
+        return np.diag(np.array(entries, dtype=float))
+
+    kept = [diag(0.5, 0.5, 2.0, 2.0), np.ldexp(np.eye(4), -100), np.ldexp(np.eye(4), 100)]
+    refused = [
+        np.ldexp(np.eye(4), -101),  # radii below 2^-100
+        np.ldexp(np.eye(4), 101),  # above 2^100
+        diag(1.0, 2.0, 1.0, 1.0),  # unequal radii in a plane
+        diag(-1.0, -1.0, 1.0, 1.0),  # a negative radius
+        diag(0.0, 0.0, 1.0, 1.0),  # singular
+        np.eye(4) + np.ldexp(np.eye(4, k=1), -1074),  # one off-diagonal entry
+    ]
+    stack = np.array(kept + refused)
+    rows, extremes = sy._plane_diagonal(stack)
+    assert rows.tolist() == [True] * len(kept) + [False] * len(refused)
+    assert extremes.tolist() == [[2.0, 0.5], [2.0**-100, 2.0**-100], [2.0**100, 2.0**100]]
+    svds, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda A, *args, **kwargs: svds.append(A) or svd(A, *args, **kwargs))
+    lapack = np.array(refused[:4])
+    widths = sy.width_certificates(np.eye(4), 0.1, np.array(kept + refused[:4])).widths
+    assert len(svds) == 2 and np.array_equal(svds[1], lapack)  # after phi's, only the refused rows
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert widths["r1"] == [0.5, 2.0**-100, 2.0**100] + _lapack_extremes(lapack)[1].tolist()
 
 
 # -- finite or refused ---------------------------------------------------------
