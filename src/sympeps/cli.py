@@ -100,11 +100,7 @@ def cmd_analyze(args):
     human = [f"defect           {dft:.12g}", f"classification   {rep.classification}"]
     if rep.classification != "singular":
         check = symplectic._decomposition_identity(n, dft, rep)
-        report["decomposition"] = {
-            "lhs": check.lhs,
-            "rhs": check.rhs,
-            "rel_error": check.rel_error,
-        }
+        report["decomposition"] = check._asdict()
         human.append(f"decomposition    lhs={check.lhs:.9g} rhs={check.rhs:.9g} rel={check.rel_error:.3e}")
         human.append("   j      lambda_j          mu_j   sign")
         for j, (lam, mu, sg) in enumerate(zip(rep.lambdas, rep.mus, rep.signs), start=1):
@@ -242,9 +238,7 @@ def cmd_homotopy(args):
     passed = identity
     if args.points:
         pts, _ = _read(args.points, "points", lambda text: _points(json.loads(text), form.m))
-        with np.errstate(over="ignore"):  # h_bound_check names a point whose norm overflows
-            radius = max(float(np.linalg.norm(p)) for p in pts) if len(pts) else 1.0
-        bound_rep = polyform.h_bound_check(form, pts, s=radius, hf=hf)
+        bound_rep = polyform.h_bound_check(form, pts, hf=hf)
         report["bounds"] = bound_rep.to_dict()
         human.append(f"norm bounds at {len(pts)} points: {'PASS' if bound_rep.passed else 'FAIL'}")
         passed = passed and bound_rep.passed

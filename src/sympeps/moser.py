@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from .exact import defect_within
-from .symplectic import EPS_LIMIT, _as_even_matrix, _pullback_matrix, _standard_J, defect, rho
+from .symplectic import _as_even_matrix, _pullback_matrix, _require_eps, _standard_J, defect, rho
 
 METHOD = "rk4-classical"
 # The exact psi, the symplectic polar factor, has margins >= 0 and residual 0.
@@ -184,8 +184,7 @@ def symplectify(phi, eps: float, config: Optional[FlowConfig] = None) -> Symplec
     """
     config = config or FlowConfig()
     phi, n = _as_even_matrix(phi)
-    if not 0.0 <= eps < EPS_LIMIT:
-        raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
+    _require_eps(eps)
     d0 = defect(phi)
     # The flow needs D below 1/sqrt(2) + 1e-12, where its series bound holds;
     # a map drawn at defect eps may land a few units in the last place above it.

@@ -25,6 +25,7 @@ from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+# norm2 is unused here, but perfbench/selftest.py and tests/test_benchmark_bindings.py bind polyform.norm2
 from .exterior import Covector, check_multi_index, contraction_sign, json_int, json_list, json_numbers, merge_sign, norm2
 
 Exponent = Tuple[int, ...]
@@ -114,9 +115,6 @@ class PolyForm:
         if not self.terms:
             return -1
         return max(poly_total_degree(p) for p in self.terms.values())
-
-    def has_constant_coefficients(self) -> bool:
-        return all(poly_total_degree(p) <= 0 for p in self.terms.values())
 
     def to_json_dict(self) -> dict:
         terms = []
@@ -294,8 +292,8 @@ class MonomialTable:
 
     The indices are sorted; the monomials of index j are rows starts[j] up to
     starts[j + 1] of the integer exponent matrix and of the coefficients.
-    ``degree`` is the largest exponent and ``used`` pairs each variable that
-    occurs with its exponent column.
+    ``degree`` is the largest exponent and ``used`` holds the 0-based
+    variables that occur, in order.
     """
 
     def __init__(self, f: PolyForm):
@@ -311,21 +309,21 @@ class MonomialTable:
                 f"exponent {self.degree} of x{variable} exceeds {MAX_TABLE_EXPONENT}, "
                 "the largest that is evaluated at points"
             )
-        self.used = [(i, column) for i, column in enumerate(self.exps.T) if column.any()]
+        self.used = np.flatnonzero(self.exps.any(axis=0))
 
     def _monomials(self, X: np.ndarray) -> np.ndarray:
         """Monomial values at the points X, shape (T, m) -> (monomials, T): each is
         its coefficient times x_i^e_i for each variable x_i that the form uses, in
         turn, with powers by repeated multiplication.  Overflow gives inf or nan."""
-        base = X.T[[i for i, _ in self.used]]
+        base = X.T[self.used]
         powers = np.empty((self.degree + 1,) + base.shape)  # (degree + 1, len(used), T)
         powers[0] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             for e in range(self.degree):
                 np.multiply(powers[e], base, out=powers[e + 1])
             mono = np.repeat(self.coeffs[:, None], len(X), axis=1)
-            for j, (_, column) in enumerate(self.used):
-                mono *= powers[column, j]
+            for j, i in enumerate(self.used):
+                mono *= powers[self.exps[:, i], j]
         return mono
 
     def values(self, X: np.ndarray) -> np.ndarray:
@@ -434,12 +432,14 @@ class HBoundReport:
 def h_bound_check(
     f: PolyForm,
     points: Sequence[Sequence[float]],
-    s: float,
+    s: Optional[float] = None,
     hf: Optional[PolyForm] = None,
 ) -> HBoundReport:
     """Evaluate both sides of the homotopy-operator norm bounds at each point.
 
-    ``hf`` is h(f) when the caller has it already; omitted, it is computed.
+    ``s`` is the radius of the star-shaped domain; omitted, it is the largest
+    norm of the points, or 1.0 when there are none.  ``hf`` is h(f) when the
+    caller has it already; omitted, it is computed.
     """
     if f.k < 1:
         raise ValueError("norm bounds apply to degrees k >= 1")
@@ -447,6 +447,8 @@ def h_bound_check(
     with np.errstate(over="ignore"):  # an infinite norm is refused below, naming the point
         # 1-D norms: the axis form can differ in the last bit, and radii reach stdout
         radii = np.array([np.linalg.norm(x) for x in X])
+    if s is None:
+        s = float(radii.max()) if len(radii) else 1.0
     outside = np.flatnonzero(radii > s + 1e-12)
     if outside.size:
         r = float(radii[outside[0]])
@@ -456,12 +458,12 @@ def h_bound_check(
     else:
         factor = math.sqrt(f.m)
     lhs = MonomialTable(h(f) if hf is None else hf).norms(X)
-    ray_case = f.has_constant_coefficients()
+    f_table = MonomialTable(f)
+    ray_case = f_table.degree == 0
     if ray_case:
         # constant coefficients: ||f(t x)|| is the same at every t and x
-        max_beta = np.full(len(X), norm2(evaluate(f, np.zeros(f.m))))
+        max_beta = f_table.norms(X)
     else:
-        f_table = MonomialTable(f)
         ts = np.linspace(0.0, 1.0, T_SAMPLES)
         # the rays of as many points at once as fit in 2^20 floats (8 MB), at least one, so
         # that memory does not grow with the number of points

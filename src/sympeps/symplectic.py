@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -60,8 +60,6 @@ __all__ = [
     "random_defective",
     "random_eps_symplectic",
     "parse_matrix_text",
-    "format_matrix_text",
-    "matrix_to_json_dict",
     "matrix_from_json_dict",
     "read_matrix",
     "load_matrix",
@@ -368,26 +366,31 @@ def _decomposition_identity(n: int, dft: float, rep: LambdaMuReport) -> Decompos
 # ---------------------------------------------------------------------------
 
 
+def _require_eps(eps: float) -> None:
+    """Refuse a defect bound outside [0, 1/sqrt(2)), where the eps-symplectic
+    theory holds."""
+    if not 0.0 <= eps < EPS_LIMIT:
+        raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
+
+
 def rho(eps: float, n: int, linear_case: bool = False) -> float:
     """Radius factor of the symplectifying correction of an eps-symplectic map:
     (1 - sqrt(2) eps)^sqrt(2n), or its square root power sqrt(1 - sqrt(2) eps)
     in the linear case."""
-    if not 0.0 <= eps < EPS_LIMIT:
-        raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
+    _require_eps(eps)
     if n < 1 and not linear_case:
         raise ValueError("half-dimension n must be >= 1")
-    return _width_rho(math.sqrt(2.0) * eps, n, linear_case)
+    width_eps = math.sqrt(2.0) * eps
+    linear = _width_rho(width_eps)  # also refuses width_eps outside [0, 1)
+    return linear if linear_case else (1.0 - width_eps) ** math.sqrt(2 * n)
 
 
-def _width_rho(eps: float, n: int, linear_case: bool) -> float:
-    # Width-inequality parameterization: rho = (1 - eps)^(1/2) in the linear
-    # case, (1 - eps)^sqrt(2n) otherwise.  An eps0-symplectic map satisfies
-    # the width inequalities with eps = sqrt(2) * eps0.
+def _width_rho(eps: float) -> float:
+    """Width-inequality radius factor sqrt(1 - eps); an eps0-symplectic map
+    satisfies the width inequalities with eps = sqrt(2) * eps0."""
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"width parameter eps must lie in [0, 1), got {eps}")
-    if linear_case:
-        return math.sqrt(1.0 - eps)
-    return (1.0 - eps) ** math.sqrt(2 * n)
+    return math.sqrt(1.0 - eps)
 
 
 @dataclass(frozen=True)
@@ -419,9 +422,9 @@ def _squeeze_bounds(svals: np.ndarray, rho_val: float) -> Tuple[np.ndarray, ...]
 
 
 def squeezing_params(A, eps: float) -> SqueezeParams:
-    A, n = _as_even_matrix(A, "ellipsoid matrix")
+    A, _ = _as_even_matrix(A, "ellipsoid matrix")
     svals = _conditioning(A).require_nonsingular("ellipsoid matrix")
-    rho_val = _width_rho(eps, n, linear_case=True)
+    rho_val = _width_rho(eps)
     r_A, inv_norm, s_A, e_A = _squeeze_bounds(svals, rho_val)
     e_A = float(e_A)
     return SqueezeParams(float(r_A), float(inv_norm), rho_val, float(s_A), None if math.isnan(e_A) else e_A)
@@ -441,23 +444,14 @@ class CertificateReport:
     kind: str
     eps: float
     rho: float
-    records: List[dict] = field(default_factory=list)
-    ball_checks: List[dict] = field(default_factory=list)
     passed: bool = True
     note: str = ""
     worst: Optional[dict] = None
+    records: List[dict] = field(default_factory=list)
+    ball_checks: List[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "eps": self.eps,
-            "rho": self.rho,
-            "passed": bool(self.passed),
-            "note": self.note,
-            "worst": self.worst,
-            "records": self.records,
-            "ball_checks": self.ball_checks,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class _Widths(NamedTuple):
@@ -607,9 +601,9 @@ def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificat
     min(1, s), s being r_1 for a width, c(E) for a capacity and r for the
     ball B_r.  A singular phi fails all three unconditionally, with no
     table."""
-    phi, n = _as_even_matrix(phi)
+    phi, _ = _as_even_matrix(phi)
     phi_cond = _conditioning(phi)
-    rho_val = _width_rho(eps, n, linear_case=True)
+    rho_val = _width_rho(eps)
     if phi_cond.singular:
         note = "singular map: fails unconditionally (arbitrarily thin image ellipsoids)"
         fail = (CertificateReport(kind, eps, rho_val, passed=False, note=note) for kind in WidthCertificates._fields[:3])
@@ -634,29 +628,26 @@ def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificat
     cap_ok = lower_ok & (upper_ok | undefined)
     return WidthCertificates(
         CertificateReport(
-            "nonsqueezing", eps, rho_val,
-            [{"margin": m, "pass": p} for m, p in zip(_column(squeeze), squeeze_ok.tolist())],
-            passed=bool(squeeze_ok.all()), worst=_worst(squeeze),
+            "nonsqueezing", eps, rho_val, bool(squeeze_ok.all()), worst=_worst(squeeze),
+            records=[{"margin": m, "pass": p} for m, p in zip(_column(squeeze), squeeze_ok.tolist())],
         ),
         CertificateReport(
-            "nonexpanding", eps, rho_val,
-            [{"margin": m, "pass": p} for m, p in zip(_column(expand), expand_ok.tolist())],
-            [
+            "nonexpanding", eps, rho_val, bool(expand_ok.all() and ball_ok.all()), worst=_worst(expand),
+            records=[{"margin": m, "pass": p} for m, p in zip(_column(expand), expand_ok.tolist())],
+            ball_checks=[
                 {"radius": r, "image_width": w, "bound": b, "pass": p}
                 for r, w, b, p in zip(BALL_RADII, ball_widths.tolist(), bounds.tolist(), ball_ok.tolist())
             ],
-            bool(expand_ok.all() and ball_ok.all()), worst=_worst(expand),
         ),
         CertificateReport(
-            "capacity", eps, rho_val,
-            [
+            "capacity", eps, rho_val, bool(cap_ok.all()), worst=_worst(np.fmin(lower, upper)),
+            records=[
                 {"lower_margin": lm, "lower_pass": lp, "upper_margin": um, "upper_pass": up, "pass": p}
                 for lm, lp, um, up, p in zip(
                     _column(lower), lower_ok.tolist(), _column(upper),
                     np.where(undefined, None, upper_ok).tolist(), cap_ok.tolist(),
                 )
             ],
-            passed=bool(cap_ok.all()), worst=_worst(np.fmin(lower, upper)),
         ),
         dict(zip(t._fields, map(_column, t))),
     )
@@ -755,7 +746,7 @@ def rigidity_bound(eps: float, n: int) -> float:
     threshold = squeeze_eps_threshold()
     if not 0.0 <= eps < threshold:
         raise ValueError(f"eps must lie in [0, {threshold:.6f}), got {eps}")
-    rho_val = _width_rho(eps, n, linear_case=True)
+    rho_val = _width_rho(eps)
     lam = 1.0 / c_rho(rho_val)
     if eps < 1.0 - 0.5**0.25:
         lam = min(lam, rho_val**-2)
@@ -854,8 +845,7 @@ def random_defective(n: int, target: float, rng: np.random.Generator) -> np.ndar
 
 def random_eps_symplectic(n: int, eps: float, seed: int) -> np.ndarray:
     """random_defective(n, eps, default_rng(seed)) with eps in [0, 1/sqrt(2))."""
-    if not 0.0 <= eps < EPS_LIMIT:
-        raise ValueError(f"eps must lie in [0, 1/sqrt(2)), got {eps}")
+    _require_eps(eps)
     return random_defective(n, eps, np.random.default_rng(seed))
 
 
@@ -899,19 +889,6 @@ def parse_matrix_text(text: str) -> np.ndarray:
     return _require_finite(np.array(rows))
 
 
-def format_matrix_text(A) -> str:
-    A, n = _as_even_matrix(A)
-    lines = [f"n {n}"]
-    for row in A:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def matrix_to_json_dict(A) -> dict:
-    A, n = _as_even_matrix(A)
-    return {"n": n, "rows": A.tolist()}
-
-
 def matrix_from_json_dict(data) -> np.ndarray:
     if not isinstance(data, dict) or "n" not in data or "rows" not in data:
         raise ValueError("matrix JSON must have keys 'n' and 'rows'")
@@ -938,11 +915,16 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, A) -> None:
-    """Write A as JSON when path ends in .json, else in the text format.  A
-    non-finite entry has no JSON form: ValueError, and no file is written."""
+    """Write A as JSON when path ends in .json, else in the text format, each
+    entry the repr of its float.  A non-finite entry has no JSON form:
+    ValueError, and no file is written."""
+    A, n = _as_even_matrix(A)
     if str(path).endswith(".json"):
-        text = json.dumps(matrix_to_json_dict(A), allow_nan=False) + "\n"
+        text = json.dumps({"n": n, "rows": A.tolist()}, allow_nan=False) + "\n"
     else:
-        text = format_matrix_text(A)
+        lines = [f"n {n}"]
+        for row in A:
+            lines.append(" ".join(repr(float(x)) for x in row))
+        text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -1005,6 +1006,22 @@ def test_norm_bounds_of_many_high_powers_fit_in_1_gb(tmp_path):
     assert "Traceback" not in proc.stderr
     report = json.loads(proc.stdout)
     assert report["passed"] is True and report["bounds"]["rhs"] == [0.0]
+
+
+def test_a_zero_form_on_a_huge_space_takes_no_loop_over_its_variables(capsys, tmp_path):
+    # the zero form on R^(10^7) and no points: each table finds the variables
+    # that occur in one array pass, not in a loop over 10^7 exponent columns
+    (tmp_path / "form.json").write_text(json.dumps({"m": 10**7, "k": 1, "terms": []}))
+    (tmp_path / "points.json").write_text("[]")
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "homotopy", str(tmp_path / "form.json"), str(tmp_path / "points.json"))
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    report = json.loads(out)
+    assert report["h"] == {"m": 10**7, "k": 0, "terms": []} and report["identity_exact"] is True
+    bounds = report["bounds"]
+    assert bounds["s"] == 1.0 and bounds["ray_constant"] is True and bounds["passed"] is True
+    assert bounds["points"] == bounds["lhs"] == bounds["ray_margins"] == []
 
 
 def test_homotopy_parse_error(capsys, tmp_path):

@@ -136,6 +136,15 @@ def test_symplectify_preconditions():
         with pytest.raises(ValueError, match=r"eps must lie in \[0, 1/sqrt\(2\)\)") as info:
             mo.symplectify(phi, eps)
         assert not isinstance(info.value, mo.DefectAboveBudget)
+    # one range check: each entry that takes a defect bound refuses 1/sqrt(2) in the same words
+    messages = set()
+    limit = 1 / math.sqrt(2)
+    for call in (lambda: sy.rho(limit, 2), lambda: mo.symplectify(np.eye(4), limit),
+                 lambda: sy.random_eps_symplectic(2, limit, seed=0)):
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {f"eps must lie in [0, 1/sqrt(2)), got {limit}"}
 
 
 def test_step_halving_is_fourth_order():

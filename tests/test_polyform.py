@@ -681,7 +681,7 @@ def _h_bound_reference(f, points, s, tol=1e-9):
     if f.k < 1:
         raise ValueError("norm bounds apply to degrees k >= 1")
     hf = pf.h(f)
-    ray_case = f.has_constant_coefficients()
+    ray_case = f.coefficient_degree() <= 0
     report = _ReferenceHBoundReport(
         m=f.m,
         k=f.k,
@@ -789,26 +789,30 @@ def test_h_bound_check_matches_per_point_reference():
         pts = rng.normal(size=(int(rng.integers(1, 6)), f.m)) * rng.uniform(0.1, 2.0)
         radius = float(np.max(np.linalg.norm(pts, axis=1))) + 0.1
         for points in (pts, []):
-            got = pf.h_bound_check(f, points, s=radius).to_dict()
-            ref = _h_bound_reference(f, points, s=radius).to_dict()
-            if got["rhs_sampled"]:
-                factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1) if f.k > 1 else math.sqrt(f.m)
-                for x, new, old in zip(points, got["rhs"], ref["rhs"]):
-                    scale = float(_exact_ray(f, x, 1.0)[1]) * float(np.linalg.norm(x)) * factor
-                    assert abs(new - old) <= 2 * _ray_gamma(f) * u * scale
-                assert got["margins"] == [r - lhs for r, lhs in zip(got["rhs"], got["lhs"])]
-                for key in ("rhs", "margins"):
-                    got[key] = ref[key]
-            assert json.dumps(got) == json.dumps(ref)
-        covered.add((f.m, f.k, f.has_constant_coefficients()))
+            # s omitted is the largest radius of the points, or 1.0 for none
+            largest = max((float(np.linalg.norm(x)) for x in points), default=1.0)
+            for s, given in ((radius, radius), (largest, None)):
+                got = pf.h_bound_check(f, points, s=given).to_dict()
+                ref = _h_bound_reference(f, points, s=s).to_dict()
+                if got["rhs_sampled"]:
+                    factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1) if f.k > 1 else math.sqrt(f.m)
+                    for x, new, old in zip(points, got["rhs"], ref["rhs"]):
+                        scale = float(_exact_ray(f, x, 1.0)[1]) * float(np.linalg.norm(x)) * factor
+                        assert abs(new - old) <= 2 * _ray_gamma(f) * u * scale
+                    assert got["margins"] == [r - lhs for r, lhs in zip(got["rhs"], got["lhs"])]
+                    for key in ("rhs", "margins"):
+                        got[key] = ref[key]
+                assert json.dumps(got) == json.dumps(ref)
+        covered.add((f.m, f.k, f.coefficient_degree() <= 0))
     assert {m for m, _, _ in covered} == set(range(2, 8))
     assert {k for _, k, _ in covered} == {1, 2, 3}
     assert {c for _, _, c in covered} == {False, True}
     for m, k in ((2, 1), (4, 2), (5, 3)):
         zero = pf.PolyForm(m, k)
         pts = rng.normal(size=(3, m))
-        got = pf.h_bound_check(zero, pts, s=10.0).to_dict()
-        assert json.dumps(got) == json.dumps(_h_bound_reference(zero, pts, s=10.0).to_dict())
+        for points in (pts, []):
+            got = pf.h_bound_check(zero, points, s=10.0).to_dict()
+            assert json.dumps(got) == json.dumps(_h_bound_reference(zero, points, s=10.0).to_dict())
 
 
 def test_ray_norms_match_exact_rational_samples():
@@ -821,7 +825,7 @@ def test_ray_norms_match_exact_rational_samples():
     checked = 0
     while checked < 40:
         f = random_polyform(rng, max_m=6, max_k=3, max_degree=int(rng.integers(1, 5)))
-        if f.has_constant_coefficients():
+        if f.coefficient_degree() <= 0:
             continue
         checked += 1
         table = pf.MonomialTable(f)

@@ -41,6 +41,7 @@ UNREACHED = {
     "polyform.PolyForm.basis": "called by the benchmark tracer's self-test, perfbench/selftest.py",
     "polyform.d": "public API; the check uses `_d_terms`",
     "symplectic.load_matrix": "library path reader, bound by the benchmark tracer, perfbench/tracing.py (ROADMAP item 4)",
+    "polyform.evaluate": "public API, bound by perfbench/tracing.py (ROADMAP item 4)",
 }
 
 UNSET = {

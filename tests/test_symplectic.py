@@ -640,6 +640,11 @@ def test_matrix_text_round_trip(tmp_path):
     path = tmp_path / "phi.txt"
     sy.save_matrix(path, phi)
     np.testing.assert_array_equal(sy.load_matrix(path), phi)
+    # each entry is the repr of its float: a signed zero, a subnormal and the extremes keep their bits
+    edge = [[-0.0, 5e-324], [0.1, 1.7976931348623157e308]]
+    sy.save_matrix(path, edge)
+    assert path.read_text() == "n 1\n-0.0 5e-324\n0.1 1.7976931348623157e+308\n"
+    assert sy.load_matrix(path).tobytes() == np.array(edge).tobytes()
 
 
 def test_matrix_json_round_trip(tmp_path):
@@ -963,7 +968,7 @@ def _reference_records(columns):
 def _reference_width_certificate(phi, eps, ellipsoids, kind):
     phi, n = sy._as_even_matrix(phi)
     singular = sy._conditioning(phi).singular
-    report = sy.CertificateReport(kind, eps, sy._width_rho(eps, n, linear_case=True))
+    report = sy.CertificateReport(kind, eps, sy._width_rho(eps))
     if singular:
         report.passed = False
         report.note = "singular map: fails unconditionally (arbitrarily thin image ellipsoids)"
