@@ -135,10 +135,7 @@ class Covector:
 
 def _evaluate_frames(c: Covector, frames: np.ndarray) -> np.ndarray:
     """Values of ``c`` on a stack of frames of shape (T, m, k), columns = vectors."""
-    n_frames = frames.shape[0]
-    if c.k == 0:
-        return np.full(n_frames, c.coeffs.get((), 0.0))
-    total = np.zeros(n_frames)
+    total = np.zeros(frames.shape[0])
     for index, coeff in c.coeffs.items():
         rows = [i - 1 for i in index]
         total += coeff * np.linalg.det(frames[:, rows, :])
@@ -269,11 +266,9 @@ def pullback(L: np.ndarray, c: Covector) -> Covector:
     mat = np.asarray(L, dtype=float)
     if mat.shape != (c.m, c.m):
         raise ValueError(f"matrix shape {mat.shape} does not match ambient dimension {c.m}")
-    if c.k == 0:
-        return c
     combos = list(itertools.combinations(range(c.m), c.k))
     # Frame j holds the columns combos[j] of L: its value is the coefficient.
-    acc = _evaluate_frames(c, mat[:, np.array(combos)].transpose(1, 0, 2))
+    acc = _evaluate_frames(c, mat[:, np.array(combos, dtype=int)].transpose(1, 0, 2))
     out = {
         tuple(i + 1 for i in combo): val
         for combo, val in zip(combos, acc)

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -301,7 +301,13 @@ class MonomialTable:
         polys = [f.terms[idx] for idx in self.indices]
         self.starts = np.cumsum([0] + [len(p) for p in polys[:-1]])
         self.exps = np.array([e for p in polys for e in p], dtype=int).reshape(-1, f.m)
-        self.coeffs = np.array([float(c) for p in polys for c in p.values()])
+        try:
+            self.coeffs = np.array([float(c) for p in polys for c in p.values()])
+        except OverflowError:
+            index, e = next((i, e) for i, p in zip(self.indices, polys) for e, c in p.items()
+                            if abs(c) > np.finfo(float).max)
+            raise ValueError(f"coefficient at index {list(index)}, exponent {list(e)} "
+                             "is outside the float range") from None
         self.degree = int(self.exps.max(initial=0))
         if self.degree > MAX_TABLE_EXPONENT:
             variable = int(np.argmax(self.exps.max(axis=0))) + 1
@@ -309,7 +315,8 @@ class MonomialTable:
                 f"exponent {self.degree} of x{variable} exceeds {MAX_TABLE_EXPONENT}, "
                 "the largest that is evaluated at points"
             )
-        self.used = np.flatnonzero(self.exps.any(axis=0))
+        # no array of size m; np.unique would import numpy.ma on its first call
+        self.used = np.array(sorted(set(self.exps.nonzero()[1].tolist())), dtype=np.intp)
 
     def _monomials(self, X: np.ndarray) -> np.ndarray:
         """Monomial values at the points X, shape (T, m) -> (monomials, T): each is
@@ -409,9 +416,10 @@ class HBoundReport:
     m: int
     k: int
     s: float
-    t_samples: ClassVar[int] = T_SAMPLES
+    t_samples: int
     rhs_sampled: bool
     ray_constant: bool
+    passed: bool
     points: List[List[float]]
     lhs: List[float]
     rhs: List[float]
@@ -419,14 +427,8 @@ class HBoundReport:
     ray_rhs: Optional[List[float]]
     ray_margins: Optional[List[float]]
 
-    @property
-    def passed(self) -> bool:
-        return min(self.margins + (self.ray_margins or []), default=0.0) >= -1e-9
-
     def to_dict(self) -> dict:
-        keys = ("m", "k", "s", "t_samples", "rhs_sampled", "ray_constant", "passed",
-                "points", "lhs", "rhs", "margins", "ray_rhs", "ray_margins")
-        return {key: getattr(self, key) for key in keys}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def h_bound_check(
@@ -477,16 +479,20 @@ def h_bound_check(
     if bad.size:
         raise ValueError(f"norm bounds at point {X[bad[0]].tolist()} overflow")
     ray_rhs = radii / math.sqrt(f.k) * max_beta  # at most rhs, so finite
+    margins = (rhs - lhs).tolist()
+    ray_margins = (ray_rhs - lhs).tolist() if ray_case else None
     return HBoundReport(
         m=f.m,
         k=f.k,
         s=float(s),
+        t_samples=T_SAMPLES,
         rhs_sampled=not ray_case,
         ray_constant=ray_case,
+        passed=min(margins + (ray_margins or []), default=0.0) >= -1e-9,
         points=X.tolist(),
         lhs=lhs.tolist(),
         rhs=rhs.tolist(),
-        margins=(rhs - lhs).tolist(),
+        margins=margins,
         ray_rhs=ray_rhs.tolist() if ray_case else None,
-        ray_margins=(ray_rhs - lhs).tolist() if ray_case else None,
+        ray_margins=ray_margins,
     )

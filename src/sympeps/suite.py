@@ -124,7 +124,7 @@ def ellipsoid_batch(n: int, trials: int, seed: int) -> np.ndarray:
     radii = (0.5, 1.0, 2.0)
     combos = itertools.product(radii, repeat=n) if n <= 4 else ((r,) * n for r in radii)
     planes = sorted(combos, key=lambda c: c != (1.0,) * n)  # the unit ball first
-    grid = np.repeat(planes, 2, axis=1)[:, :, None] * np.eye(2 * n)
+    grid = symplectic.plane_scaling(planes)
     return np.concatenate([grid, random_ellipsoids(np.random.default_rng(seed), n, trials)])
 
 

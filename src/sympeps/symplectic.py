@@ -36,7 +36,6 @@ __all__ = [
     "EPS_LIMIT",
     "standard_J",
     "plane_scaling",
-    "split_to_interleaved",
     "omega0_covector",
     "standard_antisymplectic",
     "asymmetric_defect_map",
@@ -78,9 +77,9 @@ EPS_LIMIT = 1.0 / math.sqrt(2.0)   # defect bound of the eps-symplectic theory
 @lru_cache(maxsize=None)
 def _standard_J(n: int) -> np.ndarray:
     J = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        J[2 * j, 2 * j + 1] = -1.0
-        J[2 * j + 1, 2 * j] = 1.0
+    # the slot diagonals alone: assigning -np.eye(n) would write -0.0 off them
+    np.fill_diagonal(J[0::2, 1::2], -1.0)
+    np.fill_diagonal(J[1::2, 0::2], 1.0)
     J.setflags(write=False)
     return J
 
@@ -114,28 +113,16 @@ def omega0_covector(n: int) -> Covector:
     return skew_to_covector(standard_J(n))
 
 
-def plane_scaling(values: Sequence[float]) -> np.ndarray:
-    """diag(r_1, r_1, ..., r_n, r_n): scaling by r_j on the j-th plane."""
-    values = [float(v) for v in values]
-    return np.diag(np.repeat(values, 2))
-
-
-def split_to_interleaved(M: np.ndarray) -> np.ndarray:
-    """Conjugate a matrix from (x_1..x_n, y_1..y_n) to interleaved coordinates."""
-    M, n = _as_even_matrix(M)
-    perm = np.empty(2 * n, dtype=int)
-    perm[0::2] = np.arange(n)
-    perm[1::2] = np.arange(n) + n
-    return M[np.ix_(perm, perm)]
+def plane_scaling(radii) -> np.ndarray:
+    """diag(r_1, r_1, ..., r_n, r_n): scaling by r_j on the j-th plane, and +0.0
+    off the diagonal.  Radii of shape (..., n) give a stack (..., 2n, 2n)."""
+    r = np.repeat(np.asarray(radii, dtype=float), 2, axis=-1)
+    return np.where(np.eye(r.shape[-1], dtype=bool), r[..., None], 0.0)
 
 
 def standard_antisymplectic(n: int) -> np.ndarray:
     """Plane-wise swap (x, y) |-> (y, x); pulls omega0 back to -omega0."""
-    R = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        R[2 * j, 2 * j + 1] = 1.0
-        R[2 * j + 1, 2 * j] = 1.0
-    return R
+    return np.abs(_standard_J(n))
 
 
 def asymmetric_defect_map(eps: float, K: float, n: int = 2) -> np.ndarray:
@@ -499,8 +486,8 @@ def _plane_diagonal(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     bit for bit; its own rescaling first moved a value at |log2 r| ~ 208 for
     the spectrum and ~ 459 for the SVD, so the closed form changes no value."""
     radii = stack.diagonal(axis1=1, axis2=2)[:, 0::2]
-    diagonal = np.repeat(radii, 2, axis=1)[:, :, None] * np.eye(stack.shape[-1])
-    rows = (stack == diagonal).all(axis=(1, 2)) & ((radii >= 2.0**-100) & (radii <= 2.0**100)).all(axis=1)
+    in_range = ((radii >= 2.0**-100) & (radii <= 2.0**100)).all(axis=1)
+    rows = (stack == plane_scaling(radii)).all(axis=(1, 2)) & in_range
     radii = radii[rows]
     return rows, np.stack([radii.max(axis=1), radii.min(axis=1)], axis=1)
 
@@ -785,16 +772,15 @@ def _random_shear_factor(n: int, rng: np.random.Generator) -> np.ndarray:
     B = (B + B.T) / 2.0
     S = np.eye(2 * n)
     if rng.integers(2):
-        S[:n, n:] = B
+        S[0::2, 1::2] = B  # x_j += sum_i B_ji y_i
     else:
-        S[n:, :n] = B
-    return split_to_interleaved(S)
+        S[1::2, 0::2] = B  # y_j += sum_i B_ji x_i
+    return S
 
 
 def _random_plane_diagonal_factor(n: int, rng: np.random.Generator) -> np.ndarray:
     d = np.exp(rng.normal(0.0, 0.25, size=n))
-    S = np.diag(np.concatenate([d, 1.0 / d]))
-    return split_to_interleaved(S)
+    return np.diag(np.column_stack([d, 1.0 / d]).ravel())
 
 
 def random_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -398,6 +399,17 @@ def test_canonical_ellipsoids_match_the_plane_scaling_list(n):
     for A, B in zip(grid, expected):
         assert A.shape == B.shape and np.array_equal(A, B)
         assert not np.signbit(A).any()
+    # plane_scaling builds a stack of radii as it builds each row, with +0.0
+    # off the diagonal also for a negative radius or -0.0
+    radii = np.random.default_rng(n).normal(size=(6, n))
+    radii[0, 0], radii[1, -1] = -0.0, 0.0
+    rows = [sy.plane_scaling(r) for r in radii]
+    for r, A in zip(radii, rows):
+        assert A.tobytes() == np.diag(np.repeat(r, 2)).tobytes()
+    for shape in ((6, n), (2, 3, n)):
+        stack = sy.plane_scaling(radii.reshape(shape))
+        assert stack.shape == shape[:-1] + (2 * n, 2 * n)
+        assert stack.tobytes() == np.array(rows).tobytes()
 
 
 def _indented_sha256(text: str) -> str:
@@ -770,8 +782,11 @@ def run_cli_without_warnings(capsys, *argv):
         (pf.PolyForm(3, 1, {(1,): {(2, 0, 0): 1}}), "[[0.5, 0, 0], [1e200, 0, 0]]",
          "norm bounds at point [1e+200, 0.0, 0.0] overflow"),
         (pf.PolyForm(3, 1, {(1,): {(2, 0, 0): 1}}), "[[1e160, 0, 0]]", "norm bounds at point [1e+160, 0.0, 0.0] overflow"),
+        # 10^400 x1 dx1: h(f) is the first table built at the points, so its index and exponent are named
+        (pf.PolyForm(2, 1, {(1,): {(1, 0): 10**400}}), "[[0.1, 0.2]]",
+         "error: coefficient at index [], exponent [2, 0] is outside the float range\n"),
     ],
-    ids=["nan-point", "overflowing-norm", "overflowing-values"],
+    ids=["nan-point", "overflowing-norm", "overflowing-values", "coefficient-beyond-floats"],
 )
 def test_homotopy_refuses_non_finite_points_and_bounds(capsys, tmp_path, form, points, message):
     form_path = tmp_path / "form.json"
@@ -1022,6 +1037,15 @@ def test_a_zero_form_on_a_huge_space_takes_no_loop_over_its_variables(capsys, tm
     bounds = report["bounds"]
     assert bounds["s"] == 1.0 and bounds["ray_constant"] is True and bounds["passed"] is True
     assert bounds["points"] == bounds["lhs"] == bounds["ray_margins"] == []
+    # its tables take no array the size of R^m either: the variables that
+    # occur are read from the nonzero exponents
+    tracemalloc.start()
+    try:
+        pf.h_bound_check(pf.PolyForm(10**8, 1), [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_homotopy_parse_error(capsys, tmp_path):

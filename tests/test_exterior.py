@@ -82,6 +82,13 @@ def test_comass_zero_and_degree_zero():
     c = ex.Covector(3, 0, {(): -2.5})
     assert ex.comass(c, "exact") == (2.5, 2.5)
     assert ex.comass(c, "sandwich", trials=8, seed=0) == (2.5, 2.5)
+    # a degree-0 covector is its coefficient on every frame, the empty minor
+    # being 1, so any map pulls it back to itself
+    for m in range(6):
+        for value in (0.0, 1.5, -2.5, 1e100, -3e-100):
+            c = ex.Covector(m, 0, {(): value})
+            assert ex.comass(c, "sandwich", trials=3, seed=m) == ex.comass(c, "exact") == (abs(value),) * 2
+            assert ex.pullback(np.full((m, m), 7.0), c) == c
     top = ex.Covector(3, 3, {(1, 2, 3): -1.5})
     assert ex.comass(top, "exact") == (1.5, 1.5)
     assert ex.comass(top, "sandwich", trials=8, seed=0) == (1.5, 1.5)

@@ -481,6 +481,8 @@ def test_h_bound_constant_two_form():
     assert report.lhs[0] == pytest.approx(0.5, abs=1e-15)
     assert report.ray_rhs[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
     assert report.passed
+    assert list(report.to_dict()) == ["m", "k", "s", "t_samples", "rhs_sampled", "ray_constant", "passed",
+                                      "points", "lhs", "rhs", "margins", "ray_rhs", "ray_margins"]
 
 
 def test_h_bound_general_forms():

@@ -627,12 +627,17 @@ def test_random_defective_refuses_bad_targets(target):
         sy.random_defective(2, target, np.random.default_rng(0))
 
 
-def test_split_interleaved_conversions():
-    n = 3
-    J_split = np.block(
-        [[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]]
-    )
-    np.testing.assert_array_equal(sy.split_to_interleaved(J_split), sy.standard_J(n))
+def test_J_and_the_plane_swap_fill_the_interleaved_slots():
+    # byte for byte against one 2 x 2 block per plane: kron writes -0.0 off the
+    # blocks, which + 0.0 clears, and J and R hold +0.0 in every empty slot
+    for n in (1, 2, 5):
+        for got, block in ((sy.standard_J(n), [[0.0, -1.0], [1.0, 0.0]]),
+                           (sy.standard_antisymplectic(n), [[0.0, 1.0], [1.0, 0.0]])):
+            want = np.kron(np.eye(n), block) + 0.0
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.flags.writeable
+        assert sy._standard_J(n).tobytes() == sy.standard_J(n).tobytes()
+        assert not sy._standard_J(n).flags.writeable
 
 
 def test_matrix_text_round_trip(tmp_path):
