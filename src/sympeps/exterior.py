@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
@@ -37,12 +38,12 @@ DEFAULT_COMASS_TRIALS = 10_000
 def check_multi_index(index: Sequence[int], m: int, k: int) -> MultiIndex:
     """Validate and canonicalize a strictly increasing 1-based index tuple of
     degree k."""
-    idx = tuple(int(i) for i in index)
+    idx = tuple(map(int, index))
     if len(idx) != k:
         raise ValueError(f"index {idx} does not have degree {k}")
-    if any(not 1 <= i <= m for i in idx):
+    if idx and not 1 <= min(idx) <= max(idx) <= m:
         raise ValueError(f"index {idx} out of range 1..{m}")
-    if any(a >= b for a, b in zip(idx, idx[1:])):
+    if not all(map(operator.lt, idx, idx[1:])):
         raise ValueError(f"index {idx} is not strictly increasing")
     return idx
 
@@ -50,6 +51,8 @@ def check_multi_index(index: Sequence[int], m: int, k: int) -> MultiIndex:
 def json_int(value, key: str) -> int:
     """An integer read from the JSON field ``key``: an integer, or a string of
     one.  A float (even 2.0) or a boolean is refused by name, not truncated."""
+    if type(value) is int:
+        return value
     if not isinstance(value, bool) and isinstance(value, (int, str)):
         try:
             return int(value)
@@ -143,8 +146,12 @@ def _evaluate_frames(c: Covector, frames: np.ndarray) -> np.ndarray:
 
 
 def norm2(c: Covector) -> float:
-    """Euclidean norm of the coefficient vector."""
-    return math.sqrt(sum(v * v for v in c.coeffs.values()))
+    """Euclidean norm of the coefficient vector.  The coefficients are divided by 2^e, the
+    power of two of the largest one, so that no square overflows or underflows to zero; a
+    power-of-two scaling is exact, so the bits are those of the unscaled sum wherever neither
+    form leaves the normal floats."""
+    _, e = math.frexp(max(map(abs, c.coeffs.values()), default=0.0))
+    return math.ldexp(math.sqrt(sum(w * w for w in (math.ldexp(v, -e) for v in c.coeffs.values()))), e)
 
 
 def covector_to_skew(c: Covector) -> np.ndarray:

@@ -6,20 +6,20 @@ domains: h(d f) + d(h f) = f identically.  Here X is the radial vector field
 sum_i x_i d/dx_i and alpha rescales each coefficient monomial of total degree
 p on a degree-k form by 1/(k + p).
 
-Polynomials are sparse dicts mapping exponent tuples (one entry per variable)
-to Fraction coefficients; zero terms are never stored, so dict equality is
-exact polynomial identity.  d and iota_X also run on bare term dicts of any
-coefficient type: the identity check scales each multidegree block to
-integers and applies them there.  Floats enter in one place: a
-``MonomialTable`` evaluates a form at points, for ``evaluate`` and the
-norm-bound checks.
+A term x^e dx_I lies in the block v = e + 1_I (1_I is 1 at the positions in
+I).  d, iota_X and alpha keep blocks, and alpha divides block v by |v|.  So a
+form stores, per index, its nonzero integer numerators keyed by block in the
+order the terms were added, over one positive denominator per block: d and
+iota_X move and sign numerators, and alpha changes only denominators.
+``Fraction``s are made only when ``terms`` is read, and floats only in a
+``MonomialTable``, which evaluates a form at points.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -29,11 +29,10 @@ import numpy as np
 from .exterior import Covector, check_multi_index, contraction_sign, json_int, json_list, json_numbers, merge_sign, norm2
 
 Exponent = Tuple[int, ...]
+Block = Tuple[int, ...]
 Poly = Dict[Exponent, Fraction]
 MultiIndex = Tuple[int, ...]
-
-
-# -- sparse polynomial helpers ----------------------------------------------
+Numerators = Dict[MultiIndex, Dict[Block, int]]
 
 
 def poly_const(m: int, value) -> Poly:
@@ -43,137 +42,177 @@ def poly_const(m: int, value) -> Poly:
     return {(0,) * m: coeff}
 
 
-def _canonical(p: Poly) -> Poly:
-    return {e: c for e, c in p.items() if c != 0}
+def _shift(t: Sequence[int], index: MultiIndex, step: int) -> List[int]:
+    """t + step 1_I: the block of the exponent t at the index I for step 1, the exponent for -1."""
+    out = list(t)
+    for i in index:
+        out[i - 1] += step
+    return out
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, Fraction(0)) + c
-    return _canonical(out)
+def _block(e: Sequence[int], index: MultiIndex, m: int) -> Block:
+    """The block of the exponent e at the index I; one of another length or with a negative entry is refused."""
+    if len(e) != m or min(e, default=0) < 0:
+        raise ValueError(f"exponent tuple {tuple(e)} invalid for m={m}")
+    return tuple(_shift(e, index, 1))
 
 
-def _add_term(p: Poly, e: Exponent, c: Fraction) -> None:
-    """p[e] += c in place.  A term that cancels is removed, so that p keeps
-    the key order poly_add would give: a table of p sums its monomials in
-    that order, and the float norms reach stdout."""
-    if e not in p:
-        p[e] = c
-        return
-    total = p[e] + c
+def _add_term(p: dict, v: Block, n: int) -> None:
+    """p[v] += n in place.  A term that cancels is removed, and one that comes
+    back is appended: a table of p sums its monomials in this order, and the
+    float norms reach stdout."""
+    total = p.get(v, 0) + n
     if total:
-        p[e] = total
+        p[v] = total
     else:
-        del p[e]
+        p.pop(v, None)
 
 
-def poly_total_degree(a: Poly) -> int:
-    """Max total degree, or -1 for the zero polynomial."""
-    if not a:
-        return -1
-    return max(sum(e) for e in a)
+def _scaled(num: Numerators, scale: Mapping[Block, int]) -> Numerators:
+    """The numerators of block v times scale[v]."""
+    return {idx: {v: n * scale[v] for v, n in row.items()} for idx, row in num.items()}
+
+
+def _over_blocks(rows: Sequence[Tuple[MultiIndex, List[Tuple[Block, int, int]]]]) -> Tuple[Numerators, Dict[Block, int]]:
+    """Terms [(index, [(block, n, q), ...]), ...], q > 0, as numerators over the lcm of each block's q.
+    An entry list sums its repeated entries in place, zeros kept; a repeated index adds those sums
+    term by term, so one that cancels comes back at the end."""
+    den: Dict[Block, int] = {}
+    for _, row in rows:
+        for v, _, q in row:
+            den[v] = math.lcm(den.get(v, 1), q)
+    num: Numerators = {}
+    for idx, row in rows:
+        poly: Dict[Block, int] = {}
+        for v, n, q in row:
+            poly[v] = poly.get(v, 0) + n * (den[v] // q)
+        merged = num.setdefault(idx, {})
+        for v, n in poly.items():
+            _add_term(merged, v, n)
+    return num, den
 
 
 # -- polynomial differential forms ------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyForm:
-    """Degree-k form sum_sigma f_sigma dx_sigma with polynomial coefficients."""
+    """Degree-k form sum_sigma f_sigma dx_sigma with polynomial coefficients.
+
+    Built from {index: {exponent: c}}, c anything ``Fraction`` reads, or with
+    ``denominators`` {block: int > 0} from {index: {block: int}}, the layout of
+    ``num`` and ``den``.  ``==`` is exact polynomial identity.
+    """
 
     m: int
     k: int
-    terms: Mapping[MultiIndex, Poly] = field(default_factory=dict)
+    coefficients: InitVar[Optional[Mapping]] = None
+    denominators: InitVar[Optional[Mapping[Block, int]]] = None
+    num: Numerators = field(init=False)
+    den: Dict[Block, int] = field(init=False)
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or not 0 <= self.k <= self.m:
-            raise ValueError(f"invalid degree k={self.k} for ambient dimension m={self.m}")
-        clean: Dict[MultiIndex, Poly] = {}
-        for index, poly in self.terms.items():
-            idx = check_multi_index(index, self.m, self.k)
-            for e in poly:
-                if len(e) != self.m or any(p < 0 for p in e):
-                    raise ValueError(f"exponent tuple {e} invalid for m={self.m}")
-            # a Fraction is kept as it is; anything else ("0", 0.5) is
-            # converted before the zero test, so "0" is dropped
-            canon = _canonical({e: c if type(c) is Fraction else Fraction(c) for e, c in poly.items()})
-            if canon:
-                clean[idx] = canon
-        object.__setattr__(self, "terms", clean)
+    def __post_init__(self, coefficients, denominators) -> None:
+        m = self.m
+        if m < 1 or not 0 <= self.k <= m:
+            raise ValueError(f"invalid degree k={self.k} for ambient dimension m={m}")
+        if denominators is None:
+            rows = []
+            for index, poly in (coefficients or {}).items():
+                idx = check_multi_index(index, m, self.k)
+                rows.append((idx, [(_block(e, idx, m), c.numerator, c.denominator)
+                                     for e, c in zip(poly, map(Fraction, poly.values()))]))
+            coefficients, denominators = _over_blocks(rows)
+        num: Numerators = {}
+        for index, row in coefficients.items():
+            kept = {v: n for v, n in row.items() if n}
+            if kept:
+                num[check_multi_index(index, m, self.k)] = kept
+        den = {v: denominators.get(v, 0) for row in num.values() for v in row}
+        if not (all(len(v) == m and min(v) >= 0 and type(q) is int and q > 0 for v, q in den.items())
+                and all(min(map(operator.itemgetter(i - 1), row)) for idx, row in num.items() for i in idx)):
+            raise ValueError(f"blocks {den} must have m={m} entries >= 0, >= 1 where their index is, over ints > 0")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def terms(self) -> Dict[MultiIndex, Poly]:
+        """{index: {exponent: Fraction}}, each index's monomials in the order they were added."""
+        return {idx: {tuple(_shift(v, idx, -1)): Fraction(n, self.den[v]) for v, n in row.items()}
+                for idx, row in self.num.items()}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolyForm):
+            return NotImplemented
+        return (self.m, self.k, self.terms) == (other.m, other.k, other.terms)
 
     @classmethod
     def basis(cls, m: int, index: Sequence[int]) -> "PolyForm":
         """dx_{i_1} ^ ... ^ dx_{i_k} with constant coefficient 1."""
-        idx = tuple(int(i) for i in index)
-        return cls(m, len(idx), {idx: poly_const(m, 1)})
+        return cls(m, len(index), {tuple(map(int, index)): poly_const(m, 1)})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def coefficient_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(poly_total_degree(p) for p in self.terms.values())
+        """Max total degree of a coefficient, or -1 for the zero form."""
+        return max(map(sum, self.den), default=self.k - 1) - self.k
 
     def to_json_dict(self) -> dict:
         terms = []
-        for idx in sorted(self.terms):
-            poly = self.terms[idx]
-            entries = [
-                {"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
-                for e, c in sorted(poly.items())
-            ]
+        for idx in sorted(self.num):
+            entries = []
+            for v, n in sorted(self.num[idx].items()):  # in the order of the exponents v - 1_I
+                q = self.den[v]
+                g = math.gcd(n, q)
+                entries.append({"exp": _shift(v, idx, -1), "num": str(n // g), "den": str(q // g)})
             terms.append({"index": list(idx), "poly": entries})
         return {"m": self.m, "k": self.k, "terms": terms}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PolyForm":
-        """Inverse of to_json_dict.  List fields follow ``json_list`` and
-        integer fields ``json_int``; a malformed value or layout raises
-        ValueError."""
+        """Inverse of to_json_dict.  List fields follow ``json_list`` and integer fields ``json_int``;
+        a malformed value or layout raises ValueError.  Repeated entries add up as in ``_over_blocks``."""
         if not isinstance(data, Mapping):
             raise ValueError(f"polyform JSON must be an object, got {type(data).__name__}")
         try:
-            m = json_int(data["m"], "m")
-            k = json_int(data["k"], "k")
-            terms: Dict[MultiIndex, Poly] = {}
+            m, k = json_int(data["m"], "m"), json_int(data["k"], "k")
+            rows = []
             for term in json_list(data.get("terms", []), "terms"):
                 idx = check_multi_index([json_int(i, "index") for i in json_list(term["index"], "index")], m, k)
-                poly: Poly = {}
+                row = []
                 for entry in json_list(term["poly"], "poly"):
-                    e = tuple(json_int(p, "exp") for p in json_list(entry["exp"], "exp"))
-                    den = json_int(entry["den"], "den")
-                    if den == 0:
+                    v = _block([json_int(p, "exp") for p in json_list(entry["exp"], "exp")], idx, m)
+                    q = json_int(entry["den"], "den")
+                    if q == 0:
                         raise ValueError("JSON field 'den' must be nonzero")
-                    coeff = Fraction(json_int(entry["num"], "num"), den)
-                    poly[e] = poly[e] + coeff if e in poly else coeff
-                terms[idx] = poly_add(terms[idx], poly) if idx in terms else _canonical(poly)
+                    n = json_int(entry["num"], "num")
+                    g = math.gcd(n, q) if q > 0 else -math.gcd(n, q)
+                    row.append((v, n // g, q // g))
+                rows.append((idx, row))
         except KeyError as exc:
             raise ValueError(f"malformed polyform JSON: missing field {exc}") from exc
         except TypeError as exc:
             raise ValueError(f"malformed polyform JSON: {exc}") from exc
-        return cls(m, k, terms)
+        return cls(m, k, *_over_blocks(rows))
 
 
 # -- exterior derivative and the radial homotopy operator --------------------
 
 
-def _d_terms(terms: Mapping[MultiIndex, Mapping], m: int, out: dict) -> dict:
-    """Add d of the terms {index: {exponent: coefficient}} on R^m into out, per
-    target index in place, and return out; any coefficient type will do."""
-    for index, poly in terms.items():
+def _d_terms(terms: Numerators, m: int, out: dict) -> dict:
+    """Add d of the numerators {index: {block: n}} on R^m into out, per target index in place, and
+    return out: for i not in I, x_i^p dx_I gives p x_i^(p-1) dx_i ^ dx_I in the same block, p = v_i."""
+    for index, row in terms.items():
         members = set(index)
         for i in range(1, m + 1):
             if i in members:
                 continue
             target = out.setdefault(tuple(sorted(index + (i,))), {})
             negate = merge_sign((i,), index) < 0
-            for e, c in poly.items():
-                power = e[i - 1]
+            for v, n in row.items():
+                power = v[i - 1]
                 if power:
-                    lowered = e[:i - 1] + (power - 1,) + e[i:]
-                    _add_term(target, lowered, -c * power if negate else c * power)
+                    _add_term(target, v, -n * power if negate else n * power)
     return out
 
 
@@ -181,32 +220,30 @@ def d(f: PolyForm) -> PolyForm:
     """Exterior derivative with exact coefficients; d(d(f)) = 0."""
     if f.k >= f.m:
         raise ValueError(f"exterior derivative of a top-degree form (k={f.k}, m={f.m})")
-    return PolyForm(f.m, f.k + 1, _d_terms(f.terms, f.m, {}))
+    return PolyForm(f.m, f.k + 1, _d_terms(f.num, f.m, {}), f.den)
+
+
+def _alpha_den(f: PolyForm) -> Dict[Block, int]:
+    """The block denominators of alpha f: block v divided by |v|."""
+    if f.k == 0 and (0,) * f.m in f.den:
+        raise ValueError("radial averaging diverges on constants of degree-0 forms")
+    return {v: q * sum(v) for v, q in f.den.items()}
 
 
 def alpha(f: PolyForm) -> PolyForm:
     """Radial averaging: each monomial of total degree p scales by 1/(k + p)."""
-    out: Dict[MultiIndex, Poly] = {}
-    for index, poly in f.terms.items():
-        scaled: Poly = {}
-        for e, c in poly.items():
-            weight = f.k + sum(e)
-            if weight == 0:
-                raise ValueError("radial averaging diverges on constants of degree-0 forms")
-            scaled[e] = c / weight
-        out[index] = scaled
-    return PolyForm(f.m, f.k, out)
+    return PolyForm(f.m, f.k, f.num, _alpha_den(f))
 
 
-def _iota_terms(terms: Mapping[MultiIndex, Mapping], out: dict) -> dict:
-    """Add iota_X of the terms {index: {exponent: coefficient}} into out, per
-    target index in place, and return out; any coefficient type will do."""
-    for index, poly in terms.items():
-        for j, i in enumerate(index):
+def _iota_terms(terms: Numerators, out: dict) -> dict:
+    """Add iota_X of the numerators {index: {block: n}} into out, per target index in place, and
+    return out: x^e dx_I gives the signed x_i x^e dx_(I - i), in the same block."""
+    for index, row in terms.items():
+        for j in range(len(index)):
             target = out.setdefault(index[:j] + index[j + 1:], {})
             negate = contraction_sign(j) < 0
-            for e, c in poly.items():
-                _add_term(target, e[:i - 1] + (e[i - 1] + 1,) + e[i:], -c if negate else c)
+            for v, n in row.items():
+                _add_term(target, v, -n if negate else n)
     return out
 
 
@@ -214,68 +251,43 @@ def iota_radial(f: PolyForm) -> PolyForm:
     """Contraction with the radial field sum_i x_i d/dx_i."""
     if f.k < 1:
         raise ValueError("radial contraction needs degree k >= 1")
-    return PolyForm(f.m, f.k - 1, _iota_terms(f.terms, {}))
+    return PolyForm(f.m, f.k - 1, _iota_terms(f.num, {}), f.den)
 
 
 def h(f: PolyForm) -> PolyForm:
-    """Radial homotopy operator; h(d f) + d(h f) = f for 1 <= k < m.
-
-    Computed as iota_X o alpha; the factorization alpha o iota_X agrees
-    exactly (asserted by the test suite).
-    """
+    """Radial homotopy operator; h(d f) + d(h f) = f for 1 <= k < m.  Computed as iota_X o alpha:
+    iota_X moves the numerators and alpha sets the denominators.  The factorization alpha o iota_X
+    agrees exactly (asserted by the test suite)."""
     if f.k < 1:
         raise ValueError("homotopy operator needs degree k >= 1")
-    return iota_radial(alpha(f))
+    return PolyForm(f.m, f.k - 1, _iota_terms(f.num, {}), _alpha_den(f))
 
 
 def homotopy_identity_check(f: PolyForm, hf: Optional[PolyForm] = None) -> bool:
-    """Exact check of h(d f) + d(h f) == f, in integers, with no tolerance.
-
-    ``hf`` is h(f) when the caller has it already; omitted, it is computed.
-    """
+    """Exact check of h(d f) + d(h f) == f, in integers, with no tolerance.  ``hf`` is h(f)
+    when the caller has it already; omitted, it is computed."""
     if not 1 <= f.k < f.m:
         raise ValueError(f"identity check needs 1 <= k < m, got k={f.k}, m={f.m}")
-    if hf is None:
-        hf = h(f)
+    hf = h(f) if hf is None else hf
     if (hf.m, hf.k) != (f.m, f.k - 1):
         raise ValueError(f"h(f) must have m={f.m} and k={f.k - 1}, got m={hf.m}, k={hf.k}")
-    # d, iota_X and alpha keep the multidegree v = e + 1_I of a term x^e dx_I, and alpha
-    # divides block v by |v| = k + |e|; so alpha commutes with d, and h(d f) = iota_X(d(alpha f)).
-    # Scale block v by l_v |v|, with l_v the lcm of the denominators of f and hf in that block:
-    # then l_v |v| alpha f = l_v f, l_v |v| hf and l_v |v| f have integer coefficients.  As d and
-    # iota_X are linear and keep the blocks, the identity holds iff it holds on each block, iff
-    # iota_X(d(l_v f)) + d(l_v |v| hf) == l_v |v| f there: the rational identity times positive
-    # integers (a constant of hf has |v| = 0 and no d).  One lcm for the whole form would make
-    # every integer as long as all the denominators together.
-    rows, lcm = [], {}
-    for form in (f, hf):
-        keyed = []
-        for index, poly in form.terms.items():
-            ones = [1 if i in index else 0 for i in range(1, f.m + 1)]
-            for e, c in poly.items():
-                v = tuple(map(operator.add, e, ones))
-                lcm[v] = math.lcm(lcm.get(v, 1), c.denominator)
-                keyed.append((index, e, c, v))
-        rows.append(keyed)
-    f_scaled, hf_scaled, target = {}, {}, {}
-    for index, e, c, v in rows[0]:
-        scaled = c.numerator * (lcm[v] // c.denominator)
-        f_scaled.setdefault(index, {})[e] = scaled
-        target.setdefault(index, {})[e] = scaled * sum(v)
-    for index, e, c, v in rows[1]:
-        hf_scaled.setdefault(index, {})[e] = c.numerator * (lcm[v] // c.denominator) * sum(v)
+    # alpha commutes with d, so h(d f) = iota_X(d(alpha f)).  Let f and hf be N_f / D_v and N_h / H_v
+    # on block v (D_v = 1 or H_v = 1 where a form has no terms), and scale the block by D_v H_v |v|.
+    # As d and iota_X are linear and keep blocks, the identity holds iff, on every block,
+    # iota_X(d(H_v N_f)) + d(D_v |v| N_h) == H_v |v| N_f (a constant of hf has |v| = 0 and no d).
+    fd, hd = f.den, hf.den
+    f_scaled = _scaled(f.num, {v: hd.get(v, 1) for v in fd})
+    hf_scaled = _scaled(hf.num, {v: fd.get(v, 1) * sum(v) for v in hd})
     lhs = _d_terms(hf_scaled, f.m, _iota_terms(_d_terms(f_scaled, f.m, {}), {}))
-    return {index: poly for index, poly in lhs.items() if poly} == target
+    return {index: row for index, row in lhs.items() if row} == _scaled(f_scaled, {v: sum(v) for v in fd})
 
 
 def dilate(f: PolyForm, r) -> PolyForm:
-    """Exact pullback by the dilation x |-> r x: coefficients pick up r^(k+p)."""
+    """Exact pullback by the dilation x |-> r x: coefficients pick up r^(k+p) = r^|v|
+    on block v, so for r = a / b its numerators take a^|v| and its denominator b^|v|."""
     r = Fraction(r)
-    out = {
-        idx: _canonical({e: c * r ** (f.k + sum(e)) for e, c in poly.items()})
-        for idx, poly in f.terms.items()
-    }
-    return PolyForm(f.m, f.k, out)
+    return PolyForm(f.m, f.k, _scaled(f.num, {v: r.numerator ** sum(v) for v in f.den}),
+                    {v: q * r.denominator ** sum(v) for v, q in f.den.items()})
 
 
 # Largest exponent that a MonomialTable evaluates: it holds every power up to it of each
@@ -285,6 +297,8 @@ MAX_TABLE_EXPONENT = 1000
 
 # Points per ray at which h_bound_check samples ||f(t x)||, t evenly spaced in [0, 1].
 T_SAMPLES = 1000
+_T_GRID = np.linspace(0.0, 1.0, T_SAMPLES)
+_T_GRID.flags.writeable = False
 
 
 class MonomialTable:
@@ -297,24 +311,25 @@ class MonomialTable:
     """
 
     def __init__(self, f: PolyForm):
-        self.indices: List[MultiIndex] = sorted(f.terms)
-        polys = [f.terms[idx] for idx in self.indices]
-        self.starts = np.cumsum([0] + [len(p) for p in polys[:-1]])
-        self.exps = np.array([e for p in polys for e in p], dtype=int).reshape(-1, f.m)
+        self.indices: List[MultiIndex] = sorted(f.num)
+        rows = [f.num[idx] for idx in self.indices]
+        self.starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
+        self.exps = np.array([_shift(v, idx, -1) for idx, row in zip(self.indices, rows) for v in row],
+                             dtype=int).reshape(-1, f.m)
         try:
-            self.coeffs = np.array([float(c) for p in polys for c in p.values()])
+            # Python's int / int is correctly rounded, as float(Fraction) is
+            self.coeffs = np.array([n / f.den[v] for row in rows for v, n in row.items()])
         except OverflowError:
-            index, e = next((i, e) for i, p in zip(self.indices, polys) for e, c in p.items()
-                            if abs(c) > np.finfo(float).max)
-            raise ValueError(f"coefficient at index {list(index)}, exponent {list(e)} "
+            # |n / q| rounds to inf iff it is at least 2^1024 - 2^970, halfway past the largest float
+            index, v = next((i, v) for i, row in zip(self.indices, rows) for v, n in row.items()
+                            if abs(n) >= (2**1024 - 2**970) * f.den[v])
+            raise ValueError(f"coefficient at index {list(index)}, exponent {_shift(v, index, -1)} "
                              "is outside the float range") from None
         self.degree = int(self.exps.max(initial=0))
         if self.degree > MAX_TABLE_EXPONENT:
             variable = int(np.argmax(self.exps.max(axis=0))) + 1
-            raise ValueError(
-                f"exponent {self.degree} of x{variable} exceeds {MAX_TABLE_EXPONENT}, "
-                "the largest that is evaluated at points"
-            )
+            raise ValueError(f"exponent {self.degree} of x{variable} exceeds {MAX_TABLE_EXPONENT}, "
+                             "the largest that is evaluated at points")
         # no array of size m; np.unique would import numpy.ma on its first call
         self.used = np.array(sorted(set(self.exps.nonzero()[1].tolist())), dtype=np.intp)
 
@@ -379,13 +394,18 @@ def point_block(points: Sequence[Sequence[float]], m: int) -> np.ndarray:
     """The points as one (P, m) array of finite floats; a point of another
     shape, or an entry that is not a finite number, is refused by name."""
     try:
-        xs = [np.asarray(json_numbers(p), dtype=float) for p in points]
-    except TypeError as exc:
-        raise ValueError(f"points must hold numbers: {exc}") from exc
-    for x in xs:
-        if x.shape != (m,):
-            raise ValueError(f"point dimension {x.shape} does not match m={m}")
-    X = np.array(xs).reshape(len(xs), m)
+        X = np.array(json_numbers(points), dtype=float)
+    except (TypeError, ValueError):
+        X = None
+    if X is None or X.shape != (len(points), m):  # point by point, to name the one refused
+        try:
+            xs = [np.asarray(json_numbers(p), dtype=float) for p in points]
+        except TypeError as exc:
+            raise ValueError(f"points must hold numbers: {exc}") from exc
+        for x in xs:
+            if x.shape != (m,):
+                raise ValueError(f"point dimension {x.shape} does not match m={m}")
+        X = np.array(xs).reshape(len(xs), m)
     bad = np.argwhere(~np.isfinite(X))
     if bad.size:
         i, j = bad[0]
@@ -431,12 +451,8 @@ class HBoundReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def h_bound_check(
-    f: PolyForm,
-    points: Sequence[Sequence[float]],
-    s: Optional[float] = None,
-    hf: Optional[PolyForm] = None,
-) -> HBoundReport:
+def h_bound_check(f: PolyForm, points: Sequence[Sequence[float]], s: Optional[float] = None,
+                  hf: Optional[PolyForm] = None) -> HBoundReport:
     """Evaluate both sides of the homotopy-operator norm bounds at each point.
 
     ``s`` is the radius of the star-shaped domain; omitted, it is the largest
@@ -447,18 +463,14 @@ def h_bound_check(
         raise ValueError("norm bounds apply to degrees k >= 1")
     X = point_block(points, f.m)
     with np.errstate(over="ignore"):  # an infinite norm is refused below, naming the point
-        # 1-D norms: the axis form can differ in the last bit, and radii reach stdout
-        radii = np.array([np.linalg.norm(x) for x in X])
+        # sqrt(x.x) is the 1-D np.linalg.norm; the axis form can differ in the last bit, and radii reach stdout
+        radii = np.array([math.sqrt(x.dot(x)) for x in X])
     if s is None:
         s = float(radii.max()) if len(radii) else 1.0
     outside = np.flatnonzero(radii > s + 1e-12)
     if outside.size:
-        r = float(radii[outside[0]])
-        raise ValueError(f"point with norm {r} outside the star-shaped domain of radius {s}")
-    if f.k > 1:
-        factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1)
-    else:
-        factor = math.sqrt(f.m)
+        raise ValueError(f"point with norm {float(radii[outside[0]])} outside the star-shaped domain of radius {s}")
+    factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1) if f.k > 1 else math.sqrt(f.m)
     lhs = MonomialTable(h(f) if hf is None else hf).norms(X)
     f_table = MonomialTable(f)
     ray_case = f_table.degree == 0
@@ -466,13 +478,12 @@ def h_bound_check(
         # constant coefficients: ||f(t x)|| is the same at every t and x
         max_beta = f_table.norms(X)
     else:
-        ts = np.linspace(0.0, 1.0, T_SAMPLES)
         # the rays of as many points at once as fit in 2^20 floats (8 MB), at least one, so
         # that memory does not grow with the number of points
         block = max(1, 2**20 // (len(f_table.indices) * T_SAMPLES))
         max_beta = np.empty(len(X))
         for i in range(0, len(X), block):
-            max_beta[i:i + block] = np.max(f_table.ray_norms(X[i:i + block], ts), axis=1)
+            max_beta[i:i + block] = np.max(f_table.ray_norms(X[i:i + block], _T_GRID), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = radii * factor * max_beta
     bad = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs)))
@@ -481,18 +492,7 @@ def h_bound_check(
     ray_rhs = radii / math.sqrt(f.k) * max_beta  # at most rhs, so finite
     margins = (rhs - lhs).tolist()
     ray_margins = (ray_rhs - lhs).tolist() if ray_case else None
-    return HBoundReport(
-        m=f.m,
-        k=f.k,
-        s=float(s),
-        t_samples=T_SAMPLES,
-        rhs_sampled=not ray_case,
-        ray_constant=ray_case,
-        passed=min(margins + (ray_margins or []), default=0.0) >= -1e-9,
-        points=X.tolist(),
-        lhs=lhs.tolist(),
-        rhs=rhs.tolist(),
-        margins=margins,
-        ray_rhs=ray_rhs.tolist() if ray_case else None,
-        ray_margins=ray_margins,
-    )
+    return HBoundReport(m=f.m, k=f.k, s=float(s), t_samples=T_SAMPLES, rhs_sampled=not ray_case, ray_constant=ray_case,
+                        passed=min(margins + (ray_margins or []), default=0.0) >= -1e-9, points=X.tolist(),
+                        lhs=lhs.tolist(), rhs=rhs.tolist(), margins=margins,
+                        ray_rhs=ray_rhs.tolist() if ray_case else None, ray_margins=ray_margins)

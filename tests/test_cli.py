@@ -767,6 +767,21 @@ def test_homotopy_area_form(capsys, tmp_path):
     assert written == pf.h(form)
 
 
+def test_homotopy_reduces_a_400_digit_fraction(capsys, tmp_path):
+    x = 7**473
+    form = {"m": 2, "k": 1, "terms": [{"index": [1], "poly": [{"exp": [1, 0], "num": str(10 * x), "den": str(3 * x)}]}]}
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(form))
+    points_path = tmp_path / "points.json"
+    points_path.write_text("[[0.3, -0.2]]")
+    code, out, _ = run_cli(capsys, "homotopy", str(form_path), str(points_path))
+    assert code == 0
+    report = json.loads(out)
+    assert out == json.dumps(report) + "\n"
+    assert report["h"]["terms"] == [{"index": [], "poly": [{"exp": [2, 0], "num": "5", "den": "3"}]}]
+    assert report["identity_exact"] is True and report["bounds"]["passed"] is True
+
+
 def run_cli_without_warnings(capsys, *argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -77,6 +77,19 @@ def test_comass_sandwich_brackets_and_is_deterministic():
         assert ex.comass(c, "sandwich", trials=64, seed=11) == (lo, hi)
 
 
+def test_comass_sandwich_holds_the_exact_comass_across_the_float_range():
+    # norm2 scales by a power of two; squared unscaled, 5e-324 gave hi = 0 and 1e300 gave hi = inf
+    values = [5e-324, 1e-310] + [10.0**p for p in range(-300, 301, 25)]
+    for value in values:
+        for c in (ex.Covector(2, 0, {(): -value}), ex.Covector(3, 1, {(2,): value}), ex.Covector(3, 1, {(3,): -value})):
+            lo, hi = ex.comass(c, "sandwich", trials=8, seed=3)
+            assert lo <= value == hi
+            assert ex.comass(c, "exact") == (value, value)
+    lo, hi = ex.comass(ex.Covector(3, 1, {(1,): 1e200, (2,): 1.0}), "sandwich")
+    assert lo <= hi == 1e200
+    assert ex.norm2(ex.Covector(3, 1, {(1,): 3e-320, (2,): 4e-320})) == 5e-320
+
+
 def test_comass_zero_and_degree_zero():
     assert ex.comass(ex.Covector(4, 2, {}), "sandwich") == (0.0, 0.0)
     c = ex.Covector(3, 0, {(): -2.5})

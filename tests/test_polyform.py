@@ -20,14 +20,28 @@ def half(m, expts):
     return {tuple(expts): Fraction(1, 2)}
 
 
+def poly_add(a, b):
+    """The sum of two sparse polynomials {exponent: Fraction}, zero terms
+    dropped: the references below build their forms with it."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def poly_total_degree(a):
+    """Max total degree, or -1 for the zero polynomial."""
+    return max((sum(e) for e in a), default=-1)
+
+
 def test_poly_arithmetic_basics():
     m = 3
-    p = pf.poly_add({(1, 0, 0): Fraction(1)}, pf.poly_const(m, Fraction(2, 3)))
+    p = poly_add({(1, 0, 0): Fraction(1)}, pf.poly_const(m, Fraction(2, 3)))
     assert p == {(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(2, 3)}
     q = {(1, 1, 0): Fraction(1), (0, 1, 0): Fraction(2, 3)}  # p x2
     assert pf.d(pf.PolyForm(m, 0, {(): q})).terms[(1,)] == {(0, 1, 0): Fraction(1)}
-    assert pf.poly_total_degree(q) == 2
-    assert pf.poly_add(p, {e: -c for e, c in p.items()}) == {}
+    assert poly_total_degree(q) == 2
+    assert poly_add(p, {e: -c for e, c in p.items()}) == {}
 
 
 def test_d_of_coordinate_function():
@@ -85,7 +99,7 @@ def _d_reference(f):
             if ex.merge_sign((i,), index) < 0:
                 dp = {e: -c for e, c in dp.items()}
             merged = tuple(sorted(index + (i,)))
-            out[merged] = pf.poly_add(out.get(merged, {}), dp)
+            out[merged] = poly_add(out.get(merged, {}), dp)
     return pf.PolyForm(f.m, f.k + 1, out)
 
 
@@ -103,7 +117,7 @@ def _iota_radial_reference(f):
                 lifted[tuple(up)] = c
             if ex.contraction_sign(j) < 0:
                 lifted = {e: -c for e, c in lifted.items()}
-            out[reduced] = pf.poly_add(out.get(reduced, {}), lifted)
+            out[reduced] = poly_add(out.get(reduced, {}), lifted)
     return pf.PolyForm(f.m, f.k - 1, out)
 
 
@@ -286,13 +300,18 @@ def _form_sum(a, b):
     """a + b, summed per index with poly_add."""
     terms = {idx: dict(p) for idx, p in a.terms.items()}
     for idx, p in b.terms.items():
-        terms[idx] = pf.poly_add(terms.get(idx, {}), p)
+        terms[idx] = poly_add(terms.get(idx, {}), p)
     return pf.PolyForm(a.m, a.k, terms)
+
+
+def _alpha_reference(f):
+    """alpha in Fractions: each term c x^e divided by k + |e|."""
+    return pf.PolyForm(f.m, f.k, {idx: {e: c / (f.k + sum(e)) for e, c in p.items()} for idx, p in f.terms.items()})
 
 
 def _identity_reference(f, hf):
     """h(d f) + d(hf) == f in Fractions, from the poly_add references."""
-    return _form_sum(_iota_radial_reference(pf.alpha(_d_reference(f))), _d_reference(hf)) == f
+    return _form_sum(_iota_radial_reference(_alpha_reference(_d_reference(f))), _d_reference(hf)) == f
 
 
 def _wrong_alpha_primitive(f):
@@ -405,7 +424,7 @@ def test_h_cancellation_can_lower_degree():
     f = pf.PolyForm(
         2,
         1,
-        {(1,): pf.poly_add({(0, 1): Fraction(1)}, pf.poly_const(2, 3)),
+        {(1,): poly_add({(0, 1): Fraction(1)}, pf.poly_const(2, 3)),
          (2,): {(1, 0): Fraction(-1)}},
     )
     hf = pf.h(f)
@@ -922,3 +941,99 @@ def test_h_bound_check_memory_does_not_grow_with_the_points():
         alone = pf.h_bound_check(f, X[i:i + 1], s=math.sqrt(m))
         assert (report.lhs[i], report.rhs[i]) == (alone.lhs[0], alone.rhs[0])
     assert report.passed
+
+
+def _json_reference(data):
+    """The terms of a polyform JSON layout in Fractions: an entry list sums its
+    repeated entries in place, zeros kept, and a repeated index adds its sums
+    with poly_add, so a monomial that cancels comes back at the end."""
+    terms = {}
+    for term in data["terms"]:
+        poly = {}
+        for entry in term["poly"]:
+            e, c = tuple(entry["exp"]), Fraction(int(entry["num"]), int(entry["den"]))
+            poly[e] = poly[e] + c if e in poly else c
+        idx = tuple(term["index"])
+        terms[idx] = poly_add(terms.get(idx, {}), poly)
+    return {idx: p for idx, p in terms.items() if p}
+
+
+def _json_writer_reference(m, k, terms):
+    """to_json_dict from Fraction terms: sorted indices and exponents, reduced num/den strings."""
+    return {"m": m, "k": k, "terms": [
+        {"index": list(idx), "poly": [{"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
+                                      for e, c in sorted(terms[idx].items())]}
+        for idx in sorted(terms)]}
+
+
+def _in_order(terms):
+    """Terms as nested lists, so that == also compares the order of the indices and monomials."""
+    return [(idx, list(p.items())) for idx, p in terms.items()]
+
+
+@st.composite
+def _json_forms(draw):
+    """A polyform JSON layout on R^2..R^7 with numerators up to 2^80 and
+    denominators up to 2^70, or powers of two up to 2^1074 (as Fraction(float)
+    makes).  Its entries reuse a few exponents and indices, and some cancel the
+    sum so far of their monomial, in their entry list or over the whole form."""
+    m = draw(st.integers(2, 7))
+    k = draw(st.integers(1, m - 1))
+    indices = draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, m + 1), k))),
+                            min_size=1, max_size=2, unique=True))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * m), min_size=1, max_size=3, unique=True))
+    dens = st.one_of(st.integers(1, 2**70), st.integers(0, 1074).map(lambda j: 2**j))
+    totals, terms = {}, []
+    for _ in range(draw(st.integers(1, 6))):
+        idx = draw(st.sampled_from(indices))
+        in_list, entries = {}, []
+        for _ in range(draw(st.integers(1, 4))):
+            e = draw(st.sampled_from(exps))
+            mode = draw(st.sampled_from(["new", "new", "cancel in the list", "cancel in the form"]))
+            c = -in_list.get(e, Fraction(0))
+            if mode == "cancel in the form":
+                c -= totals.get((idx, e), Fraction(0))
+            if mode == "new" or c == 0:
+                c = Fraction(draw(st.integers(-2**80, 2**80)), draw(dens))
+            scale = draw(st.sampled_from([1, 1, -1, 6, 2**64 + 13]))  # unreduced entries
+            entries.append({"exp": list(e), "num": str(c.numerator * scale), "den": str(c.denominator * scale)})
+            in_list[e] = in_list.get(e, Fraction(0)) + c
+        for e, c in in_list.items():
+            totals[idx, e] = totals.get((idx, e), Fraction(0)) + c
+        terms.append({"index": list(idx), "poly": entries})
+    return {"m": m, "k": k, "terms": terms}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_json_forms(), st.fractions(min_value=-3, max_value=3, max_denominator=7))
+def test_block_storage_matches_the_fraction_references(data, r):
+    ref = _json_reference(data)
+    f = pf.PolyForm.from_json_dict(data)
+    assert _in_order(f.terms) == _in_order(ref)
+    assert f.to_json_dict() == _json_writer_reference(f.m, f.k, ref)
+    hf, ref_h = pf.h(f), _iota_radial_reference(_alpha_reference(f))
+    _assert_same_form(hf, ref_h)
+    assert hf.to_json_dict() == _json_writer_reference(f.m, f.k - 1, ref_h.terms)
+    assert pf.homotopy_identity_check(f, hf) and _identity_reference(f, hf)
+    wrong = _wrong_alpha_primitive(f)
+    assert pf.homotopy_identity_check(f, wrong) == _identity_reference(f, wrong)
+    dilated = {idx: {e: c * r ** (f.k + sum(e)) for e, c in p.items()} for idx, p in ref.items()}
+    assert _in_order(pf.dilate(f, r).terms) == _in_order({idx: p for idx, p in dilated.items() if r})
+    for form, terms in ((f, ref), (hf, ref_h.terms)):
+        table = pf.MonomialTable(form)
+        monomials = [(e, c) for idx in sorted(terms) for e, c in terms[idx].items()]
+        assert table.exps.tolist() == [list(e) for e, _ in monomials]
+        assert table.coeffs.tobytes() == np.array([float(c) for _, c in monomials]).tobytes()
+
+
+def test_a_400_digit_numerator_and_denominator_give_the_correctly_rounded_float():
+    # Python's int / int is correctly rounded at any size, as float(Fraction) is
+    x = 7**473
+    for num, den in ((10 * x, 3 * x), (10 * x + 1, 3 * x), (-(2**1100), 3 * x)):
+        assert len(str(den)) == 401
+        f = pf.PolyForm(2, 1, {(1,): {(2, 0): num}}, {(2, 0): den})
+        assert f.terms == {(1,): {(1, 0): Fraction(num, den)}}
+        assert pf.MonomialTable(f).coeffs.tobytes() == np.array([float(Fraction(num, den))]).tobytes()
+    data = {"m": 2, "k": 1, "terms": [{"index": [1], "poly": [{"exp": [1, 0], "num": str(10 * x), "den": str(3 * x)}]}]}
+    assert pf.h(pf.PolyForm.from_json_dict(data)).to_json_dict()["terms"] == [
+        {"index": [], "poly": [{"exp": [2, 0], "num": "5", "den": "3"}]}]
