@@ -21,16 +21,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 MultiIndex = Tuple[int, ...]
-
-# Gram-matrix tolerance below which an input basis counts as orthonormal;
-# callers typically hand over eigenvector matrices from floating-point solvers.
-ORTHONORMAL_TOL = 1e-9
 
 DEFAULT_COMASS_TRIALS = 10_000
 
@@ -50,14 +48,18 @@ def check_multi_index(index: Sequence[int], m: int, k: int) -> MultiIndex:
 
 def json_int(value, key: str) -> int:
     """An integer read from the JSON field ``key``: an integer, or a string of
-    one.  A float (even 2.0) or a boolean is refused by name, not truncated."""
+    one.  A float (even 2.0) or a boolean is refused by name, not truncated, and
+    so is a string of more digits than ``int`` converts (``sys.get_int_max_str_digits``)."""
     if type(value) is int:
         return value
     if not isinstance(value, bool) and isinstance(value, (int, str)):
         try:
             return int(value)
         except ValueError:
-            pass
+            if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", value):  # int's own grammar: only the length is refused
+                raise ValueError(f"JSON field {key!r} holds an integer of {sum(map(str.isdecimal, value))} digits, "
+                                 f"more than the {sys.get_int_max_str_digits()} that are read: "
+                                 f"{value.strip()[:20]}...") from None
     raise ValueError(f"JSON field {key!r} must hold integers, got {value!r}")
 
 
@@ -227,30 +229,16 @@ class BasisWitness(NamedTuple):
     value: float
 
 
-def comass_basis_witness(c: Covector, basis: Sequence[Sequence[float]]) -> BasisWitness:
-    """Best evaluation of ``c`` on k-subsets of an orthonormal basis.
-
-    The returned value is a comass lower bound and is never smaller than
-    ``norm2(c) / sqrt(C(m, k))``.
-    """
-    B = np.asarray(basis, dtype=float)
-    if B.shape != (c.m, c.m):
-        raise ValueError(f"basis must consist of {c.m} vectors in R^{c.m}")
-    gram_dev = np.max(np.abs(B @ B.T - np.eye(c.m)))
-    if not gram_dev <= ORTHONORMAL_TOL:
-        raise ValueError(f"basis is not orthonormal (Gram deviation {gram_dev:.3e})")
-    if c.k == 0:
-        return BasisWitness(np.zeros((0, c.m)), abs(next(iter(c.coeffs.values()), 0.0)))
-    combos = np.array(list(itertools.combinations(range(c.m), c.k)))
-    frames = B[combos].transpose(0, 2, 1)  # (n_combos, m, k)
-    values = _evaluate_frames(c, frames)
-    best = int(np.argmax(np.abs(values)))
-    vectors = B[combos[best]].copy()
-    value = float(values[best])
-    if value < 0.0:
-        vectors[0] = -vectors[0]
-        value = -value
-    return BasisWitness(vectors, value)
+def comass_basis_witness(c: Covector) -> BasisWitness:
+    """Best evaluation of ``c`` on k-subsets of the standard basis.  On e_I it is c_I, so the value is the
+    largest |c_I|, a comass lower bound never smaller than ``norm2(c) / sqrt(C(m, k))``; the witness is
+    e_I for the first such I in increasing order, or e_1, ..., e_k for the zero covector."""
+    index, coeff = max(sorted(c.coeffs.items()), key=lambda item: abs(item[1]),
+                       default=(tuple(range(1, c.k + 1)), 0.0))
+    vectors = np.eye(c.m)[[i - 1 for i in index]]
+    if coeff < 0.0:
+        vectors[:1] = -vectors[:1]
+    return BasisWitness(vectors, abs(coeff))
 
 
 def interior(v: Sequence[float], c: Covector) -> Covector:

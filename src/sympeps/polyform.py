@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import InitVar, dataclass, field, fields
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -164,7 +165,15 @@ class PolyForm:
             for v, n in sorted(self.num[idx].items()):  # in the order of the exponents v - 1_I
                 q = self.den[v]
                 g = math.gcd(n, q)
-                entries.append({"exp": _shift(v, idx, -1), "num": str(n // g), "den": str(q // g)})
+                try:
+                    entries.append({"exp": _shift(v, idx, -1), "num": str(n // g), "den": str(q // g)})
+                except ValueError:  # more digits than str writes, so than from_json_dict reads
+                    big = max(abs(n), q) // g
+                    d = int(math.log10(big))  # the digit count less 1, to within one: 10^d settles it
+                    digits = d + (big >= 10 ** d) + (big >= 10 ** (d + 1))
+                    raise ValueError(f"coefficient at index {list(idx)}, exponent {_shift(v, idx, -1)} has a "
+                                     f"numerator or denominator of {digits} digits, more than the "
+                                     f"{sys.get_int_max_str_digits()} that are written") from None
             terms.append({"index": list(idx), "poly": entries})
         return {"m": self.m, "k": self.k, "terms": terms}
 
@@ -430,7 +439,8 @@ class HBoundReport:
     estimated by dense sampling, which can only under-estimate the right-hand
     side up to the rounding of the samples, gamma u times sum_e |c_e (t x)^e|
     with gamma a small multiple of the degree and the monomial count, so a
-    nonnegative margin is conservative up to that rounding.
+    nonnegative margin is conservative up to that rounding.  ``s`` is the
+    largest norm of the points, or 1.0 with none; no bound reads it.
     """
 
     m: int
@@ -451,13 +461,11 @@ class HBoundReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def h_bound_check(f: PolyForm, points: Sequence[Sequence[float]], s: Optional[float] = None,
-                  hf: Optional[PolyForm] = None) -> HBoundReport:
+def h_bound_check(f: PolyForm, points: Sequence[Sequence[float]], hf: Optional[PolyForm] = None) -> HBoundReport:
     """Evaluate both sides of the homotopy-operator norm bounds at each point.
 
-    ``s`` is the radius of the star-shaped domain; omitted, it is the largest
-    norm of the points, or 1.0 when there are none.  ``hf`` is h(f) when the
-    caller has it already; omitted, it is computed.
+    The bounds at x read only ||x|| and f on the segment [0, x].  ``hf`` is
+    h(f) when the caller has it already; omitted, it is computed.
     """
     if f.k < 1:
         raise ValueError("norm bounds apply to degrees k >= 1")
@@ -465,11 +473,6 @@ def h_bound_check(f: PolyForm, points: Sequence[Sequence[float]], s: Optional[fl
     with np.errstate(over="ignore"):  # an infinite norm is refused below, naming the point
         # sqrt(x.x) is the 1-D np.linalg.norm; the axis form can differ in the last bit, and radii reach stdout
         radii = np.array([math.sqrt(x.dot(x)) for x in X])
-    if s is None:
-        s = float(radii.max()) if len(radii) else 1.0
-    outside = np.flatnonzero(radii > s + 1e-12)
-    if outside.size:
-        raise ValueError(f"point with norm {float(radii[outside[0]])} outside the star-shaped domain of radius {s}")
     factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1) if f.k > 1 else math.sqrt(f.m)
     lhs = MonomialTable(h(f) if hf is None else hf).norms(X)
     f_table = MonomialTable(f)
@@ -492,7 +495,8 @@ def h_bound_check(f: PolyForm, points: Sequence[Sequence[float]], s: Optional[fl
     ray_rhs = radii / math.sqrt(f.k) * max_beta  # at most rhs, so finite
     margins = (rhs - lhs).tolist()
     ray_margins = (ray_rhs - lhs).tolist() if ray_case else None
-    return HBoundReport(m=f.m, k=f.k, s=float(s), t_samples=T_SAMPLES, rhs_sampled=not ray_case, ray_constant=ray_case,
+    return HBoundReport(m=f.m, k=f.k, s=float(radii.max()) if len(radii) else 1.0, t_samples=T_SAMPLES,
+                        rhs_sampled=not ray_case, ray_constant=ray_case,
                         passed=min(margins + (ray_margins or []), default=0.0) >= -1e-9, points=X.tolist(),
                         lhs=lhs.tolist(), rhs=rhs.tolist(), margins=margins,
                         ray_rhs=ray_rhs.tolist() if ray_case else None, ray_margins=ray_margins)

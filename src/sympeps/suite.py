@@ -144,7 +144,7 @@ def norm_suite(rng: np.random.Generator, n_covectors: int, trials: int) -> dict:
         hi = exterior.norm2(c)
         lo, hi2 = exterior.comass(c, "sandwich", trials=trials, seed=int(rng.integers(2**32)))
         worst_sandwich = min(worst_sandwich, hi2 - lo)
-        witness = exterior.comass_basis_witness(c, np.eye(c.m)).value
+        witness = exterior.comass_basis_witness(c).value
         bound = math.sqrt(math.comb(c.m, c.k))
         worst_witness = min(worst_witness, bound * witness - hi)
         if c.k in (1, c.m - 1):
@@ -318,8 +318,7 @@ def hbound_suite(rng: np.random.Generator, forms: int, points: int) -> dict:
             terms = {(1, 2): polyform.poly_const(m, 1)}
         f = polyform.PolyForm(m, 2, terms)
         pts = rng.normal(size=(points, m)) * 0.5
-        radius = float(np.max(np.linalg.norm(pts, axis=1))) + 1.0
-        report = polyform.h_bound_check(f, pts, s=radius)
+        report = polyform.h_bound_check(f, pts)
         worst = min(worst, min(report.ray_margins))
     return {
         "name": "hbound",

@@ -28,43 +28,6 @@ import numpy as np
 
 from .exterior import Covector, json_int, json_numbers, skew_to_covector
 
-__all__ = [
-    "StandardForm",
-    "LambdaMuReport",
-    "SqueezeParams",
-    "CertificateReport",
-    "EPS_LIMIT",
-    "standard_J",
-    "plane_scaling",
-    "omega0_covector",
-    "standard_antisymplectic",
-    "asymmetric_defect_map",
-    "defect",
-    "symplectic_spectrum",
-    "standard_form",
-    "lambda_mu_invariants",
-    "defect_decomposition_check",
-    "rho",
-    "squeezing_params",
-    "check_eps_nonsqueezing",
-    "check_eps_nonexpanding",
-    "capacity_preservation_check",
-    "WidthCertificates",
-    "width_certificates",
-    "cubic_z0",
-    "squeeze_eps_threshold",
-    "c_rho",
-    "rigidity_bound",
-    "random_symplectic",
-    "random_defective",
-    "random_eps_symplectic",
-    "parse_matrix_text",
-    "matrix_from_json_dict",
-    "read_matrix",
-    "load_matrix",
-    "save_matrix",
-]
-
 SINGULAR_RTOL = 1e-12     # sigma_min below this times sigma_max counts as singular
 KERNEL_RTOL = 1e-10       # lambda^2 below this times the largest counts as kernel
 CERT_TOL = 1e-10          # additive tolerance on certified inequalities
@@ -848,6 +811,13 @@ def _require_finite(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _half_dimension(n: int) -> int:
+    """n, the half-dimension of a matrix file in either format, once it is at least 1."""
+    if n < 1:
+        raise ValueError(f"half-dimension must be >= 1, got {n}")
+    return n
+
+
 def parse_matrix_text(text: str) -> np.ndarray:
     """Parse the text format: a header line ``n <int>`` followed by 2n rows
     of 2n whitespace-separated floats."""
@@ -861,9 +831,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
         n = int(head[1])
     except ValueError as exc:
         raise ValueError(f"invalid half-dimension in header: {head[1]!r}") from exc
-    if n < 1:
-        raise ValueError(f"half-dimension must be >= 1, got {n}")
-    dim = 2 * n
+    dim = 2 * _half_dimension(n)
     if len(lines) - 1 != dim:
         raise ValueError(f"expected {dim} matrix rows, found {len(lines) - 1}")
     rows = []
@@ -878,7 +846,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
 def matrix_from_json_dict(data) -> np.ndarray:
     if not isinstance(data, dict) or "n" not in data or "rows" not in data:
         raise ValueError("matrix JSON must have keys 'n' and 'rows'")
-    n = json_int(data["n"], "n")
+    n = _half_dimension(json_int(data["n"], "n"))
     try:
         A = np.array(json_numbers(data["rows"]), dtype=float)
     except TypeError as exc:

@@ -782,6 +782,29 @@ def test_homotopy_reduces_a_400_digit_fraction(capsys, tmp_path):
     assert report["identity_exact"] is True and report["bounds"]["passed"] is True
 
 
+def test_homotopy_reads_a_4000_digit_numerator(capsys, tmp_path):
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(_form_with(["terms", 0, "poly", 0, "num"], "7" * 4000)))
+    code, out, _ = run_cli(capsys, "homotopy", str(form_path))
+    assert code == 0
+    # 7...7 / 2 x1 dx1 has the primitive 7...7 / 4 x1^2
+    assert json.loads(out)["h"]["terms"] == [{"index": [], "poly": [{"exp": [2, 0], "num": "7" * 4000, "den": "4"}]}]
+
+
+def test_homotopy_refuses_a_primitive_of_more_digits_than_are_written(capsys, tmp_path):
+    # 1/(10^2999 + 1) + 1/(10^2999 + 3) at x1 dx1 parses, but sums to a fraction whose
+    # denominator has 5999 digits; h(f) is the first form written, so its index and exponent are named
+    a = 10**2999
+    entries = [{"exp": [1, 0], "num": "1", "den": str(a + 1)}, {"exp": [1, 0], "num": "1", "den": str(a + 3)}]
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps({"m": 2, "k": 1, "terms": [{"index": [1], "poly": entries}]}))
+    code, out, err = run_cli(capsys, "homotopy", str(form_path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: coefficient at index [], exponent [2, 0] has a numerator or denominator of 5999 digits, "
+                   "more than the 4300 that are written\n")
+
+
 def run_cli_without_warnings(capsys, *argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -861,10 +884,14 @@ def _form_with(path, value):
          "malformed matrix JSON: 'rows' must hold numbers: True is a bool, not a number"),
         ("points", [["0.5", 1]], "points must hold numbers: '0.5' is a str, not a number"),
         ("points", [[0.5, False]], "points must hold numbers: False is a bool, not a number"),
+        # an integer, but of more digits than int() converts: the count and limit are named, not the digits
+        ("polyform", _form_with(["terms", 0, "poly", 0, "num"], "7" * 5000),
+         "JSON field 'num' holds an integer of 5000 digits, more than the 4300 that are read: 77777777777777777777...\n"),
+        ("matrix", {"n": -1, "rows": []}, "half-dimension must be >= 1, got -1"),
     ],
     ids=["form-list", "terms-int", "den-zero", "num-float", "exp-float", "index-float", "m-float",
          "index-str", "exp-str", "points-int", "n-float", "n-bool", "rows-object", "point-object", "form-no-m",
-         "rows-str", "rows-bool", "point-str", "point-bool"],
+         "rows-str", "rows-bool", "point-str", "point-bool", "num-5000-digits", "n-negative"],
 )
 def test_malformed_json_inputs_are_refused_by_name(capsys, tmp_path, kind, content, message):
     path = tmp_path / f"{kind}.json"

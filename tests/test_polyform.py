@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -163,9 +164,8 @@ def test_identity_and_bound_checks_reuse_a_given_primitive():
         identity = pf.homotopy_identity_check(f)
         assert identity and pf.homotopy_identity_check(f, hf=hf) == identity
         pts = rng.normal(size=(3, f.m)) * 0.5
-        radius = float(np.max(np.linalg.norm(pts, axis=1)))
-        given_hf = pf.h_bound_check(f, pts, s=radius, hf=hf).to_dict()
-        assert given_hf == pf.h_bound_check(f, pts, s=radius).to_dict()
+        given_hf = pf.h_bound_check(f, pts, hf=hf).to_dict()
+        assert given_hf == pf.h_bound_check(f, pts).to_dict()
 
 
 @pytest.mark.parametrize("zero", [0, 0.0, "0", Fraction(0)], ids=["int", "float", "str", "fraction"])
@@ -461,7 +461,7 @@ def test_a_non_finite_point_is_refused_by_name():
     f = pf.PolyForm.basis(3, (1,))
     message = "non-finite entry nan at point 1, coordinate 1"
     with pytest.raises(ValueError, match=message):
-        pf.h_bound_check(f, [[math.nan, 0.0, 0.0]], s=1.0)
+        pf.h_bound_check(f, [[math.nan, 0.0, 0.0]])
     with pytest.raises(ValueError, match=message):
         pf.evaluate(f, [math.nan, 0.0, 0.0])
     with pytest.raises(ValueError, match="non-finite entry -inf at point 2, coordinate 3"):
@@ -495,7 +495,7 @@ def test_monomial_table_against_exact_values():
 
 def test_h_bound_constant_two_form():
     f = pf.PolyForm.basis(4, (1, 2))
-    report = pf.h_bound_check(f, [np.array([1.0, 0.0, 0.0, 0.0])], s=2.0)
+    report = pf.h_bound_check(f, [np.array([1.0, 0.0, 0.0, 0.0])])
     assert report.ray_constant
     assert report.lhs[0] == pytest.approx(0.5, abs=1e-15)
     assert report.ray_rhs[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
@@ -509,23 +509,16 @@ def test_h_bound_general_forms():
     for _ in range(20):
         f = random_polyform(rng)
         pts = rng.normal(size=(5, f.m)) * 0.4
-        radius = float(np.max(np.linalg.norm(pts, axis=1))) + 0.1
-        report = pf.h_bound_check(f, pts, s=radius)
+        report = pf.h_bound_check(f, pts)
         assert report.passed
         assert min(report.margins) >= -1e-9
 
 
 def test_h_bound_zero_form_margins_equal_rhs():
     f = pf.PolyForm(4, 2)
-    report = pf.h_bound_check(f, [np.array([0.5, 0.0, 0.0, 0.0])], s=1.0)
+    report = pf.h_bound_check(f, [np.array([0.5, 0.0, 0.0, 0.0])])
     assert report.margins[0] == report.rhs[0] == 0.0
     assert report.passed
-
-
-def test_h_bound_rejects_points_outside_domain():
-    f = pf.PolyForm.basis(2, (1,))
-    with pytest.raises(ValueError, match="radius"):
-        pf.h_bound_check(f, [np.array([2.0, 0.0])], s=1.0)
 
 
 def test_polyform_json_round_trip():
@@ -696,22 +689,13 @@ class _ReferenceHBoundReport:
         }
 
 
-def _h_bound_reference(f, points, s, tol=1e-9):
+def _h_bound_reference(f, points, tol=1e-9):
     """The per-point norm-bound check before the columnar rewrite, kept as the
     reference for ``h_bound_check``."""
     if f.k < 1:
         raise ValueError("norm bounds apply to degrees k >= 1")
     hf = pf.h(f)
     ray_case = f.coefficient_degree() <= 0
-    report = _ReferenceHBoundReport(
-        m=f.m,
-        k=f.k,
-        s=float(s),
-        rhs_sampled=not ray_case,
-        ray_constant=ray_case,
-        ray_rhs=[] if ray_case else None,
-        ray_margins=[] if ray_case else None,
-    )
     if f.k > 1:
         factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1)
     else:
@@ -723,10 +707,17 @@ def _h_bound_reference(f, points, s, tol=1e-9):
             raise ValueError(f"point dimension {x.shape} does not match m={f.m}")
         with np.errstate(over="ignore"):  # an infinite norm is refused below, naming the point
             r = float(np.linalg.norm(x))
-        if r > s + 1e-12:
-            raise ValueError(f"point with norm {r} outside the star-shaped domain of radius {s}")
         xs.append(x)
         radii.append(r)
+    report = _ReferenceHBoundReport(
+        m=f.m,
+        k=f.k,
+        s=max(radii, default=1.0),  # the largest norm of the points, which no bound reads
+        rhs_sampled=not ray_case,
+        ray_constant=ray_case,
+        ray_rhs=[] if ray_case else None,
+        ray_margins=[] if ray_case else None,
+    )
     X = np.array(xs).reshape(len(xs), f.m)
     lhs_all = pf.MonomialTable(hf).norms(X)
     if ray_case:
@@ -808,22 +799,18 @@ def test_h_bound_check_matches_per_point_reference():
     for _ in range(80):
         f = random_polyform(rng, max_m=7, max_k=3, max_degree=int(rng.integers(0, 4)))
         pts = rng.normal(size=(int(rng.integers(1, 6)), f.m)) * rng.uniform(0.1, 2.0)
-        radius = float(np.max(np.linalg.norm(pts, axis=1))) + 0.1
         for points in (pts, []):
-            # s omitted is the largest radius of the points, or 1.0 for none
-            largest = max((float(np.linalg.norm(x)) for x in points), default=1.0)
-            for s, given in ((radius, radius), (largest, None)):
-                got = pf.h_bound_check(f, points, s=given).to_dict()
-                ref = _h_bound_reference(f, points, s=s).to_dict()
-                if got["rhs_sampled"]:
-                    factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1) if f.k > 1 else math.sqrt(f.m)
-                    for x, new, old in zip(points, got["rhs"], ref["rhs"]):
-                        scale = float(_exact_ray(f, x, 1.0)[1]) * float(np.linalg.norm(x)) * factor
-                        assert abs(new - old) <= 2 * _ray_gamma(f) * u * scale
-                    assert got["margins"] == [r - lhs for r, lhs in zip(got["rhs"], got["lhs"])]
-                    for key in ("rhs", "margins"):
-                        got[key] = ref[key]
-                assert json.dumps(got) == json.dumps(ref)
+            got = pf.h_bound_check(f, points).to_dict()
+            ref = _h_bound_reference(f, points).to_dict()
+            if got["rhs_sampled"]:
+                factor = math.sqrt(f.k * math.comb(f.m, f.k - 1)) / (f.k - 1) if f.k > 1 else math.sqrt(f.m)
+                for x, new, old in zip(points, got["rhs"], ref["rhs"]):
+                    scale = float(_exact_ray(f, x, 1.0)[1]) * float(np.linalg.norm(x)) * factor
+                    assert abs(new - old) <= 2 * _ray_gamma(f) * u * scale
+                assert got["margins"] == [r - lhs for r, lhs in zip(got["rhs"], got["lhs"])]
+                for key in ("rhs", "margins"):
+                    got[key] = ref[key]
+            assert json.dumps(got) == json.dumps(ref)
         covered.add((f.m, f.k, f.coefficient_degree() <= 0))
     assert {m for m, _, _ in covered} == set(range(2, 8))
     assert {k for _, k, _ in covered} == {1, 2, 3}
@@ -832,8 +819,8 @@ def test_h_bound_check_matches_per_point_reference():
         zero = pf.PolyForm(m, k)
         pts = rng.normal(size=(3, m))
         for points in (pts, []):
-            got = pf.h_bound_check(zero, points, s=10.0).to_dict()
-            assert json.dumps(got) == json.dumps(_h_bound_reference(zero, points, s=10.0).to_dict())
+            got = pf.h_bound_check(zero, points).to_dict()
+            assert json.dumps(got) == json.dumps(_h_bound_reference(zero, points).to_dict())
 
 
 def test_ray_norms_match_exact_rational_samples():
@@ -869,16 +856,14 @@ def test_ray_norms_match_exact_rational_samples():
 def test_h_bound_check_refuses_points_like_the_reference():
     square = pf.PolyForm(3, 1, {(1,): {(2, 0, 0): 1}})
     cases = [
-        ([np.zeros(3), np.zeros(2)], 1.0, r"point dimension \(2,\) does not match m=3"),
-        ([np.zeros(3), np.array([2.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0])], 1.0,
-         "point with norm 2.0 outside the star-shaped domain of radius 1.0"),
-        ([np.zeros(3), np.array([1e160, 0.0, 0.0]), np.array([1e170, 0.0, 0.0])], math.inf,
+        ([np.zeros(3), np.zeros(2)], r"point dimension \(2,\) does not match m=3"),
+        ([np.zeros(3), np.array([1e160, 0.0, 0.0]), np.array([1e170, 0.0, 0.0])],
          r"norm bounds at point \[1e\+160, 0.0, 0.0\] overflow"),
     ]
-    for points, s, message in cases:
+    for points, message in cases:
         for run in (pf.h_bound_check, _h_bound_reference):
             with pytest.raises(ValueError, match=message):
-                run(square, points, s=s)
+                run(square, points)
 
 
 def test_monomial_table_refuses_an_exponent_above_the_limit():
@@ -913,7 +898,7 @@ def test_h_bound_check_evaluates_rays_at_their_end_points():
     points = np.where(np.random.default_rng(8).random((8, m)) < 0.5, -1.0, 1.0)
     tracemalloc.start()
     try:
-        report = pf.h_bound_check(f, points, s=math.sqrt(m))
+        report = pf.h_bound_check(f, points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -931,14 +916,14 @@ def test_h_bound_check_memory_does_not_grow_with_the_points():
     X = np.random.default_rng(40).uniform(-1.0, 1.0, (400, m))
     tracemalloc.start()
     try:
-        report = pf.h_bound_check(f, X, s=math.sqrt(m))
+        report = pf.h_bound_check(f, X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 10e6
     # each point's report is the one it gets alone, across the blocks of points
     for i in (0, 48, 49, 399):
-        alone = pf.h_bound_check(f, X[i:i + 1], s=math.sqrt(m))
+        alone = pf.h_bound_check(f, X[i:i + 1])
         assert (report.lhs[i], report.rhs[i]) == (alone.lhs[0], alone.rhs[0])
     assert report.passed
 
@@ -1037,3 +1022,20 @@ def test_a_400_digit_numerator_and_denominator_give_the_correctly_rounded_float(
     data = {"m": 2, "k": 1, "terms": [{"index": [1], "poly": [{"exp": [1, 0], "num": str(10 * x), "den": str(3 * x)}]}]}
     assert pf.h(pf.PolyForm.from_json_dict(data)).to_json_dict()["terms"] == [
         {"index": [], "poly": [{"exp": [2, 0], "num": "5", "den": "3"}]}]
+
+
+def test_the_writer_writes_only_integers_that_the_parser_reads():
+    # both sides refuse more digits than sys.get_int_max_str_digits() by name; a sign is no digit
+    limit = sys.get_int_max_str_digits()
+    for num, den in ((10**limit - 1, 1), (-(10**limit - 1), 10**limit - 3)):
+        f = pf.PolyForm(2, 1, {(1,): {(1, 0): num}}, {(1, 0): den})
+        assert pf.PolyForm.from_json_dict(f.to_json_dict()) == f
+    for num, den, digits in ((10**limit, 1, limit + 1), (-(10**limit), 3, limit + 1), (1, 10**limit + 1, limit + 1),
+                             (7, 10**(limit + 1000) - 1, limit + 1000), (1, 10**(limit + 1000), limit + 1001)):
+        f = pf.PolyForm(2, 1, {(1,): {(1, 0): num}}, {(1, 0): den})
+        with pytest.raises(ValueError, match=rf"^coefficient at index \[1\], exponent \[0, 0\] has a numerator or "
+                                             rf"denominator of {digits} digits, more than the {limit} that are written$"):
+            f.to_json_dict()
+    entry = {"exp": [0, 0], "num": "-" + "9" * (limit + 1), "den": "1"}
+    with pytest.raises(ValueError, match=f"JSON field 'num' holds an integer of {limit + 1} digits, more than the {limit}"):
+        pf.PolyForm.from_json_dict({"m": 2, "k": 1, "terms": [{"index": [1], "poly": [entry]}]})
