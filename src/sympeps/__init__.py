@@ -12,6 +12,7 @@ from .exterior import (
     Covector,
     comass,
     comass_basis_witness,
+    comass_exact,
     interior,
     norm2,
     pullback,

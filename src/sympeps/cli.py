@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import __version__, exact, moser, polyform, suite, symplectic
+from . import __version__, exact, exterior, moser, polyform, suite, symplectic
 
 DEFAULT_SEED = 20250810
 
@@ -226,7 +226,8 @@ def _points(data, m: int) -> np.ndarray:
 
 
 def cmd_homotopy(args):
-    form, sha256 = _read(args.polyform, "polyform", lambda text: polyform.PolyForm.from_json_dict(json.loads(text)))
+    form, sha256 = _read(args.polyform, "polyform",
+                         lambda text: polyform.PolyForm.from_json_dict(exterior.json_loads(text)))
     if not 1 <= form.k < form.m:
         raise ValueError(f"homotopy command needs 1 <= k < m, got k={form.k}, m={form.m}")
     hf = polyform.h(form)
@@ -237,7 +238,7 @@ def cmd_homotopy(args):
     human.append(f"h(d f) + d(h f) == f exactly: {identity}")
     passed = identity
     if args.points:
-        pts, _ = _read(args.points, "points", lambda text: _points(json.loads(text), form.m))
+        pts, _ = _read(args.points, "points", lambda text: _points(exterior.json_loads(text), form.m))
         bound_rep = polyform.h_bound_check(form, pts, hf=hf)
         report["bounds"] = bound_rep.to_dict()
         human.append(f"norm bounds at {len(pts)} points: {'PASS' if bound_rep.passed else 'FAIL'}")

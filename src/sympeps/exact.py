@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .symplectic import _as_even_matrix, _standard_J, defect_rounding_bound
+from .symplectic import _as_even_matrix, defect_rounding_bound, standard_J
 
 
 def defect_squared(phi) -> Fraction:
@@ -27,7 +27,7 @@ def defect_squared(phi) -> Fraction:
     ints = np.ldexp(mant, 53).astype(np.int64).tolist()
     shifts = np.where(nonzero, exps + k, 0).tolist()
     N = np.array([[v << s for v, s in zip(row, by)] for row, by in zip(ints, shifts)], dtype=object)
-    J = _standard_J(n).astype(int).astype(object)
+    J = standard_J(n).astype(int).astype(object)
     R = N.T @ J @ N - J * (1 << 2 * k)
     return Fraction(int((R * R).sum()), 2 << 4 * k)
 

@@ -6,11 +6,10 @@ provided:
 
 * ``norm2`` -- the Euclidean norm of the coefficient vector, which is
   invariant under orthonormal changes of frame;
-* ``comass`` -- the supremum of the covector over unit simple k-vectors.
-  It is computed exactly for degrees k in {0, 1, 2, m-1, m} (for k = 2 as
-  the top singular value of the associated skew matrix, which is its top
-  spectral coefficient) and bracketed otherwise by a randomized lower bound
-  together with the ``norm2`` upper bound.
+* the comass -- the supremum of the covector over unit simple k-vectors:
+  ``comass_exact`` for k in {0, 1, 2, m-1, m} (at k = 2 the top singular
+  value of the associated skew matrix, its top spectral coefficient), and
+  ``comass``, between a randomized lower bound and ``norm2``, at any k.
 
 Interior multiplication and pullback by a square matrix (via k x k
 minors) round out the toolkit.
@@ -19,6 +18,7 @@ minors) round out the toolkit.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 import re
@@ -46,6 +46,23 @@ def check_multi_index(index: Sequence[int], m: int, k: int) -> MultiIndex:
     return idx
 
 
+def json_loads(text: str):
+    """json.loads(text), with an integer literal of more digits than ``int`` converts refused by its count and
+    place: json's own ValueError names neither, so only a failed parse looks for it."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        for token in re.finditer(r'"(?:[^"\\]|\\.)*"|[-+.0-9eE]+', text):  # each string and number, in order
+            digits = token.group().lstrip("-")
+            if digits.isdigit() and len(digits) > limit:
+                raise json.JSONDecodeError(f"integer {token.group()[:20]}... of {len(digits)} digits, more than "
+                                           f"the {limit} that are read", text, token.start()) from None
+        raise
+
+
 def json_int(value, key: str) -> int:
     """An integer read from the JSON field ``key``: an integer, or a string of
     one.  A float (even 2.0) or a boolean is refused by name, not truncated, and
@@ -60,7 +77,7 @@ def json_int(value, key: str) -> int:
                 raise ValueError(f"JSON field {key!r} holds an integer of {sum(map(str.isdecimal, value))} digits, "
                                  f"more than the {sys.get_int_max_str_digits()} that are read: "
                                  f"{value.strip()[:20]}...") from None
-    raise ValueError(f"JSON field {key!r} must hold integers, got {value!r}")
+    raise ValueError(f"JSON field {key!r} must hold integers, got {value!r:.20}{'...' if len(repr(value)) > 20 else ''}")
 
 
 def json_list(value, key: str) -> list:
@@ -156,63 +173,24 @@ def norm2(c: Covector) -> float:
     return math.ldexp(math.sqrt(sum(w * w for w in (math.ldexp(v, -e) for v in c.coeffs.values()))), e)
 
 
-def covector_to_skew(c: Covector) -> np.ndarray:
-    """Skew matrix W of a 2-covector, with c(v, w) = <W v, w>."""
+def comass_exact(c: Covector) -> float:
+    """The comass of ``c`` at degrees 0 and m (the absolute coefficient), 1 and m-1 (``norm2``) and 2
+    (the top singular value of the skew matrix W with c(v, w) = <W v, w>)."""
+    if c.k in (0, c.m):
+        return abs(next(iter(c.coeffs.values()), 0.0))
+    if c.k in (1, c.m - 1):
+        return norm2(c)
     if c.k != 2:
-        raise ValueError("only 2-covectors have an associated skew matrix")
+        raise ValueError(f"exact comass is only available for k in {{0, 1, 2, m-1, m}}, got k={c.k}, m={c.m}")
     W = np.zeros((c.m, c.m))
     for (i, j), f in c.coeffs.items():
-        W[j - 1, i - 1] = f
-        W[i - 1, j - 1] = -f
-    return W
+        W[j - 1, i - 1], W[i - 1, j - 1] = f, -f
+    return float(np.linalg.svd(W, compute_uv=False)[0])
 
 
-def skew_to_covector(M: np.ndarray) -> Covector:
-    """Inverse of :func:`covector_to_skew`."""
-    M = np.asarray(M, dtype=float)
-    m = M.shape[0]
-    if M.shape != (m, m):
-        raise ValueError("skew matrix must be square")
-    coeffs = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            if M[j, i] != 0.0:
-                coeffs[(i + 1, j + 1)] = M[j, i]
-    return Covector(m, 2, coeffs)
-
-
-def comass(
-    c: Covector,
-    mode: str = "sandwich",
-    trials: int = DEFAULT_COMASS_TRIALS,
-    seed: int = 0,
-) -> Tuple[float, float]:
-    """Interval [lo, hi] containing the comass of ``c``.
-
-    Exact mode (degrees 0, 1, 2, m-1, m only) returns lo == hi: the absolute
-    coefficient for degrees 0 and m, ``norm2`` for degrees 1 and m-1, and the
-    top singular value of the associated skew matrix for degree 2.
-
-    Sandwich mode returns the best of ``trials`` evaluations on random
-    orthonormal k-frames as lo and ``norm2`` as hi; the true comass always
-    lies in between.
-    """
-    if mode == "exact":
-        if c.k in (0, c.m):
-            value = abs(next(iter(c.coeffs.values()), 0.0))
-        elif c.k in (1, c.m - 1):
-            value = norm2(c)
-        elif c.k == 2:
-            svals = np.linalg.svd(covector_to_skew(c), compute_uv=False)
-            value = float(svals[0]) if svals.size else 0.0
-        else:
-            raise ValueError(
-                f"exact comass is only available for k in {{0, 1, 2, m-1, m}}, got k={c.k}, m={c.m}"
-            )
-        return value, value
-    if mode != "sandwich":
-        raise ValueError(f"unknown comass mode {mode!r}")
-
+def comass(c: Covector, trials: int = DEFAULT_COMASS_TRIALS, seed: int = 0) -> Tuple[float, float]:
+    """Interval [lo, hi] holding the comass of ``c`` at any degree: lo the best of ``trials``
+    evaluations on random orthonormal k-frames, hi ``norm2``."""
     hi = norm2(c)
     if hi == 0.0 or trials <= 0:
         return (0.0, hi)
@@ -262,11 +240,6 @@ def pullback(L: np.ndarray, c: Covector) -> Covector:
     if mat.shape != (c.m, c.m):
         raise ValueError(f"matrix shape {mat.shape} does not match ambient dimension {c.m}")
     combos = list(itertools.combinations(range(c.m), c.k))
-    # Frame j holds the columns combos[j] of L: its value is the coefficient.
+    # Frame j holds the columns combos[j] of L: its value is the coefficient (Covector drops zeros).
     acc = _evaluate_frames(c, mat[:, np.array(combos, dtype=int)].transpose(1, 0, 2))
-    out = {
-        tuple(i + 1 for i in combo): val
-        for combo, val in zip(combos, acc)
-        if val != 0.0
-    }
-    return Covector(c.m, c.k, out)
+    return Covector(c.m, c.k, {tuple(i + 1 for i in combo): val for combo, val in zip(combos, acc)})

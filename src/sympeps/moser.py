@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from .exact import defect_within
-from .symplectic import _as_even_matrix, _pullback_matrix, _require_eps, _standard_J, defect, rho
+from .symplectic import _as_even_matrix, _pullback_matrix, _require_eps, defect, rho, standard_J
 
 METHOD = "rk4-classical"
 # The exact psi, the symplectic polar factor, has margins >= 0 and residual 0.
@@ -190,7 +190,7 @@ def symplectify(phi, eps: float, config: Optional[FlowConfig] = None) -> Symplec
     # a map drawn at defect eps may land a few units in the last place above it.
     if not defect_within(phi, d0, eps + 1e-12):
         raise DefectAboveBudget(f"defect {d0:.6e} exceeds eps {eps:.6e}")
-    J = _standard_J(n)
+    J = standard_J(n)
     M = _pullback_matrix(phi) - J
     psi = _integrate_matrix_flow(M, J, config.n_steps)
     rho_val = rho(eps, n, linear_case=True)

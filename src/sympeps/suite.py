@@ -142,13 +142,13 @@ def norm_suite(rng: np.random.Generator, n_covectors: int, trials: int) -> dict:
     for _ in range(n_covectors):
         c = random_covector(rng)
         hi = exterior.norm2(c)
-        lo, hi2 = exterior.comass(c, "sandwich", trials=trials, seed=int(rng.integers(2**32)))
+        lo, hi2 = exterior.comass(c, trials=trials, seed=int(rng.integers(2**32)))
         worst_sandwich = min(worst_sandwich, hi2 - lo)
         witness = exterior.comass_basis_witness(c).value
         bound = math.sqrt(math.comb(c.m, c.k))
         worst_witness = min(worst_witness, bound * witness - hi)
         if c.k in (1, c.m - 1):
-            identity_dev = max(identity_dev, abs(exterior.comass(c, "exact")[0] - hi))
+            identity_dev = max(identity_dev, abs(exterior.comass_exact(c) - hi))
         v = rng.normal(size=c.m)
         contracted = exterior.interior(v, c)
         cap = math.sqrt(c.k) * float(np.linalg.norm(v)) * hi
@@ -166,7 +166,7 @@ def norm_suite(rng: np.random.Generator, n_covectors: int, trials: int) -> dict:
     omega_dev = 0.0
     for n in range(1, 6):
         om = symplectic.omega0_covector(n)
-        omega_dev = max(omega_dev, abs(exterior.comass(om, "exact")[0] - 1.0))
+        omega_dev = max(omega_dev, abs(exterior.comass_exact(om) - 1.0))
         omega_dev = max(omega_dev, abs(exterior.norm2(om) - math.sqrt(n)))
     passed = (
         worst_sandwich >= -1e-12

@@ -26,7 +26,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exterior import Covector, json_int, json_numbers, skew_to_covector
+from .exterior import Covector, json_int, json_loads, json_numbers
 
 SINGULAR_RTOL = 1e-12     # sigma_min below this times sigma_max counts as singular
 KERNEL_RTOL = 1e-10       # lambda^2 below this times the largest counts as kernel
@@ -37,21 +37,22 @@ BALL_RADII = (0.5, 1.0, 2.0)
 EPS_LIMIT = 1.0 / math.sqrt(2.0)   # defect bound of the eps-symplectic theory
 
 
+def _half_dimension(n: int) -> int:
+    """n, once it is at least 1: every refusal of a half-dimension is this one."""
+    if n < 1:
+        raise ValueError(f"half-dimension must be >= 1, got {n}")
+    return n
+
+
 @lru_cache(maxsize=None)
-def _standard_J(n: int) -> np.ndarray:
-    J = np.zeros((2 * n, 2 * n))
+def standard_J(n: int) -> np.ndarray:
+    """Block-diagonal complex structure, each block mapping (x, y) to (-y, x); read-only, one per n."""
+    J = np.zeros((2 * _half_dimension(n), 2 * n))
     # the slot diagonals alone: assigning -np.eye(n) would write -0.0 off them
     np.fill_diagonal(J[0::2, 1::2], -1.0)
     np.fill_diagonal(J[1::2, 0::2], 1.0)
     J.setflags(write=False)
     return J
-
-
-def standard_J(n: int) -> np.ndarray:
-    """Block-diagonal complex structure, each block mapping (x, y) to (-y, x)."""
-    if n < 1:
-        raise ValueError("half-dimension n must be >= 1")
-    return _standard_J(n).copy()
 
 
 def _as_even_matrix(A, what: str = "matrix", stacked: bool = False) -> Tuple[np.ndarray, int]:
@@ -61,19 +62,17 @@ def _as_even_matrix(A, what: str = "matrix", stacked: bool = False) -> Tuple[np.
         raise ValueError(f"{what} must be square, got shape {A.shape}")
     if A.shape[-1] % 2:
         raise ValueError(f"{what} must have even dimension, got {A.shape[-1]}")
-    if A.shape[-1] == 0:
-        raise ValueError("half-dimension n must be >= 1")
-    return A, A.shape[-1] // 2
+    return A, _half_dimension(A.shape[-1] // 2)
 
 
 def _pullback_matrix(A: np.ndarray) -> np.ndarray:
     """A^T J A, the matrix of omega0 pulled back by A, or by each A of a stack."""
-    return A.swapaxes(-1, -2) @ _standard_J(A.shape[-1] // 2) @ A
+    return A.swapaxes(-1, -2) @ standard_J(A.shape[-1] // 2) @ A
 
 
 def omega0_covector(n: int) -> Covector:
     """The reference two-form sum_j dx_j ^ dy_j as a sparse covector."""
-    return skew_to_covector(standard_J(n))
+    return Covector(2 * _half_dimension(n), 2, {(2 * j - 1, 2 * j): 1.0 for j in range(1, n + 1)})
 
 
 def plane_scaling(radii) -> np.ndarray:
@@ -85,7 +84,7 @@ def plane_scaling(radii) -> np.ndarray:
 
 def standard_antisymplectic(n: int) -> np.ndarray:
     """Plane-wise swap (x, y) |-> (y, x); pulls omega0 back to -omega0."""
-    return np.abs(_standard_J(n))
+    return np.abs(standard_J(n))
 
 
 def asymmetric_defect_map(eps: float, K: float, n: int = 2) -> np.ndarray:
@@ -115,7 +114,7 @@ def defect(phi) -> float:
     """Coefficient Euclidean norm of Phi^T J Phi - J; a ValueError when it is
     not finite (the product overflows)."""
     phi, n = _as_even_matrix(phi)
-    J = _standard_J(n)
+    J = standard_J(n)
     with np.errstate(over="ignore", invalid="ignore"):
         M = _pullback_matrix(phi) - J
         value = float(np.linalg.norm(M, "fro") / math.sqrt(2.0))
@@ -273,7 +272,7 @@ def lambda_mu_invariants(phi) -> LambdaMuReport:
         # cond^-2: conditioning loses a plane only above cond 1e5; underflow at any cond.
         raise ValueError(f"a plane of Phi^T J Phi was lost to conditioning or underflow (condition "
                          f"number {cond:.3e}), so the lambda/mu invariants are not resolved")
-    om = np.einsum("ij,ij->j", _standard_J(n) @ sf.u, sf.v)  # omega0(u_j, v_j)
+    om = np.einsum("ij,ij->j", standard_J(n) @ sf.u, sf.v)  # omega0(u_j, v_j)
     signs = np.where(np.abs(om) <= SIGN_TOL, 0, np.sign(om)).astype(int)
     if np.all(signs == 1):
         classification = "symplectic-like"
@@ -328,11 +327,9 @@ def rho(eps: float, n: int, linear_case: bool = False) -> float:
     (1 - sqrt(2) eps)^sqrt(2n), or its square root power sqrt(1 - sqrt(2) eps)
     in the linear case."""
     _require_eps(eps)
-    if n < 1 and not linear_case:
-        raise ValueError("half-dimension n must be >= 1")
     width_eps = math.sqrt(2.0) * eps
     linear = _width_rho(width_eps)  # also refuses width_eps outside [0, 1)
-    return linear if linear_case else (1.0 - width_eps) ** math.sqrt(2 * n)
+    return linear if linear_case else (1.0 - width_eps) ** math.sqrt(2 * _half_dimension(n))
 
 
 def _width_rho(eps: float) -> float:
@@ -691,8 +688,7 @@ def rigidity_bound(eps: float, n: int) -> float:
     into K = sqrt(n [max((lambda_max^2 - mu_min^2)^2, (1 - rho^2)^2)
     + (1 - mu_min^4)]); monotone with K(0) = 0.
     """
-    if n < 1:
-        raise ValueError("half-dimension n must be >= 1")
+    _half_dimension(n)
     threshold = squeeze_eps_threshold()
     if not 0.0 <= eps < threshold:
         raise ValueError(f"eps must lie in [0, {threshold:.6f}), got {eps}")
@@ -811,13 +807,6 @@ def _require_finite(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _half_dimension(n: int) -> int:
-    """n, the half-dimension of a matrix file in either format, once it is at least 1."""
-    if n < 1:
-        raise ValueError(f"half-dimension must be >= 1, got {n}")
-    return n
-
-
 def parse_matrix_text(text: str) -> np.ndarray:
     """Parse the text format: a header line ``n <int>`` followed by 2n rows
     of 2n whitespace-separated floats."""
@@ -859,7 +848,7 @@ def matrix_from_json_dict(data) -> np.ndarray:
 def read_matrix(text: str, path) -> np.ndarray:
     """The matrix in a file's text: JSON if path ends in .json or text starts with '{', else text format."""
     if str(path).endswith(".json") or text.lstrip().startswith("{"):
-        return matrix_from_json_dict(json.loads(text))
+        return matrix_from_json_dict(json_loads(text))
     return parse_matrix_text(text)
 
 

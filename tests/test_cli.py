@@ -887,19 +887,32 @@ def _form_with(path, value):
         # an integer, but of more digits than int() converts: the count and limit are named, not the digits
         ("polyform", _form_with(["terms", 0, "poly", 0, "num"], "7" * 5000),
          "JSON field 'num' holds an integer of 5000 digits, more than the 4300 that are read: 77777777777777777777...\n"),
+        # not an integer at all: at most 20 characters of it are echoed
+        ("polyform", _form_with(["terms", 0, "poly", 0, "num"], "x" + "7" * 5000),
+         "JSON field 'num' must hold integers, got 'x777777777777777777...\n"),
         ("matrix", {"n": -1, "rows": []}, "half-dimension must be >= 1, got -1"),
+        # a str is the file's text: unquoted integers of more digits than json's int() converts, named by
+        # count, limit and place, not by the interpreter's advice to raise the limit
+        ("matrix", '{"n": ' + "7" * 5000 + ', "rows": []}',
+         "integer 77777777777777777777... of 5000 digits, more than the 4300 that are read: line 1 column 7 (char 6)\n"),
+        ("polyform", json.dumps(_FORM).replace('"num": "3"', '"num": ' + "7" * 5000),
+         "integer 77777777777777777777... of 5000 digits, more than the 4300 that are read: line 1 column 75 (char 74)\n"),
+        ("points", "[[0.5,\n -" + "7" * 5000 + "]]",
+         "integer -7777777777777777777... of 5000 digits, more than the 4300 that are read: line 2 column 2 (char 8)\n"),
     ],
     ids=["form-list", "terms-int", "den-zero", "num-float", "exp-float", "index-float", "m-float",
          "index-str", "exp-str", "points-int", "n-float", "n-bool", "rows-object", "point-object", "form-no-m",
-         "rows-str", "rows-bool", "point-str", "point-bool", "num-5000-digits", "n-negative"],
+         "rows-str", "rows-bool", "point-str", "point-bool", "num-5000-digits", "num-x-5000-digits", "n-negative",
+         "n-5000-digit-literal", "num-5000-digit-literal", "point-5000-digit-literal"],
 )
 def test_malformed_json_inputs_are_refused_by_name(capsys, tmp_path, kind, content, message):
     path = tmp_path / f"{kind}.json"
-    path.write_text(json.dumps(content))
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
     code, out, err = run_cli(capsys, *_reader_argv(tmp_path, kind, path))
     assert code == 2
     assert out == ""
     assert f"cannot read {kind} file {str(path)!r}: {message}" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def _reader_argv(tmp_path, kind, path):

@@ -27,28 +27,24 @@ def test_norm2_basics():
 
 def test_comass_exact_reference_form():
     for n in range(1, 6):
-        lo, hi = ex.comass(sy.omega0_covector(n), "exact")
-        assert lo == hi == pytest.approx(1.0, abs=1e-12)
+        assert ex.comass_exact(sy.omega0_covector(n)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_comass_exact_one_covector_is_norm2():
     c = ex.Covector(5, 1, {(1,): 1.0, (3,): -2.0, (5,): 0.5})
-    lo, hi = ex.comass(c, "exact")
-    assert lo == hi == pytest.approx(ex.norm2(c), abs=1e-15)
+    assert ex.comass_exact(c) == pytest.approx(ex.norm2(c), abs=1e-15)
 
 
 def test_comass_exact_codegree_one_is_norm2():
     c = ex.Covector(4, 3, {(1, 2, 3): 1.0, (1, 2, 4): -1.0, (2, 3, 4): 2.0})
-    lo, hi = ex.comass(c, "exact")
-    assert lo == hi == pytest.approx(ex.norm2(c), abs=1e-15)
+    assert ex.comass_exact(c) == pytest.approx(ex.norm2(c), abs=1e-15)
 
 
 def test_comass_exact_two_form_top_spectral_value():
     c = ex.Covector(4, 2, {(1, 2): 2.0, (3, 4): 1.0})
-    lo, hi = ex.comass(c, "exact")
-    assert lo == hi == pytest.approx(2.0, abs=1e-12)
+    assert ex.comass_exact(c) == pytest.approx(2.0, abs=1e-12)
     # independent check: randomized simple-vector search approaches the value
-    rand_lo, rand_hi = ex.comass(c, "sandwich", trials=20000, seed=5)
+    rand_lo, rand_hi = ex.comass(c, trials=20000, seed=5)
     assert rand_lo <= 2.0 + 1e-12
     assert rand_lo >= 2.0 - 0.1
     assert rand_hi == pytest.approx(math.sqrt(5.0), abs=1e-15)
@@ -60,23 +56,23 @@ def test_comass_exact_two_form_matches_standard_form():
     for _ in range(20):
         n = int(rng.integers(1, 5))
         phi = rng.normal(size=(2 * n, 2 * n))
-        exact = ex.comass(ex.pullback(phi, sy.omega0_covector(n)), "exact")[0]
+        exact = ex.comass_exact(ex.pullback(phi, sy.omega0_covector(n)))
         assert exact == pytest.approx(float(sy.standard_form(phi).lambda_sq[-1]), rel=1e-12)
 
 
 def test_comass_exact_unsupported_degree():
     c = ex.Covector(6, 3, {(1, 2, 3): 1.0})
     with pytest.raises(ValueError, match="exact comass"):
-        ex.comass(c, "exact")
+        ex.comass_exact(c)
 
 
 def test_comass_sandwich_brackets_and_is_deterministic():
     rng = np.random.default_rng(0)
     for _ in range(50):
         c = random_covector(rng)
-        lo, hi = ex.comass(c, "sandwich", trials=64, seed=11)
+        lo, hi = ex.comass(c, trials=64, seed=11)
         assert 0.0 <= lo <= hi + 1e-15
-        assert ex.comass(c, "sandwich", trials=64, seed=11) == (lo, hi)
+        assert ex.comass(c, trials=64, seed=11) == (lo, hi)
 
 
 def test_comass_sandwich_holds_the_exact_comass_across_the_float_range():
@@ -84,29 +80,29 @@ def test_comass_sandwich_holds_the_exact_comass_across_the_float_range():
     values = [5e-324, 1e-310] + [10.0**p for p in range(-300, 301, 25)]
     for value in values:
         for c in (ex.Covector(2, 0, {(): -value}), ex.Covector(3, 1, {(2,): value}), ex.Covector(3, 1, {(3,): -value})):
-            lo, hi = ex.comass(c, "sandwich", trials=8, seed=3)
+            lo, hi = ex.comass(c, trials=8, seed=3)
             assert lo <= value == hi
-            assert ex.comass(c, "exact") == (value, value)
-    lo, hi = ex.comass(ex.Covector(3, 1, {(1,): 1e200, (2,): 1.0}), "sandwich")
+            assert ex.comass_exact(c) == value
+    lo, hi = ex.comass(ex.Covector(3, 1, {(1,): 1e200, (2,): 1.0}))
     assert lo <= hi == 1e200
     assert ex.norm2(ex.Covector(3, 1, {(1,): 3e-320, (2,): 4e-320})) == 5e-320
 
 
 def test_comass_zero_and_degree_zero():
-    assert ex.comass(ex.Covector(4, 2, {}), "sandwich") == (0.0, 0.0)
+    assert ex.comass(ex.Covector(4, 2, {})) == (0.0, 0.0)
     c = ex.Covector(3, 0, {(): -2.5})
-    assert ex.comass(c, "exact") == (2.5, 2.5)
-    assert ex.comass(c, "sandwich", trials=8, seed=0) == (2.5, 2.5)
+    assert ex.comass_exact(c) == 2.5
+    assert ex.comass(c, trials=8, seed=0) == (2.5, 2.5)
     # a degree-0 covector is its coefficient on every frame, the empty minor
     # being 1, so any map pulls it back to itself
     for m in range(6):
         for value in (0.0, 1.5, -2.5, 1e100, -3e-100):
             c = ex.Covector(m, 0, {(): value})
-            assert ex.comass(c, "sandwich", trials=3, seed=m) == ex.comass(c, "exact") == (abs(value),) * 2
+            assert ex.comass(c, trials=3, seed=m) == (ex.comass_exact(c),) * 2 == (abs(value),) * 2
             assert ex.pullback(np.full((m, m), 7.0), c) == c
     top = ex.Covector(3, 3, {(1, 2, 3): -1.5})
-    assert ex.comass(top, "exact") == (1.5, 1.5)
-    assert ex.comass(top, "sandwich", trials=8, seed=0) == (1.5, 1.5)
+    assert ex.comass_exact(top) == 1.5
+    assert ex.comass(top, trials=8, seed=0) == (1.5, 1.5)
 
 
 def test_basis_witness_single_term():
@@ -208,8 +204,8 @@ def test_interior_comass_bound():
         if c.k < 2:
             continue
         v = rng.normal(size=c.m)
-        lo, _ = ex.comass(ex.interior(v, c), "sandwich", trials=32, seed=1)
-        _, hi = ex.comass(c, "sandwich", trials=1, seed=1)
+        lo, _ = ex.comass(ex.interior(v, c), trials=32, seed=1)
+        _, hi = ex.comass(c, trials=1, seed=1)
         assert lo <= float(np.linalg.norm(v)) * hi + 1e-9
 
 

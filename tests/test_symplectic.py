@@ -67,8 +67,21 @@ def test_defect_odd_dimension_rejected():
 
 def test_empty_matrix_rejected():
     for func in (sy.defect, sy.symplectic_spectrum, sy.standard_form):
-        with pytest.raises(ValueError, match="half-dimension n must be >= 1"):
+        with pytest.raises(ValueError, match="half-dimension must be >= 1, got 0"):
             func(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("call, n", [
+    (lambda: sy.standard_J(0), 0),
+    (lambda: sy.standard_J(-1), -1),
+    (lambda: sy._as_even_matrix(np.zeros((0, 0))), 0),
+    (lambda: sy.rho(0.1, 0), 0),
+    (lambda: sy.rigidity_bound(0.1, 0), 0),
+    (lambda: sy.omega0_covector(0), 0),
+], ids=["standard_J-0", "standard_J-minus-1", "as_even_matrix-empty", "rho", "rigidity_bound", "omega0_covector"])
+def test_every_half_dimension_refusal_names_n(call, n):
+    with pytest.raises(ValueError, match=f"^half-dimension must be >= 1, got {n}$"):
+        call()
 
 
 def test_standard_form_rejects_non_square():
@@ -635,9 +648,9 @@ def test_J_and_the_plane_swap_fill_the_interleaved_slots():
                            (sy.standard_antisymplectic(n), [[0.0, 1.0], [1.0, 0.0]])):
             want = np.kron(np.eye(n), block) + 0.0
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert got.flags.writeable
-        assert sy._standard_J(n).tobytes() == sy.standard_J(n).tobytes()
-        assert not sy._standard_J(n).flags.writeable
+        # J is one cached array per n, so no caller may write it; R is a fresh array
+        assert not sy.standard_J(n).flags.writeable
+        assert sy.standard_antisymplectic(n).flags.writeable
 
 
 def test_matrix_text_round_trip(tmp_path):
