@@ -8,10 +8,8 @@ forms, and constructs Moser-flow corrections with verified error bounds.
 """
 
 from .exterior import (
-    BasisWitness,
     Covector,
     comass,
-    comass_basis_witness,
     comass_exact,
     interior,
     norm2,

@@ -99,7 +99,7 @@ def cmd_analyze(args):
         report["within_eps"] = exact.defect_within(phi, dft, args.eps)
     human = [f"defect           {dft:.12g}", f"classification   {rep.classification}"]
     if rep.classification != "singular":
-        check = symplectic._decomposition_identity(n, dft, rep)
+        check = symplectic.defect_decomposition_check(dft, rep)
         report["decomposition"] = check._asdict()
         human.append(f"decomposition    lhs={check.lhs:.9g} rhs={check.rhs:.9g} rel={check.rel_error:.3e}")
         human.append("   j      lambda_j          mu_j   sign")

@@ -24,7 +24,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -198,25 +198,6 @@ def comass(c: Covector, trials: int = DEFAULT_COMASS_TRIALS, seed: int = 0) -> T
     q, _ = np.linalg.qr(gauss)
     lo = float(np.max(np.abs(_evaluate_frames(c, q))))
     return (min(lo, hi), hi)
-
-
-class BasisWitness(NamedTuple):
-    """Maximizing basis k-subset; the sign is absorbed into the first vector."""
-
-    vectors: np.ndarray  # shape (k, m), rows are the chosen vectors
-    value: float
-
-
-def comass_basis_witness(c: Covector) -> BasisWitness:
-    """Best evaluation of ``c`` on k-subsets of the standard basis.  On e_I it is c_I, so the value is the
-    largest |c_I|, a comass lower bound never smaller than ``norm2(c) / sqrt(C(m, k))``; the witness is
-    e_I for the first such I in increasing order, or e_1, ..., e_k for the zero covector."""
-    index, coeff = max(sorted(c.coeffs.items()), key=lambda item: abs(item[1]),
-                       default=(tuple(range(1, c.k + 1)), 0.0))
-    vectors = np.eye(c.m)[[i - 1 for i in index]]
-    if coeff < 0.0:
-        vectors[:1] = -vectors[:1]
-    return BasisWitness(vectors, abs(coeff))
 
 
 def interior(v: Sequence[float], c: Covector) -> Covector:

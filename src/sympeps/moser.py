@@ -157,17 +157,16 @@ class SymplectifyReport:
     sandwich_margin_upper: float
     sandwich_ok: bool
     steps: int
-    config: FlowConfig
+    step_size: float
 
     @property
     def passed(self) -> bool:
         return bool(self.residual_ok and self.displacement_ok and self.sandwich_ok)
 
     def to_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "config"}
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["psi"] = self.psi.tolist()
-        data.update(step_size=self.config.step_size, effective_step=1.0 / self.steps, method=METHOD,
-                    max_defect_tol=MAX_DEFECT_TOL, passed=self.passed)
+        data.update(effective_step=1.0 / self.steps, method=METHOD, max_defect_tol=MAX_DEFECT_TOL, passed=self.passed)
         return data
 
 
@@ -211,5 +210,5 @@ def symplectify(phi, eps: float, config: Optional[FlowConfig] = None) -> Symplec
         sv_min=float(svals[-1]), sv_max=float(svals[0]),
         sandwich_margin_lower=lower_margin, sandwich_margin_upper=upper_margin,
         sandwich_ok=(lower_margin >= -BOUND_TOL and upper_margin >= -BOUND_TOL),
-        steps=config.n_steps, config=config,
+        steps=config.n_steps, step_size=config.step_size,
     )

@@ -132,7 +132,8 @@ def ellipsoid_batch(n: int, trials: int, seed: int) -> np.ndarray:
 
 
 def norm_suite(rng: np.random.Generator, n_covectors: int, trials: int) -> dict:
-    """Comass sandwich / basis-witness / interior-bound / pullback checks."""
+    """Comass sandwich with the exact comass inside it / basis-witness /
+    interior-bound / pullback checks."""
     worst_sandwich = math.inf
     worst_witness = math.inf
     worst_interior = math.inf
@@ -141,14 +142,14 @@ def norm_suite(rng: np.random.Generator, n_covectors: int, trials: int) -> dict:
     identity_dev = 0.0
     for _ in range(n_covectors):
         c = random_covector(rng)
-        hi = exterior.norm2(c)
-        lo, hi2 = exterior.comass(c, trials=trials, seed=int(rng.integers(2**32)))
-        worst_sandwich = min(worst_sandwich, hi2 - lo)
-        witness = exterior.comass_basis_witness(c).value
+        lo, hi = exterior.comass(c, trials=trials, seed=int(rng.integers(2**32)))
+        worst_sandwich = min(worst_sandwich, hi - lo)
+        witness = max(map(abs, c.coeffs.values()), default=0.0)  # c on the best e_I of the standard basis
         bound = math.sqrt(math.comb(c.m, c.k))
         worst_witness = min(worst_witness, bound * witness - hi)
-        if c.k in (1, c.m - 1):
-            identity_dev = max(identity_dev, abs(exterior.comass_exact(c) - hi))
+        if c.k in (0, 1, 2, c.m - 1, c.m):
+            exact = exterior.comass_exact(c)
+            identity_dev = max(identity_dev, lo - exact, exact - hi)  # how far outside [lo, hi]
         v = rng.normal(size=c.m)
         contracted = exterior.interior(v, c)
         cap = math.sqrt(c.k) * float(np.linalg.norm(v)) * hi
@@ -227,7 +228,7 @@ def decomposition_suite(rng: np.random.Generator, count: int) -> dict:
         n = int(rng.integers(1, 4))
         target = float(rng.uniform(0.01, 0.98))
         phi = symplectic.random_defective(n, target, rng)
-        check = symplectic.defect_decomposition_check(phi)
+        check = symplectic.defect_decomposition_check(symplectic.defect(phi), symplectic.lambda_mu_invariants(phi))
         worst = max(worst, check.rel_error)
     return {
         "name": "decomposition",

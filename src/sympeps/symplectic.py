@@ -289,23 +289,16 @@ class DecompositionCheck(NamedTuple):
     rel_error: float
 
 
-def defect_decomposition_check(phi) -> DecompositionCheck:
-    """Compare defect(Phi)^2 with its lambda/mu decomposition
-    sum_j (lambda_j^2 - sign_j mu_j^2)^2 + n - sum_j mu_j^4."""
-    phi, n = _as_even_matrix(phi)
-    rep = lambda_mu_invariants(phi)
+def defect_decomposition_check(dft: float, rep: LambdaMuReport) -> DecompositionCheck:
+    """Compare a map's squared defect dft**2 with the lambda/mu decomposition
+    sum_j (lambda_j^2 - sign_j mu_j^2)^2 + n - sum_j mu_j^4 of its invariants
+    rep; a singular map has none, and is refused."""
     if rep.classification == "singular":
         raise ValueError(f"singular matrix (condition number {rep.condition:.3e})")
-    return _decomposition_identity(n, defect(phi), rep)
-
-
-def _decomposition_identity(n: int, dft: float, rep: LambdaMuReport) -> DecompositionCheck:
-    """The decomposition check from a map's defect and its nonsingular
-    lambda/mu invariants."""
     lhs = dft**2
     lam2 = rep.lambdas**2
     mu2 = rep.mus**2
-    rhs = float(np.sum((lam2 - rep.signs * mu2) ** 2) + n - np.sum(mu2**2))
+    rhs = float(np.sum((lam2 - rep.signs * mu2) ** 2) + len(rep.lambdas) - np.sum(mu2**2))
     rel = abs(lhs - rhs) / max(lhs, abs(rhs), 1e-12)
     return DecompositionCheck(lhs, rhs, rel)
 
@@ -342,39 +335,32 @@ def _width_rho(eps: float) -> float:
 
 @dataclass(frozen=True)
 class SqueezeParams:
-    """Per-ellipsoid width-inequality constants.
+    """Per-ellipsoid width-inequality constants: s_A <= 1 and e_A >= 1
+    (undefined when the correction can push boundary points across the
+    center) bracket the admissible widths."""
 
-    r_A is the enclosing-ball radius of the ellipsoid A B_1 (the top singular
-    value of A); s_A <= 1 and e_A >= 1 (undefined when the correction can push
-    boundary points across the center) bracket the admissible widths.
-    """
-
-    r_A: float
-    inv_norm: float
     rho: float
     s_A: float
     e_A: Optional[float]
 
 
-def _squeeze_bounds(svals: np.ndarray, rho_val: float) -> Tuple[np.ndarray, ...]:
-    """r_A, inv_norm, s_A and e_A (NaN where undefined) of SqueezeParams from
-    the singular values of A, or of each matrix of a stack, descending along
-    the last axis."""
-    r_A = svals[..., 0]
-    inv_norm = 1.0 / svals[..., -1]
-    q = inv_norm * (1.0 / rho_val - 1.0) * r_A
+def _squeeze_bounds(svals: np.ndarray, rho_val: float) -> Tuple[np.ndarray, np.ndarray]:
+    """s_A and e_A (NaN where undefined) of SqueezeParams from the singular
+    values of A, or of each matrix of a stack, descending along the last
+    axis."""
+    q = (1.0 / svals[..., -1]) * (1.0 / rho_val - 1.0) * svals[..., 0]
     s_A = 1.0 / (1.0 + q)
     e_A = np.divide(1.0, 1.0 - q, out=np.full_like(q, np.nan), where=q < 1.0)
-    return r_A, inv_norm, s_A, e_A
+    return s_A, e_A
 
 
 def squeezing_params(A, eps: float) -> SqueezeParams:
     A, _ = _as_even_matrix(A, "ellipsoid matrix")
     svals = _conditioning(A).require_nonsingular("ellipsoid matrix")
     rho_val = _width_rho(eps)
-    r_A, inv_norm, s_A, e_A = _squeeze_bounds(svals, rho_val)
+    s_A, e_A = _squeeze_bounds(svals, rho_val)
     e_A = float(e_A)
-    return SqueezeParams(float(r_A), float(inv_norm), rho_val, float(s_A), None if math.isnan(e_A) else e_A)
+    return SqueezeParams(rho_val, float(s_A), None if math.isnan(e_A) else e_A)
 
 
 @dataclass
@@ -482,7 +468,7 @@ def _width_table(phi: np.ndarray, phi_cond: _Conditioning, rho_val: float, ellip
         first = np.flatnonzero(own.singular[rest] | img.singular)[:1]
         own.at(rest[first]).require_nonsingular("ellipsoid matrix")
         img.at(first).require_nonsingular("matrix")
-    _, _, s_A, e_A = _squeeze_bounds(svals, rho_val)
+    s_A, e_A = _squeeze_bounds(svals, rho_val)
     r1 = svals[:, 1].copy()
     r1[lapack] = _spectrum(other)[:, 0]
     return _Widths(r1, _spectrum(image)[:, 0], s_A, e_A)

@@ -217,6 +217,15 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
+def test_analyze_checks_the_decomposition_once_by_its_public_name(capsys, fixture_file, monkeypatch):
+    calls = _count_calls(monkeypatch, ("defect_decomposition_check",))
+    code, out, _ = run_cli(capsys, "analyze", fixture_file)
+    assert code == 0
+    report = json.loads(out)
+    assert calls == {"defect_decomposition_check": [report["defect"]]}
+    assert report["decomposition"]["lhs"] == report["defect"] ** 2
+
+
 def _count_svds(monkeypatch):
     """Patch np.linalg.svd to record the matrix or stack of each call."""
     calls, svd = [], np.linalg.svd

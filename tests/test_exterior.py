@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from sympeps import exterior as ex
 from sympeps import symplectic as sy
@@ -103,74 +101,6 @@ def test_comass_zero_and_degree_zero():
     top = ex.Covector(3, 3, {(1, 2, 3): -1.5})
     assert ex.comass_exact(top) == 1.5
     assert ex.comass(top, trials=8, seed=0) == (1.5, 1.5)
-
-
-def test_basis_witness_single_term():
-    c = ex.Covector(4, 2, {(1, 2): 1.0})
-    witness = ex.comass_basis_witness(c)
-    assert witness.value == pytest.approx(1.0, abs=1e-15)
-    np.testing.assert_allclose(witness.vectors, np.eye(4)[:2])
-    assert witness.value >= ex.norm2(c) / math.sqrt(math.comb(4, 2)) - 1e-12
-
-
-def test_basis_witness_reference_form():
-    c = sy.omega0_covector(2)
-    witness = ex.comass_basis_witness(c)
-    assert witness.value == pytest.approx(1.0, abs=1e-15)
-    assert witness.value >= math.sqrt(2.0) / math.sqrt(6.0) - 1e-12
-
-
-def test_basis_witness_sign_applied_to_first_vector():
-    c = ex.Covector(3, 2, {(1, 2): -2.0})
-    witness = ex.comass_basis_witness(c)
-    assert witness.value == pytest.approx(2.0)
-    assert ex._evaluate_frames(c, witness.vectors.T[None])[0] == pytest.approx(2.0)
-
-
-def _basis_witness_reference(c):
-    """The determinant route on the identity basis: c on the frame of each k-subset of
-    e_1, ..., e_m in increasing order, the first largest |value|, and its sign put on
-    the first vector."""
-    basis = np.eye(c.m)
-    if c.k == 0:
-        return ex.BasisWitness(np.zeros((0, c.m)), abs(next(iter(c.coeffs.values()), 0.0)))
-    combos = np.array(list(itertools.combinations(range(c.m), c.k)))
-    values = ex._evaluate_frames(c, basis[combos].transpose(0, 2, 1))
-    best = int(np.argmax(np.abs(values)))
-    vectors = basis[combos[best]].copy()
-    value = float(values[best])
-    if value < 0.0:
-        vectors[0] = -vectors[0]
-        value = -value
-    return ex.BasisWitness(vectors, value)
-
-
-@st.composite
-def _covectors(draw):
-    """Covectors on R^1..R^8 of every degree k = 0..m with up to 6 terms, added in a drawn
-    order; the magnitudes come from a pool of at most 3, so |c_I| often ties, with either sign."""
-    m = draw(st.integers(1, 8))
-    k = draw(st.integers(0, m))
-    indices = draw(st.permutations(list(itertools.combinations(range(1, m + 1), k))))
-    pool = draw(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=3))
-    terms = indices[:draw(st.integers(0, 6))]
-    return ex.Covector(m, k, {idx: draw(st.sampled_from(pool)) * draw(st.sampled_from([1.0, -1.0])) for idx in terms})
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_covectors())
-@example(ex.Covector(3, 2, {}))
-@example(ex.Covector(4, 0, {(): -3.0}))
-@example(ex.Covector(3, 2, {(2, 3): -1.5}))
-@example(ex.Covector(4, 2, {(3, 4): -1.5, (1, 2): 1.5, (2, 4): 0.5}))
-def test_basis_witness_is_the_determinant_route_on_the_standard_basis(c):
-    got, ref = ex.comass_basis_witness(c), _basis_witness_reference(c)
-    assert got.vectors.shape == ref.vectors.shape == (c.k, c.m)
-    assert got.vectors.tobytes() == ref.vectors.tobytes()
-    assert type(got.value) is float and got.value.hex() == ref.value.hex()
-    # a comass lower bound, at least norm2(c) / sqrt(C(m, k)) up to the rounding of norm2
-    assert got.value <= ex.norm2(c)
-    assert got.value * math.sqrt(math.comb(c.m, c.k)) >= ex.norm2(c) * (1 - 2**-50)
 
 
 def test_interior_reference_form():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -86,6 +87,18 @@ def test_symplectify_report_layout():
     assert {type(data[key]) for key in ("residual_ok", "displacement_ok", "sandwich_ok", "passed")} == {bool}
     assert {type(v) for v in data["column_displacements"]} == {float}
     assert (type(data["steps"]), data["steps"]) == (int, 100)
+
+
+@pytest.mark.parametrize("step", [1e-2, 3e-3, 1e-3])
+def test_symplectify_report_holds_its_step_size(step):
+    config = mo.FlowConfig(step_size=step)
+    rep = mo.symplectify(sy.plane_scaling([1.01]), 0.03, config)
+    assert rep.step_size == config.step_size == step
+    data = rep.to_dict()
+    names = [f.name for f in dataclasses.fields(rep)]
+    assert names[-2:] == ["steps", "step_size"]
+    assert list(data) == names + ["effective_step", "method", "max_defect_tol", "passed"]
+    assert (data["step_size"], data["effective_step"]) == (step, 1.0 / config.n_steps)
 
 
 def test_symplectify_identity():

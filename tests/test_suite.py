@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sympeps import suite
+from sympeps import exterior, suite
 
 
 # Seeds whose first plane-scaling draw in moser_suite had a defect past
@@ -16,6 +16,33 @@ def test_moser_suite_redraws_plane_scaling_past_the_defect_limit(seed):
     result = suite.moser_suite(rng, suite.SCALES["smoke"]["moser_maps"])
     assert result["passed"] is True
     assert result["plane_scaling_error"] <= 1e-6
+
+
+def _norm_suite(seed):
+    """norm_suite at smoke scale on the generator that run_suite hands it."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(9)[0])
+    return suite.norm_suite(rng, suite.SCALES["smoke"]["covectors"], suite.SCALES["smoke"]["comass_trials"])
+
+
+def test_norm_suite_finds_an_exact_comass_outside_the_sandwich(monkeypatch):
+    exact = exterior.comass_exact
+
+    def third_singular_value(c):
+        """comass_exact with its degree-2 SVD branch reading the third singular value."""
+        if c.k != 2 or c.m < 4:
+            return exact(c)
+        W = np.zeros((c.m, c.m))
+        for (i, j), f in c.coeffs.items():
+            W[j - 1, i - 1], W[i - 1, j - 1] = f, -f
+        return float(np.linalg.svd(W, compute_uv=False)[2])
+
+    result = _norm_suite(7)
+    assert result["passed"] is True
+    assert 0.0 <= result["exact_comass_identity_dev"] <= 1e-12
+    monkeypatch.setattr(exterior, "comass_exact", third_singular_value)
+    result = _norm_suite(7)
+    assert result["passed"] is False
+    assert result["exact_comass_identity_dev"] > 1e-3
 
 
 

@@ -294,14 +294,20 @@ def test_classification_flips_under_plane_swap():
         assert sy.lambda_mu_invariants(flipped).classification == "anti-symplectic-like"
 
 
+def _decomposition(phi):
+    """The decomposition check of a map, from its invariants and its defect."""
+    rep = sy.lambda_mu_invariants(phi)
+    return sy.defect_decomposition_check(sy.defect(phi), rep)
+
+
 def test_defect_decomposition_identity_map():
-    check = sy.defect_decomposition_check(np.eye(6))
+    check = _decomposition(np.eye(6))
     assert check.lhs == pytest.approx(0.0, abs=1e-15)
     assert check.rhs == pytest.approx(0.0, abs=1e-12)
 
 
 def test_defect_decomposition_worked_fixture():
-    check = sy.defect_decomposition_check(sy.asymmetric_defect_map(0.1, 2.0))
+    check = _decomposition(sy.asymmetric_defect_map(0.1, 2.0))
     assert check.lhs == pytest.approx(0.01, abs=1e-12)
     assert check.rhs == pytest.approx(0.01, abs=1e-10)
     assert check.rel_error <= 1e-8
@@ -312,7 +318,7 @@ def test_defect_decomposition_random_maps():
     for _ in range(100):
         n = int(rng.integers(1, 4))
         phi = sy.random_defective(n, float(rng.uniform(0.01, 0.98)), rng)
-        assert sy.defect_decomposition_check(phi).rel_error <= 1e-8
+        assert _decomposition(phi).rel_error <= 1e-8
 
 
 def test_lambda_mu_mus_never_exceed_one():
@@ -334,7 +340,7 @@ def test_defect_decomposition_mixed_signs():
     rep = sy.lambda_mu_invariants(refl)
     assert sorted(rep.signs) == [-1, 1]
     assert rep.classification == "mixed"
-    check = sy.defect_decomposition_check(refl)
+    check = _decomposition(refl)
     assert check.lhs == check.rhs == 4.0
 
 
@@ -346,7 +352,7 @@ def test_defect_decomposition_zero_signs():
     rep = sy.lambda_mu_invariants(perm)
     np.testing.assert_allclose(rep.mus, [0.0, 0.0], atol=1e-12)
     assert list(rep.signs) == [0, 0]
-    check = sy.defect_decomposition_check(perm)
+    check = _decomposition(perm)
     assert check.lhs == check.rhs == 4.0
 
 
@@ -368,7 +374,7 @@ def test_lambda_mu_refuses_a_lost_plane(name):
     conditioning = sy._conditioning(phi)
     assert not conditioning.singular
     cond = f"{float(conditioning.cond):.3e}"
-    for func in (sy.lambda_mu_invariants, sy.defect_decomposition_check):
+    for func in (sy.lambda_mu_invariants, _decomposition):
         with pytest.raises(ValueError) as exc:
             func(phi)
         assert "a plane of Phi^T J Phi was lost" in str(exc.value)
@@ -431,7 +437,41 @@ def test_lambda_mu_where_the_product_rounds_non_skew():
 
 def test_defect_decomposition_rejects_singular():
     with pytest.raises(ValueError, match="singular"):
-        sy.defect_decomposition_check(np.diag([1.0, 0.0, 1.0, 1.0]))
+        _decomposition(np.diag([1.0, 0.0, 1.0, 1.0]))
+
+
+def _reference_decomposition(phi):
+    """The decomposition check written out from the map: lhs, rhs and rel_error."""
+    phi, n = sy._as_even_matrix(phi)
+    rep = sy.lambda_mu_invariants(phi)
+    lhs = sy.defect(phi) ** 2
+    lam2 = rep.lambdas**2
+    mu2 = rep.mus**2
+    rhs = float(np.sum((lam2 - rep.signs * mu2) ** 2) + n - np.sum(mu2**2))
+    return lhs, rhs, abs(lhs - rhs) / max(lhs, abs(rhs), 1e-12)
+
+
+def test_defect_decomposition_from_the_invariants_is_the_formula_bit_for_bit():
+    rng = np.random.default_rng(57)
+    maps = [sy.asymmetric_defect_map(0.1, 2.0), np.eye(2)]
+    for n in range(1, 5):
+        for _ in range(10):
+            phi = sy.random_defective(n, float(rng.uniform(0.0, 0.98)), rng)
+            maps += [phi, sy.standard_antisymplectic(n) @ phi]
+    for phi in maps:
+        check = _decomposition(phi)
+        assert all(type(v) is float for v in check)
+        assert [v.hex() for v in check] == [v.hex() for v in _reference_decomposition(phi)]
+
+
+@pytest.mark.parametrize("small, cond", [(0.0, "inf"), (1e-13, "1.000e+13")])
+def test_defect_decomposition_refuses_a_singular_report_by_its_condition(small, cond):
+    phi = np.diag([1.0, small, 1.0, 1.0])
+    rep = sy.lambda_mu_invariants(phi)
+    assert rep.classification == "singular"
+    with pytest.raises(ValueError) as exc:
+        sy.defect_decomposition_check(sy.defect(phi), rep)
+    assert str(exc.value) == f"singular matrix (condition number {cond})"
 
 
 def test_rho_values():
@@ -451,7 +491,6 @@ def test_squeezing_params_identity():
     for eps in (0.0, 0.1, 0.3):
         params = sy.squeezing_params(np.eye(4), eps)
         rho_val = math.sqrt(1.0 - eps)
-        assert params.r_A == pytest.approx(1.0)
         assert params.s_A == pytest.approx(rho_val, rel=1e-12)
         if rho_val > 0.5:
             assert params.e_A == pytest.approx(rho_val / (2 * rho_val - 1), rel=1e-12)
@@ -461,12 +500,13 @@ def test_squeezing_params_identity():
 
 def test_squeezing_params_diagonal():
     params = sy.squeezing_params(sy.plane_scaling([2.0, 3.0]), 0.1)
-    assert params.r_A == pytest.approx(3.0)
-    assert params.inv_norm == pytest.approx(0.5)
+    q = 0.5 * (1.0 / math.sqrt(0.9) - 1.0) * 3.0  # ||A^-1|| (1/rho - 1) sigma_max(A)
+    assert params.s_A == pytest.approx(1.0 / (1.0 + q), rel=1e-15)
+    assert params.e_A == pytest.approx(1.0 / (1.0 - q), rel=1e-15)
 
 
 def test_squeezing_params_e_undefined_for_thin_ellipsoids():
-    # large condition number pushes ||A^-1|| (1/rho - 1) r_A past 1
+    # large condition number pushes ||A^-1|| (1/rho - 1) sigma_max(A) past 1
     A = sy.plane_scaling([0.01, 10.0])
     params = sy.squeezing_params(A, 0.5)
     assert params.e_A is None
@@ -971,7 +1011,7 @@ def _reference_width_table(phi, rho_val, ellipsoids):
     first = np.flatnonzero(own.singular | img.singular)[:1]
     own.at(first).require_nonsingular("ellipsoid matrix")
     img.at(first).require_nonsingular("matrix")
-    _, _, s_A, e_A = sy._squeeze_bounds(own.svals, rho_val)
+    s_A, e_A = sy._squeeze_bounds(own.svals, rho_val)
     return sy._Widths(sy._spectrum(stack)[:, 0], sy._spectrum(image)[:, 0], s_A, e_A)
 
 
