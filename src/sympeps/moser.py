@@ -27,8 +27,9 @@ METHOD = "rk4-classical"
 # step's error and still fails a psi wrong in its sixth digit.
 BOUND_TOL = 1e-6
 MAX_DEFECT_TOL = 1e-6  # bound on the residual defect of phi @ psi
-FIELD_ANCHORS = 100  # at most this many segments, each with the field solved at its start
-SERIES_DEGREE = 14  # degree of a segment's map as a series in the field at its start
+MIN_STEPS = 100  # the series' tail bound holds from this many steps up
+FIELD_ANCHORS = 20  # at most this many segments, each with the field solved at its start
+SERIES_DEGREE = 23  # degree of a segment's map as a series in the field at its start
 
 
 class DefectAboveBudget(ValueError):
@@ -102,21 +103,23 @@ def _segment_series(steps: int, n_steps: int) -> np.ndarray:
 
 
 def _integrate_matrix_flow(M: np.ndarray, J: np.ndarray, n_steps: int) -> np.ndarray:
-    """Y(1) of Y' = C(t) Y, Y(0) = I, by n_steps >= FIELD_ANCHORS RK4 steps.
+    """Y(1) of Y' = C(t) Y, Y(0) = I, by n_steps >= MIN_STEPS RK4 steps.
 
     The field is linear, so the m = ceil(n_steps / FIELD_ANCHORS) steps from
     an anchor a (fewer in the last segment) are I + q(x), x = C(a), evaluated
     by Horner on the stack of anchors; the segments are then composed.  The
-    exact segment map is (I - 2 L x)^(-1/2), L = m / n_steps < 0.02, whose
-    degree-j term is at most (2 L ||x||)^j / 2, as RK4's are (measured).  M is
-    skew, so ||K||_2 <= ||M||_F / sqrt(2) = D and ||x||_2 <= D / (2 (1 - D))
-    < 1.21 for D < 1/sqrt(2) + 1e-12, the most `symplectify` accepts.  So
-    2 L ||x|| < 0.0484 (0.0242 when FIELD_ANCHORS divides n_steps), and the
-    terms past SERIES_DEGREE sum to below 1e-20 (3e-25).  With fewer steps a
-    segment could span the whole interval, where the series diverges.
+    exact segment map is (I - 2 L x)^(-1/2), L = m / n_steps, whose degree-j
+    term is at most (2 L ||x||)^j / 2, as RK4's are (measured).  Over n_steps
+    in [MIN_STEPS, 10000] the longest segment is L = 6/101 < 0.0595, at 101
+    steps.  M is skew, so ||K||_2 <= ||M||_F / sqrt(2) = D and ||x||_2 <=
+    D / (2 (1 - D)) < 1.21 for D < 1/sqrt(2) + 1e-12, the most `symplectify`
+    accepts.  So 2 L ||x|| < 0.1438, and the terms past SERIES_DEGREE sum to
+    below 1e-20.  With fewer steps a segment grows towards 1 / FIELD_ANCHORS,
+    where that bound no longer holds.
     """
-    if n_steps < FIELD_ANCHORS:
-        raise ValueError(f"the flow needs at least {FIELD_ANCHORS} steps, got {n_steps}")
+    if n_steps < MIN_STEPS:
+        raise ValueError(f"the flow needs at least {MIN_STEPS} steps, got {n_steps}")
+    dim = M.shape[0]
     m = -(-n_steps // FIELD_ANCHORS)
     starts = np.arange(0, n_steps, m)
     # the anchors are linspace's step times; t = 1 is solved too, since the
@@ -124,11 +127,11 @@ def _integrate_matrix_flow(M: np.ndarray, J: np.ndarray, n_steps: int) -> np.nda
     x = _flow_field(M, J, np.append(starts * (1.0 / n_steps), 1.0))[:-1]
     Q = np.tile(_segment_series(m, n_steps), (len(starts), 1))
     Q[-1] = _segment_series(n_steps - starts[-1], n_steps)
-    Q = Q[:, :, None, None] * np.eye(M.shape[0])  # q_j I for each anchor
-    D = Q[:, -1] @ x
+    D = Q[:, -1, None, None] * x
     for j in range(SERIES_DEGREE - 1, 0, -1):  # D = x (q_1 + x (q_2 + ... + x q_d))
-        D = x @ (D + Q[:, j])
-    return np.eye(M.shape[0]) + _compose(D)
+        D.reshape(len(D), -1)[:, ::dim + 1] += Q[:, j, None]  # + q_j I, on the diagonal in place
+        D = x @ D
+    return np.eye(dim) + _compose(D)
 
 
 @dataclass
@@ -195,8 +198,8 @@ def symplectify(phi, eps: float, config: Optional[FlowConfig] = None) -> Symplec
     rho_val = rho(eps, n, linear_case=True)
     residual = defect(phi @ psi)
     svals = np.linalg.svd(psi, compute_uv=False)
-    eye = np.eye(2 * n)
-    displacement = float(np.linalg.norm(psi - eye, 2))
+    increment = psi - np.eye(2 * n)
+    displacement = float(np.linalg.norm(increment, 2))
     disp_bound = 1.0 / rho_val - 1.0
     disp_margin = disp_bound - displacement
     lower_margin = float(svals[-1]) - rho_val
@@ -206,7 +209,7 @@ def symplectify(phi, eps: float, config: Optional[FlowConfig] = None) -> Symplec
         residual_defect=residual, residual_ok=residual <= MAX_DEFECT_TOL,
         displacement=displacement, displacement_bound=disp_bound, displacement_margin=disp_margin,
         displacement_ok=disp_margin >= -BOUND_TOL,
-        column_displacements=[float(v) for v in np.linalg.norm(psi - eye, axis=0)],
+        column_displacements=[float(v) for v in np.linalg.norm(increment, axis=0)],
         sv_min=float(svals[-1]), sv_max=float(svals[0]),
         sandwich_margin_lower=lower_margin, sandwich_margin_upper=upper_margin,
         sandwich_ok=(lower_margin >= -BOUND_TOL and upper_margin >= -BOUND_TOL),

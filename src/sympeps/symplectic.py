@@ -438,10 +438,13 @@ def _plane_diagonal(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return rows, np.stack([radii.max(axis=1), radii.min(axis=1)], axis=1)
 
 
-def _width_table(phi: np.ndarray, phi_cond: _Conditioning, rho_val: float, ellipsoids: Sequence) -> _Widths:
+def _width_table(
+    phi: np.ndarray, phi_cond: _Conditioning, rho_val: float, ellipsoids: Sequence, balls: np.ndarray
+) -> Tuple[_Widths, np.ndarray]:
     """The widths of a batch of ellipsoids, computed on the stack of them;
     phi_cond is the conditioning of phi.  A float stack of shape (k, dim, dim)
-    is read as it is."""
+    is read as it is.  The widths of balls, a stack of nonsingular matrices,
+    are taken in the same spectrum call and returned second."""
     dim = phi.shape[0]
     stack = ellipsoids
     if not (isinstance(stack, np.ndarray) and stack.dtype == float and stack.shape[1:] == (dim, dim)):
@@ -470,8 +473,9 @@ def _width_table(phi: np.ndarray, phi_cond: _Conditioning, rho_val: float, ellip
         img.at(first).require_nonsingular("matrix")
     s_A, e_A = _squeeze_bounds(svals, rho_val)
     r1 = svals[:, 1].copy()
-    r1[lapack] = _spectrum(other)[:, 0]
-    return _Widths(r1, _spectrum(image)[:, 0], s_A, e_A)
+    widths = _spectrum(np.concatenate([other, image, balls]))[:, 0]
+    r1[lapack], R1, ball_widths = np.split(widths, [len(other), len(other) + len(image)])
+    return _Widths(r1, R1, s_A, e_A), ball_widths
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
@@ -541,14 +545,14 @@ def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificat
         note = "singular map: fails unconditionally (arbitrarily thin image ellipsoids)"
         fail = (CertificateReport(kind, eps, rho_val, passed=False, note=note) for kind in WidthCertificates._fields[:3])
         return WidthCertificates(*fail, widths=None)
-    t = _width_table(phi, phi_cond, rho_val, ellipsoids)
+    radii = np.array(BALL_RADII)
+    # The balls, phi times powers of two, are as well-conditioned as phi.
+    balls = phi @ np.multiply.outer(radii, np.eye(phi.shape[0]))
+    t, ball_widths = _width_table(phi, phi_cond, rho_val, ellipsoids, balls)
     squeeze = t.R1 - t.s_A * t.r1
     squeeze_ok = _holds(squeeze, t.r1)
     expand = t.e_A * t.r1 - t.R1  # NaN where e_A is undefined
     expand_ok = np.isnan(t.e_A) | _holds(expand, t.r1)
-    radii = np.array(BALL_RADII)
-    # The balls, phi times powers of two, are as well-conditioned as phi.
-    ball_widths = _spectrum(phi @ np.multiply.outer(radii, np.eye(phi.shape[0])))[:, 0]
     bounds = radii / rho_val
     ball_ok = _holds(bounds - ball_widths, radii)
     cap = math.pi * _squares(t.r1)
@@ -851,9 +855,7 @@ def save_matrix(path, A) -> None:
     if str(path).endswith(".json"):
         text = json.dumps({"n": n, "rows": A.tolist()}, allow_nan=False) + "\n"
     else:
-        lines = [f"n {n}"]
-        for row in A:
-            lines.append(" ".join(repr(float(x)) for x in row))
+        lines = [f"n {n}"] + [" ".join(map(repr, row)) for row in A.tolist()]
         text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -238,8 +238,8 @@ def test_certify_builds_one_width_table(capsys, fixture_file, tmp_path, monkeypa
     # ellipsoids of the grid take their singular values and r1 from their
     # radii, the balls (phi scaled by powers of two) share phi's, and every
     # image phi A is cleared by the bound kappa(phi) kappa(A) < 5e11; the
-    # trials, the 13 images and the 3 balls: 3 spectra.  Three separate
-    # certificate passes took 10 SVDs and 7 spectra.
+    # trials, the 13 images and the 3 balls: one spectrum call on their stack.
+    # Three separate certificate passes took 10 SVDs and 7 spectra.
     svds = _count_svds(monkeypatch)
     calls = _count_calls(monkeypatch, ("_spectrum",))
     code, out, _ = run_cli(capsys, "certify", fixture_file, "--eps", "0.1", "--trials", "4")
@@ -247,7 +247,7 @@ def test_certify_builds_one_width_table(capsys, fixture_file, tmp_path, monkeypa
     assert json.loads(out)["ellipsoids"] == 9 + 4
     assert [np.shape(a) for a in svds] == [(4, 4), (4, 4, 4)]
     np.testing.assert_array_equal(svds[1], suite.ellipsoid_batch(2, 4, cli.DEFAULT_SEED)[9:])
-    assert [np.shape(a) for a in calls["_spectrum"]] == [(4, 4, 4), (13, 4, 4), (3, 4, 4)]
+    assert [np.shape(a) for a in calls["_spectrum"]] == [(4 + 13 + 3, 4, 4)]
     # kappa(phi) = 4e11: only the ellipsoids with kappa(A) < 1.25 are cleared,
     # and the one extra SVD is of the images of the others; the first of them
     # that is singular, phi diag(0.5, 0.5, 2, 2) of condition 1.6e12, is named
@@ -467,15 +467,16 @@ _GOLDEN_POINTS = [[0.1, 0.2, -0.3, 0.4], [1.0, 0.0, 0.5, -0.25], [0.0, 0.0, 0.0,
 # and recorded on the same platform as CERTIFY_STDOUT_SHA256; phi.txt is
 # random_eps_symplectic(2, 0.05, seed=2).  "suite" was recorded again once
 # the Moser field became a series about anchor times, and again once each
-# anchor segment's RK4 steps became one scalar polynomial in the field: each
-# time its moser entry moved in the last bits (worst_residual and the
-# step-halving ratio).
+# anchor segment's RK4 steps became one scalar polynomial in the field, and
+# again once the flow took 20 anchor segments of degree 23 rather than 100 of
+# degree 14: each time its moser entry moved in the last bits (worst_residual
+# and the step-halving ratio).
 GOLDEN_SHA256 = {
     "analyze": "c5cb15016bbdb167342ec422923587bb8a92313134ac4d21189fe559336bb00f",
     "bounds": "a74446dfccdf27cba5764c0035e4f093ef66339c0f762c08b09950a7b4a58803",
     "homotopy": "d02a91b627dae590eeb85a65ee2fe2524e950b9c81bae190c45d0c0f73c45486",
     "homotopy --out": "70c9c582c0829367bffc400391f79e6cbfcf9c21400da86d27d36712913b0cf5",
-    "suite": "8747f1ddb5bab3c4b7a81a9dc1165de327a8ad17f6c946a8600e672b794c72ab",
+    "suite": "ab5007c9b9f1b81222f6e0e83077acf6257604c63317677e0fbc58b563b608b5",
 }
 
 

@@ -245,31 +245,34 @@ def test_stacked_flow_residual_defect(n):
 
 
 def test_flow_refuses_fewer_steps_than_anchors():
-    # a step would then span more than 1 / FIELD_ANCHORS, past the series' bound;
-    # --step 1e-2, the coarsest FlowConfig accepts, gives FIELD_ANCHORS steps
-    assert mo.FlowConfig(step_size=1e-2).n_steps == mo.FIELD_ANCHORS == 100
+    # the series' tail bound is derived from MIN_STEPS steps up; with fewer, a
+    # segment grows towards 1 / FIELD_ANCHORS, past that bound.  --step 1e-2,
+    # the coarsest FlowConfig accepts, gives MIN_STEPS steps
+    assert mo.FlowConfig(step_size=1e-2).n_steps == mo.MIN_STEPS == 100
+    assert mo.FIELD_ANCHORS == 20
     _, M, J = _defect_matrix(2, 0.3, 0)
-    for n_steps in (1, 2, 3, 7, 99):
+    for n_steps in (1, 2, 3, 7, 19, 20, 21, 99):
         with pytest.raises(ValueError, match=rf"^the flow needs at least 100 steps, got {n_steps}$"):
             mo._integrate_matrix_flow(M, J, n_steps)
 
 
 def _rk4_reference_segments(M, J, n_steps, m):
     """The increment of each segment of m steps (the last one may be shorter):
-    stage-by-stage classical RK4 from Y = I at the segment's start, with C
-    solved at every stage time, and the increment carried apart from I."""
-    C = mo._flow_field(M, J, np.linspace(0.0, 1.0, 2 * n_steps + 1))
-    h, segments = 1.0 / n_steps, -(-n_steps // m)
-    zeros = np.zeros((segments * m - n_steps, *M.shape))  # zero field: the padding steps are I
+    stage-by-stage classical RK4 in long double from Y = I at the segment's
+    start, with C solved at every stage time, and the increment carried apart
+    from I."""
+    C = mo._flow_field(M, J, np.linspace(0.0, 1.0, 2 * n_steps + 1)).astype(np.longdouble)
+    h, segments = np.longdouble(1) / n_steps, -(-n_steps // m)
+    zeros = np.zeros((segments * m - n_steps, *M.shape), dtype=np.longdouble)  # zero field: the padding steps are I
     c0, cm, c1 = (np.concatenate([c, zeros]).reshape(segments, m, *M.shape) for c in (C[0:-1:2], C[1::2], C[2::2]))
-    E = np.zeros((segments, *M.shape))
+    E = np.zeros((segments, *M.shape), dtype=np.longdouble)
     for i in range(m):
-        Y = np.eye(M.shape[0]) + E
+        Y = np.eye(M.shape[0], dtype=np.longdouble) + E
         k1 = c0[:, i] @ Y
-        k2 = cm[:, i] @ (Y + (0.5 * h) * k1)
-        k3 = cm[:, i] @ (Y + (0.5 * h) * k2)
+        k2 = cm[:, i] @ (Y + (h / 2) * k1)
+        k3 = cm[:, i] @ (Y + (h / 2) * k2)
         k4 = c1[:, i] @ (Y + h * k3)
-        E = E + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        E = E + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return E
 
 
@@ -283,6 +286,9 @@ def _maps_up_to_the_largest_defect(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_segment_form_matches_a_per_step_product(n, monkeypatch):
+    # the oracle rounds through up to 500 steps per segment: in float64 that
+    # alone is about 50 u, so it is taken in long double, which must be wider
+    assert np.finfo(np.longdouble).nmant > 52
     # the last _compose call of a flow composes its segments' increments
     composed, compose = [], mo._compose
     monkeypatch.setattr(mo, "_compose", lambda D: composed.append(D) or compose(D))
@@ -292,15 +298,29 @@ def test_segment_form_matches_a_per_step_product(n, monkeypatch):
         for n_steps in (100, 101, 333, 1000, 10000):
             mo._integrate_matrix_flow(M, J, n_steps)
             reference = _rk4_reference_segments(M, J, n_steps, -(-n_steps // mo.FIELD_ANCHORS))
-            # measured at most 11.6 u scale (at defect 0, where M is roundoff) and 4.9 u scale elsewhere
-            bound = 24 * np.finfo(float).eps * np.max(np.abs(reference))
-            assert np.max(np.abs(composed[-1] - reference)) <= bound, (sy.defect(phi), n_steps)
+            # measured at most 2.7 u scale (1.3 u at defect 0); 3.3 u with 100 anchors of degree 14
+            bound = 8 * np.finfo(float).eps * float(np.max(np.abs(reference)))
+            assert float(np.max(np.abs(composed[-1] - reference))) <= bound, (sy.defect(phi), n_steps)
+
+
+def test_series_tail_bound_holds_at_every_step_count():
+    # ||x||_2 <= D / (2 (1 - D)) at the largest defect D that symplectify accepts
+    D = sy.EPS_LIMIT + 1e-12
+    assert D / (2.0 * (1.0 - D)) < 1.21
+    n_steps = np.arange(mo.MIN_STEPS, mo.FlowConfig(step_size=1e-4).n_steps + 1)
+    lengths = -(-n_steps // mo.FIELD_ANCHORS) / n_steps  # m / n_steps, the longest segment
+    # the docstring's longest segment, 6 steps of 1/101
+    assert (lengths.max(), n_steps[lengths.argmax()]) == (6 / 101, 101)
+    r = 2.0 * lengths * 1.21
+    assert r.max() < 0.1438
+    tail = r ** (mo.SERIES_DEGREE + 1) / (2.0 * (1.0 - r))
+    assert tail.max() < 1e-20
 
 
 def test_series_degree_leaves_psi_unchanged(monkeypatch):
     # four more terms move psi by at most 2 u, at the largest defect symplectify
-    # accepts and the longest segment (2 steps of 1/101) and at 10000 steps;
-    # measured 0 at degree 14, and 3.3 u at degree 10 (n = 1, 101 steps)
+    # accepts and the longest segment (6 steps of 1/101) and at 10000 steps;
+    # measured 0 at degree 23, and 7.6 u at degree 14 (n = 1, 101 steps)
     cases = []
     for n in (1, 2, 3, 4):
         phi, J = sy.random_defective(n, sy.EPS_LIMIT + 1e-12, np.random.default_rng(n)), sy.standard_J(n)
@@ -339,8 +359,8 @@ def test_grid_field_solves_at_anchor_times_only(monkeypatch):
     n_steps = mo.FlowConfig().n_steps
     mo._integrate_matrix_flow(M, J, n_steps)
     (anchors,) = solved_times
-    assert len(anchors) <= 101 and anchors[0] == 0.0 and anchors[-1] == 1.0
-    assert np.diff(anchors).max() <= 0.01 + 1e-15
+    assert len(anchors) <= 21 and anchors[0] == 0.0 and anchors[-1] == 1.0
+    assert np.diff(anchors).max() <= 1.0 / mo.FIELD_ANCHORS + 1e-15
     assert np.isin(anchors, np.linspace(0.0, 1.0, 2 * n_steps + 1)).all()
 
 
