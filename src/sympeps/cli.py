@@ -127,7 +127,7 @@ def cmd_certify(args):
     grid = batch[: len(batch) - args.trials]
     named = sorted({rep.worst["index"] for rep in (sq, ex, cap) if rep.worst is not None})
     report = {
-        "schema": 3,
+        "schema": 4,
         "inputs": inputs,
         "n": n,
         "eps": args.eps,

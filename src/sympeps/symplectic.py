@@ -367,11 +367,12 @@ def squeezing_params(A, eps: float) -> SqueezeParams:
 class CertificateReport:
     """Pass/fail record of a width or capacity inequality over ellipsoid batches.
 
-    Record i holds the margins and verdicts of ellipsoid i of the batch, and
-    no width: those are the batch's one table, ``WidthCertificates.widths``.
-    ``worst`` is the index and value of the smallest certified margin, or
-    None when no margin is defined (an empty batch, every record skipped, a
-    singular map).
+    Record i is the verdict of ellipsoid i of the batch: True, False, or None
+    where the record is skipped.  Its margins are not held: each follows from
+    the batch's one table, ``WidthCertificates.widths``, by the formulas of
+    ``width_certificates``.  ``worst`` is the index and value of the smallest
+    certified margin, or None when no margin is defined (an empty batch,
+    every record skipped, a singular map).
     """
 
     kind: str
@@ -380,7 +381,7 @@ class CertificateReport:
     passed: bool = True
     note: str = ""
     worst: Optional[dict] = None
-    records: List[dict] = field(default_factory=list)
+    records: List[Optional[bool]] = field(default_factory=list)
     ball_checks: List[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -528,16 +529,23 @@ def _holds(margin: np.ndarray, scale) -> np.ndarray:
 
 
 def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificates:
-    """Three views of one width table of the batch (r_1, R_1: the linear
-    symplectic widths of A B_1 and of phi(A B_1)).  nonsqueezing checks
-    s_A r_1 <= R_1; nonexpanding checks R_1 <= e_A r_1 where e_A is defined
-    (elsewhere the record is skipped, with margin None) and
-    width(phi B_r) <= r / rho for each r in BALL_RADII; capacity checks
-    s_A^2 c(E) <= c(phi E) <= e_A^2 c(E), with c = pi r_1^2, the upper bound
-    where e_A is defined.  Each margin may fall below zero by CERT_TOL times
-    min(1, s), s being r_1 for a width, c(E) for a capacity and r for the
-    ball B_r.  A singular phi fails all three unconditionally, with no
-    table."""
+    """Three views of one width table of the batch, ``widths``: per ellipsoid
+    A, r1 and R1 (the linear symplectic widths of A B_1 and of phi(A B_1)),
+    s_A and e_A.  Each report's records are one verdict per ellipsoid, in
+    batch order: margin >= -CERT_TOL min(1, s).  The margins, in Python
+    floats from ``widths`` (x**2 is libm pow, as ``_squares`` takes it):
+
+    - nonsqueezing: R1 - s_A*r1, with s = r1;
+    - nonexpanding: e_A*r1 - R1, with s = r1, where e_A is defined; elsewhere
+      the record is skipped and its verdict is None.  The report also checks
+      width(phi B_r) <= r / rho, with s = r, for each r in BALL_RADII;
+    - capacity: pi*R1**2 - s_A**2*(pi*r1**2) and, where e_A is defined,
+      e_A**2*(pi*r1**2) - pi*R1**2, with s = pi*r1**2; the verdict holds
+      both.
+
+    A NaN margin (an overflowing width) fails.  ``worst`` is the smallest
+    defined margin and its index.  A singular phi fails all three
+    unconditionally, with no table."""
     phi, _ = _as_even_matrix(phi)
     phi_cond = _conditioning(phi)
     rho_val = _width_rho(eps)
@@ -551,40 +559,30 @@ def width_certificates(phi, eps: float, ellipsoids: Sequence) -> WidthCertificat
     t, ball_widths = _width_table(phi, phi_cond, rho_val, ellipsoids, balls)
     squeeze = t.R1 - t.s_A * t.r1
     squeeze_ok = _holds(squeeze, t.r1)
+    skipped = np.isnan(t.e_A)
     expand = t.e_A * t.r1 - t.R1  # NaN where e_A is undefined
-    expand_ok = np.isnan(t.e_A) | _holds(expand, t.r1)
+    expand_ok = skipped | _holds(expand, t.r1)
     bounds = radii / rho_val
     ball_ok = _holds(bounds - ball_widths, radii)
     cap = math.pi * _squares(t.r1)
     cap_img = math.pi * _squares(t.R1)
     lower = cap_img - _squares(t.s_A) * cap
     upper = _squares(t.e_A) * cap - cap_img  # NaN where e_A is undefined
-    undefined = np.isnan(upper)
-    lower_ok = _holds(lower, cap)
-    upper_ok = _holds(upper, cap)
-    cap_ok = lower_ok & (upper_ok | undefined)
+    cap_ok = _holds(lower, cap) & (skipped | _holds(upper, cap))
     return WidthCertificates(
         CertificateReport(
-            "nonsqueezing", eps, rho_val, bool(squeeze_ok.all()), worst=_worst(squeeze),
-            records=[{"margin": m, "pass": p} for m, p in zip(_column(squeeze), squeeze_ok.tolist())],
+            "nonsqueezing", eps, rho_val, bool(squeeze_ok.all()), worst=_worst(squeeze), records=squeeze_ok.tolist(),
         ),
         CertificateReport(
             "nonexpanding", eps, rho_val, bool(expand_ok.all() and ball_ok.all()), worst=_worst(expand),
-            records=[{"margin": m, "pass": p} for m, p in zip(_column(expand), expand_ok.tolist())],
+            records=np.where(skipped, None, expand_ok).tolist(),
             ball_checks=[
                 {"radius": r, "image_width": w, "bound": b, "pass": p}
                 for r, w, b, p in zip(BALL_RADII, ball_widths.tolist(), bounds.tolist(), ball_ok.tolist())
             ],
         ),
         CertificateReport(
-            "capacity", eps, rho_val, bool(cap_ok.all()), worst=_worst(np.fmin(lower, upper)),
-            records=[
-                {"lower_margin": lm, "lower_pass": lp, "upper_margin": um, "upper_pass": up, "pass": p}
-                for lm, lp, um, up, p in zip(
-                    _column(lower), lower_ok.tolist(), _column(upper),
-                    np.where(undefined, None, upper_ok).tolist(), cap_ok.tolist(),
-                )
-            ],
+            "capacity", eps, rho_val, bool(cap_ok.all()), worst=_worst(np.fmin(lower, upper)), records=cap_ok.tolist(),
         ),
         dict(zip(t._fields, map(_column, t))),
     )

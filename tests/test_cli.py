@@ -22,6 +22,7 @@ from sympeps import polyform as pf
 from sympeps import suite
 from sympeps import symplectic as sy
 from sympeps.suite import random_ellipsoid
+from test_symplectic import _recomputed, _scalar_records, _verdicts_of, _worst_from_margins
 
 
 def run_cli(capsys, *argv):
@@ -320,6 +321,9 @@ def test_certify_deterministic(capsys, tmp_path):
     assert out1 == out2
 
 
+CERTIFICATES = ("nonsqueezing", "nonexpanding", "capacity")
+
+
 def _batch_sha256(batch):
     return hashlib.sha256(np.ascontiguousarray(batch, dtype="<f8").tobytes()).hexdigest()
 
@@ -330,7 +334,7 @@ def test_certify_names_its_batch_by_radii_seed_and_digest(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "certify", str(path), "--eps", "0.02", "--trials", "3", "--seed", "5")
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     assert "ellipsoid_matrices" not in report
     # the report's n, trials and seed regenerate the batch, and its digest proves it
     batch = suite.ellipsoid_batch(report["n"], report["batch"]["trials"], report["seed"])
@@ -341,12 +345,11 @@ def test_certify_names_its_batch_by_radii_seed_and_digest(capsys, tmp_path):
     assert report["batch"]["canonical_radii"][0] == [1.0, 1.0]  # the unit ball first
     rng = np.random.default_rng(5)
     np.testing.assert_array_equal(batch[9:], [random_ellipsoid(rng, 2) for _ in range(3)])
-    # one width table; each record holds only its certificate's own fields
+    # one width table; each record is its ellipsoid's verdict, which follows from the table
     widths = report["widths"]
     assert list(widths) == ["r1", "R1", "s_A", "e_A"] and all(len(col) == 12 for col in widths.values())
-    for key, fields in (("nonsqueezing", ["margin", "pass"]), ("nonexpanding", ["margin", "pass"]),
-                        ("capacity", ["lower_margin", "lower_pass", "upper_margin", "upper_pass", "pass"])):
-        assert [list(rec) for rec in report[key]["records"]] == [fields] * 12
+    records = [report[key]["records"] for key in CERTIFICATES]
+    assert records == _verdicts_of(_recomputed(widths)) == [[True] * 12] * 3
     # the witnesses: each ellipsoid that a worst names, once, in index order
     named = sorted({report[key]["worst"]["index"] for key in ("nonsqueezing", "nonexpanding", "capacity")})
     assert [w["index"] for w in report["witnesses"]] == named
@@ -366,7 +369,7 @@ def test_certify_names_the_failing_worst_ellipsoid_among_its_witnesses(capsys, t
     assert report["passed"] is False
     worst = report["nonsqueezing"]["worst"]
     i = worst["index"]
-    assert worst["margin"] < 0 and report["nonsqueezing"]["records"][i] == {"margin": worst["margin"], "pass": False}
+    assert worst["margin"] < 0 and report["nonsqueezing"]["records"][i] is False
     witnesses = {w["index"]: np.array(w["A"]) for w in report["witnesses"]}
     batch = suite.ellipsoid_batch(2, 4, cli.DEFAULT_SEED)
     assert report["batch"]["sha256"] == _batch_sha256(batch)
@@ -433,16 +436,18 @@ def _indented_sha256(text: str) -> str:
 # sha256 of the stdout of `certify phi.txt --eps 0.06 --seed <10 + n>` with
 # phi = random_eps_symplectic(n, 0.05, seed=n), re-indented (see
 # _indented_sha256), recorded (numpy 2.4.6 on x86-64) when the report became
-# schema 3: one width table, slim records, the batch named by its radii,
-# trials and digest, and only the witness ellipsoids written out.  The
-# schema-2 reports of the same runs, mapped to schema 3, equal these by repr
-# of every value.  Another BLAS or LAPACK build may round differently and
-# need its own digests.
+# schema 4: each certificate's records became one verdict per ellipsoid,
+# its margins left to the width table.  The schema-3 stdout of the same runs,
+# with each record replaced by its pass (null where the nonexpanding margin
+# was null), equals this byte for byte.  Schema 3 had brought the one width
+# table, the batch named by its radii, trials and digest, and only the
+# witness ellipsoids written out.  Another BLAS or LAPACK build may round
+# differently and need its own digests.
 CERTIFY_STDOUT_SHA256 = {
-    1: "64f79ab1c2100f6c223336b9aad944facbfdbcd1adbe344e80717ace8cc27726",
-    2: "8c7bb8aaea686729a697972799329b80a1375bf35aae4b39a2166a66555ed231",
-    3: "72f0fa85865bbc83f32db16df7156c8d0ebb5982fe13d7a2cfc69b59374c4db6",
-    4: "a9b74c833e0540382509b5b3ee217e2109bf7809ab60064985c4261f8d8d5fe9",
+    1: "d2560c8b34cbdd0e9ff827780b644ee42cefc03270062ad0e1292bb46edca29f",
+    2: "c952118ba5352243ed3a4037739bc8bba724372f2698503bb1da62cb76f60122",
+    3: "d235d613d389b60fb716e340c2d1ff52be85e0a5fe5215ebdfeadf73a8cb1e56",
+    4: "241edf12242fabe60cb9d4ae955afb4d32c3ed05ea0311f5c6dd1307d2b68524",
 }
 
 
@@ -453,6 +458,46 @@ def test_certify_stdout_matches_its_golden_digest(capsys, tmp_path, monkeypatch,
     code, out, _ = run_cli(capsys, "certify", "phi.txt", "--eps", "0.06", "--seed", str(10 + n))
     assert code == 0
     assert _indented_sha256(out) == CERTIFY_STDOUT_SHA256[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certify_stdout_verdicts_follow_from_its_width_table(capsys, tmp_path, n):
+    # Schema 4 writes no margin but each worst's.  Every margin, recomputed
+    # from the JSON widths in Python floats, must equal bit for bit that of a
+    # per-ellipsoid scalar loop over the rebuilt batch, and each certificate's
+    # records, worst and passed must follow from those margins.
+    phi = sy.random_eps_symplectic(n, 0.05, seed=n)
+    maps = {
+        "passes": (phi, "0.06"),
+        "crushes a plane": (sy.plane_scaling([0.1] + [1.0] * (n - 1)), "0"),
+        "skips": (phi, "0.45"),  # e_A is undefined where kappa(A) >= 1.52
+    }
+    batch = suite.ellipsoid_batch(n, 8, n)
+    reports = {}
+    for case, (phi_case, eps) in maps.items():
+        path = tmp_path / f"{case}.txt"
+        sy.save_matrix(path, phi_case)
+        code, out, _ = run_cli(capsys, "certify", str(path), "--eps", eps, "--trials", "8", "--seed", str(n))
+        report = reports[case] = json.loads(out)
+        assert report["schema"] == 4 and report["batch"]["sha256"] == _batch_sha256(batch)
+        rows = _recomputed(report["widths"])
+        assert len(rows) == report["ellipsoids"] == len(batch)
+        for A, (margins, _) in zip(batch, rows):
+            sq, ex, cap = _scalar_records(phi_case, report["eps_prime"], A)
+            assert repr(margins) == repr([sq["margin"], ex["margin"], cap["lower_margin"], cap["upper_margin"]])
+        for key, columns, records in zip(CERTIFICATES, ((0,), (1,), (2, 3)), _verdicts_of(rows)):
+            cert = report[key]
+            assert cert["records"] == records
+            assert repr(cert["worst"]) == repr(_worst_from_margins(rows, columns))
+            assert cert["passed"] is all([v is not False for v in records] + [b["pass"] for b in cert["ball_checks"]])
+        assert report["passed"] is all(report[key]["passed"] for key in CERTIFICATES)
+        assert code == (0 if report["passed"] else 1)
+    # each case holds what it is named for
+    assert reports["passes"]["passed"] is True
+    crush = reports["crushes a plane"]["nonsqueezing"]
+    assert False in crush["records"] and crush["worst"]["margin"] < 0
+    skipped = reports["skips"]["nonexpanding"]["records"]
+    assert None in skipped and True in skipped
 
 
 # The homotopy input of the golden digests below: a 2-form on R^4 with

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sympeps import exact
 from sympeps import moser as mo
 from sympeps import symplectic as sy
 
@@ -278,9 +279,14 @@ def _rk4_reference_segments(M, J, n_steps, m):
 
 def _maps_up_to_the_largest_defect(n):
     phis = [sy.random_eps_symplectic(n, eps, seed=seed) for seed, eps in enumerate((0.0, 0.1, 0.4, 0.7, sy.EPS_LIMIT - 1e-9))]
-    # the largest defect that symplectify accepts, eps + 1e-12 with eps just below 1/sqrt(2)
-    phis.append(sy.random_defective(n, sy.EPS_LIMIT + 1e-12, np.random.default_rng(n)))
-    assert sy.defect(phis[-1]) > sy.EPS_LIMIT
+    # the largest defect that symplectify accepts, eps + 1e-12 with eps the float
+    # just below 1/sqrt(2): the first draw whose exact defect is within it
+    eps = 0.7071067811865474
+    assert eps == np.nextafter(sy.EPS_LIMIT, 0.0)
+    budget = eps + 1e-12
+    draws = (sy.random_defective(n, budget, np.random.default_rng(seed)) for seed in range(8))
+    phis.append(next(phi for phi in draws if exact.defect_within(phi, sy.defect(phi), budget)))
+    assert sy.EPS_LIMIT < sy.defect(phis[-1]) and exact.defect_within(phis[-1], sy.defect(phis[-1]), budget)
     return phis
 
 

@@ -550,8 +550,10 @@ def test_capacity_lower_bound_fails_for_plane_crush():
     phi = sy.plane_scaling([0.1, 1.0])
     report = sy.capacity_preservation_check(phi, 0.0, [np.eye(4)])
     assert not report.passed
-    assert report.records[0]["lower_pass"] is False
-    R1 = sy.width_certificates(phi, 0.0, [np.eye(4)]).widths["R1"][0]
+    assert report.records == [False]
+    widths = sy.width_certificates(phi, 0.0, [np.eye(4)]).widths
+    assert _recomputed(widths)[0][1][2] is False  # the lower bound fails
+    R1 = widths["R1"][0]
     assert math.pi * R1**2 == pytest.approx(math.pi * 0.01, rel=1e-9)  # the image capacity
 
 
@@ -569,7 +571,7 @@ def test_nonexpanding_skips_ineligible_ellipsoids():
     phi = np.eye(4)
     certs = sy.width_certificates(phi, 0.5, [sy.plane_scaling([0.01, 10.0])])
     assert certs.widths["e_A"][0] is None  # skipped
-    assert certs.nonexpanding.records[0] == {"margin": None, "pass": True}
+    assert certs.nonexpanding.records == [None]
     assert certs.nonexpanding.passed  # skipped records do not fail the certificate
 
 
@@ -591,8 +593,9 @@ def test_certificate_report_serializes():
     data = json.loads(json.dumps(report.to_dict()))
     assert data["kind"] == "nonsqueezing"
     assert data["passed"] is True
-    # record i is ellipsoid i: it holds only the certificate's own fields
-    assert [list(rec) for rec in data["records"]] == [["margin", "pass"]] * 2
+    assert list(data) == ["kind", "eps", "rho", "passed", "note", "worst", "records", "ball_checks"]
+    # record i is the verdict of ellipsoid i, and nothing else
+    assert data["records"] == [True, True]
 
 
 def test_random_symplectic_is_symplectic():
@@ -805,25 +808,47 @@ def _scalar_records(phi, eps_prime, A):
     return sq, ex, capacity
 
 
-# The fields that each schema-3 record keeps, in order.
-SLIM_KEYS = (
-    ("margin", "pass"),
-    ("margin", "pass"),
-    ("lower_margin", "lower_pass", "upper_margin", "upper_pass", "pass"),
-)
-
-
 def _capacity(width):
     """pi width^2, None for an undefined width (NaN, from an overflowing batch)."""
     return None if width is None else math.pi * width**2
 
 
-def _schema3(sq, ex, cap):
-    """The width table and the slim records that schema 3 writes, from the
+def _recomputed(widths):
+    """Per ellipsoid of a width table, (margins, verdicts) by the formulas of
+    width_certificates' docstring in Python floats: the nonsqueezing,
+    nonexpanding, capacity lower and capacity upper margins, None where e_A
+    is undefined or the margin is NaN (an undefined width), and their
+    verdicts by the rule of _holds, None where e_A is undefined."""
+    rows = []
+    for r1, R1, s_A, e_A in zip(*widths.values()):
+        r1, R1, s_A = (math.nan if v is None else v for v in (r1, R1, s_A))
+        cap, cap_img = math.pi * r1**2, math.pi * R1**2
+        margins = [R1 - s_A * r1, None, cap_img - s_A**2 * cap, None]
+        if e_A is not None:
+            margins[1::2] = e_A * r1 - R1, e_A**2 * cap - cap_img
+        holds = [None if m is None else m >= -sy.CERT_TOL * min(1.0, s) for m, s in zip(margins, (r1, r1, cap, cap))]
+        rows.append(([None if m != m else m for m in margins], holds))  # m != m: NaN
+    return rows
+
+
+def _verdicts_of(rows):
+    """The records of the three certificates from the rows of _recomputed:
+    a capacity record holds where its lower bound does and its upper bound
+    does not fail."""
+    return [
+        [holds[0] for _, holds in rows],
+        [holds[1] for _, holds in rows],
+        [holds[2] and holds[3] is not False for _, holds in rows],
+    ]
+
+
+def _schema4(sq, ex, cap):
+    """The width table and the verdicts that schema 4 writes, from the
     schema-2 records of the three certificates, once every value that schema
-    3 drops is checked to follow, bit for bit, from what it keeps: the index
+    4 drops is checked to follow, bit for bit, from what it keeps: the index
     is the position, the widths repeated across certificates agree, skipped
-    is whether e_A is undefined, and the capacities are pi r1^2 and pi R1^2."""
+    is whether e_A is undefined, the capacities are pi r1^2 and pi R1^2, and
+    every margin and pass field is what _recomputed takes from the table."""
     assert len(sq) == len(ex) == len(cap)
     widths = {"r1": [], "R1": [], "s_A": [], "e_A": []}
     for i, (a, b, c) in enumerate(zip(sq, ex, cap)):
@@ -833,18 +858,23 @@ def _schema3(sq, ex, cap):
         assert repr((c["capacity"], c["image_capacity"])) == repr((_capacity(a["r1"]), _capacity(a["R1"])))
         for key, value in zip(widths, (a["r1"], a["R1"], a["s_A"], b["e_A"])):
             widths[key].append(value)
-    rows = [[{k: rec[k] for k in keys} for rec in records] for records, keys in zip((sq, ex, cap), SLIM_KEYS)]
-    return widths, rows
+    rows = _recomputed(widths)
+    for a, b, c, (margins, holds) in zip(sq, ex, cap, rows):
+        assert repr(margins) == repr([a["margin"], b["margin"], c["lower_margin"], c["upper_margin"]])
+        upper_pass = None if margins[3] is None else holds[3]  # schema 2: None also for a NaN margin
+        passes = [holds[0], holds[1] is not False, holds[2], upper_pass, holds[2] and holds[3] is not False]
+        assert repr(passes) == repr([a["pass"], b["pass"], c["lower_pass"], c["upper_pass"], c["pass"]])
+    return widths, _verdicts_of(rows)
 
 
-def _schema3_reports(reports):
-    """(widths, the three report dicts) of schema 3 from three schema-2
+def _schema4_reports(reports):
+    """(widths, the three report dicts) of schema 4 from three schema-2
     reports; a singular map's reports have no records and no table."""
     dicts = [report.to_dict() for report in reports]
     if dicts[0]["note"]:
         return None, dicts
-    widths, rows = _schema3(*(d["records"] for d in dicts))
-    return widths, [{**d, "records": r} for d, r in zip(dicts, rows)]
+    widths, verdicts = _schema4(*(d["records"] for d in dicts))
+    return widths, [{**d, "records": v} for d, v in zip(dicts, verdicts)]
 
 
 def _view(certs):
@@ -869,17 +899,17 @@ def test_certificate_widths_equal_per_ellipsoid_calls(n, size):
     sq, ex, cap = certs[:3]
     assert len(sq.records) == len(ex.records) == len(cap.records) == size
     scalar = [_scalar_records(phi, eps_prime, A) for A in batch]
-    expected = _schema3(*([{"index": i, **rows[k]} for i, rows in enumerate(scalar)] for k in range(3)))
+    expected = _schema4(*([{"index": i, **rows[k]} for i, rows in enumerate(scalar)] for k in range(3)))
     # repr compares key order, types and float bits (0.0 against -0.0 too)
     assert repr(certs.widths) == repr(expected[0])
     assert repr([sq.records, ex.records, cap.records]) == repr(expected[1])
-    assert certs.widths["e_A"].count(None) == (1 if size > 1 else 0)
+    assert certs.widths["e_A"].count(None) == ex.records.count(None) == (1 if size > 1 else 0)
     for report in (sq, ex, cap):
-        assert report.passed is all(rec["pass"] for rec in report.records + report.ball_checks)
+        assert report.passed is all([v is not False for v in report.records] + [b["pass"] for b in report.ball_checks])
 
 
-def _worst_from_records(report, keys):
-    margins = [(rec[k], i) for i, rec in enumerate(report.records) for k in keys if rec[k] is not None]
+def _worst_from_margins(rows, columns):
+    margins = [(m[k], i) for i, (m, _) in enumerate(rows) for k in columns if m[k] is not None]
     if not margins:
         return None
     margin, index = min(margins)
@@ -899,20 +929,22 @@ def test_certificate_worst_is_the_smallest_record_margin():
         "thin only": (np.eye(4), [thin, thin]),
         "empty": (np.eye(4), []),
     }
-    checkers = {
-        "nonsqueezing": (sy.check_eps_nonsqueezing, ("margin",)),
-        "nonexpanding": (sy.check_eps_nonexpanding, ("margin",)),
-        "capacity": (sy.capacity_preservation_check, ("lower_margin", "upper_margin")),
+    checkers = {  # the report, its margins' columns in _recomputed, and its verdicts' list in _verdicts_of
+        "nonsqueezing": (sy.check_eps_nonsqueezing, (0,), 0),
+        "nonexpanding": (sy.check_eps_nonexpanding, (1,), 1),
+        "capacity": (sy.capacity_preservation_check, (2, 3), 2),
     }
-    reports = {}
+    reports, rows = {}, {}
     for case, (phi, batch) in cases.items():
-        for kind, (checker, keys) in checkers.items():
+        rows[case] = _recomputed(sy.width_certificates(phi, 0.5, batch).widths)
+        for kind, (checker, columns, k) in checkers.items():
             report = reports[case, kind] = checker(phi, 0.5, batch)
-            assert report.worst == _worst_from_records(report, keys)
+            assert report.worst == _worst_from_margins(rows[case], columns)
+            assert report.records == _verdicts_of(rows[case])[k]
             assert report.to_dict()["worst"] == report.worst
     worst = {key: report.worst for key, report in reports.items()}
     assert worst["fails", "nonsqueezing"]["margin"] < 0
-    tie = [rec["margin"] for rec in reports["tie", "nonsqueezing"].records]
+    tie = [m[0] for m, _ in rows["tie"]]
     assert tie[1] == tie[2] == tie[3] < tie[0]
     assert worst["tie", "nonsqueezing"]["index"] == 1  # ties go to the first index
     assert worst["thin only", "nonexpanding"] is None  # every record skipped
@@ -923,12 +955,15 @@ def test_certificate_worst_is_the_smallest_record_margin():
 
 
 def _verdicts(certs):
-    """Every pass field of the three reports: per record, then the ball clause."""
-    return [
-        ([[v for k, v in rec.items() if k.endswith("pass")] for rec in report.records],
-         [ball["pass"] for ball in report.ball_checks], report.passed)
-        for report in certs[:3]
-    ]
+    """Every verdict of the three reports: per record its verdict, for
+    capacity after its lower and upper verdicts as _recomputed takes them
+    from the width table; then the ball clause and the report's own."""
+    rows = _recomputed(certs.widths)
+    reports = certs[:3]
+    assert [report.records for report in reports] == _verdicts_of(rows)
+    records = ([[v] for v in reports[0].records], [[v] for v in reports[1].records],
+               [[h[2], h[3], v] for (_, h), v in zip(rows, reports[2].records)])
+    return [(rec, [ball["pass"] for ball in report.ball_checks], report.passed) for rec, report in zip(records, reports)]
 
 
 def test_certificate_verdicts_do_not_depend_on_the_ellipsoid_scale():
@@ -958,7 +993,7 @@ def test_certificate_verdicts_do_not_depend_on_the_ellipsoid_scale():
         assert not any(rec[-1] for rec in _verdicts(sy.width_certificates(0.5 * np.eye(dim), 0.01, base))[0][0])
     # the plane crush of one plane at s = 1e-10: 0.5 s against s_A s, s_A = 0.995
     certs = sy.width_certificates(0.5 * np.eye(2), 0.01, [1e-10 * np.eye(2)])
-    assert certs.nonsqueezing.records == [{"margin": certs.nonsqueezing.records[0]["margin"], "pass": False}]
+    assert certs.nonsqueezing.records == [False]
     assert -5e-11 < certs.nonsqueezing.worst["margin"] < -4.9e-11
     assert not certs.nonsqueezing.passed and not certs.capacity.passed and certs.nonexpanding.passed
 
@@ -996,7 +1031,7 @@ def test_certificates_name_a_misshapen_ellipsoid():
 # its own width table by the SVD of every A and every phi A, and its records
 # from the float arrays, in the schema-2 layout (every record names its index
 # and repeats its widths): the reference that one shared pass must reproduce
-# once _schema3_reports maps it to the one table and the slim records.
+# once _schema4_reports maps it to the one table and the verdicts.
 
 
 def _reference_width_table(phi, rho_val, ellipsoids):
@@ -1124,7 +1159,7 @@ def test_width_certificates_equal_three_separate_passes(n):
     for phi_case, eps, batch in cases:
         certs = sy.width_certificates(phi_case, eps, batch)
         # repr compares key order, types and float bits (0.0 against -0.0 too)
-        assert repr(_view(certs)) == repr(_schema3_reports(_reference_reports(phi_case, eps, batch)))
+        assert repr(_view(certs)) == repr(_schema4_reports(_reference_reports(phi_case, eps, batch)))
         selected = (
             sy.check_eps_nonsqueezing(phi_case, eps, batch),
             sy.check_eps_nonexpanding(phi_case, eps, batch),
@@ -1201,7 +1236,7 @@ def test_width_certificates_by_the_bound_equal_the_svd_of_every_image(n):
     refused = []
     for phi, batch in cases:
         got = _outcome(lambda: _view(sy.width_certificates(phi, 0.1, batch)))
-        assert got == _outcome(lambda: _schema3_reports(_reference_reports(phi, 0.1, batch)))
+        assert got == _outcome(lambda: _schema4_reports(_reference_reports(phi, 0.1, batch)))
         if isinstance(got, tuple):
             refused.append(got)
     assert len(cases) == 1 + (n == 2) + 3 * len(grid)
