@@ -17,6 +17,7 @@ iota_X move and sign numerators, and alpha changes only denominators.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -308,6 +309,8 @@ MAX_TABLE_EXPONENT = 1000
 T_SAMPLES = 1000
 _T_GRID = np.linspace(0.0, 1.0, T_SAMPLES)
 _T_GRID.flags.writeable = False
+# Floats that one block of ray_squares holds: its product's output, and its powers.
+RAY_FLOATS = 2**20
 
 
 class MonomialTable:
@@ -366,29 +369,36 @@ class MonomialTable:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.add.reduceat(self._monomials(X), self.starts, axis=0).T
 
-    def ray_norms(self, X: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """||f(t x)|| for each point x of X and each t of ts, shape (P, len(ts)), for a form
-        with an index.  A monomial of total degree p is t^p times its value at x, so each
-        index sums its monomials at X per total degree and is evaluated by Horner in t,
-        with t^g for each gap g between the degrees; the squares are summed over the
-        indices in order.  It holds indices x P x len(ts) floats.  Overflow gives inf or nan."""
+    def ray_squares(self, X: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """||f(t x)||^2 for each point x of X and each t of ts, shape (P, len(ts)), for a
+        form with an index.  A monomial of total degree p is t^p times its value at x, so
+        each index sums its monomials at X per total degree p into S_p, and its values on
+        the ray are a matrix product: the sums, (indices x P, degrees), times the powers
+        t^p, (degrees, len(ts)), which run along the gaps between the degrees, t^(p_0)
+        first and then one product by t^gap per row.  The squares are summed over the
+        indices in order.  It holds indices x P x len(ts) floats, and the powers of at
+        most RAY_FLOATS // len(ts) degrees at once: more degrees take one product per
+        as many, added up.  Overflow gives inf or nan."""
         total = self.exps.sum(axis=1)
         degrees = sorted(set(total.tolist()))
         index = np.searchsorted(self.starts, np.arange(len(total)), side="right") - 1
         graded = np.zeros((len(degrees), len(self.indices), len(X)))
+        gaps = np.diff(degrees).tolist()
+        steps = {gap: ts ** float(gap) for gap in set(gaps)}  # one pow per distinct gap: they repeat
+        chain = itertools.accumulate([ts ** float(degrees[0])] + [steps[gap] for gap in gaps], np.multiply)
+        rows, row_type = max(1, RAY_FLOATS // len(ts)), np.dtype((float, len(ts)))  # power rows per product
         with np.errstate(over="ignore", invalid="ignore"):
             np.add.at(graded, (np.searchsorted(degrees, total), index), self._monomials(X))
-            ray = np.repeat(graded[-1, :, :, None], len(ts), axis=2)  # (indices, P, len(ts))
-            for gap, part in zip(np.diff(degrees)[::-1], graded[-2::-1]):
-                ray *= ts ** float(gap)
-                ray += part[:, :, None]
-            if degrees[0]:
-                ray *= ts ** float(degrees[0])
+            sums = graded.reshape(len(degrees), -1).T
+            ray = sums[:, :rows] @ np.fromiter(chain, row_type, min(rows, len(degrees)))
+            for lo in range(rows, len(degrees), rows):
+                ray += sums[:, lo:lo + rows] @ np.fromiter(chain, row_type, min(rows, len(degrees) - lo))
+            ray = ray.reshape(len(self.indices), len(X), len(ts))
             np.square(ray, out=ray)
             squares = ray[0]
             for row in ray[1:]:
                 squares += row
-        return np.sqrt(squares)
+        return squares
 
     def norms(self, X: np.ndarray) -> np.ndarray:
         """Euclidean norm of the coefficient values at each point of X."""
@@ -435,12 +445,19 @@ class HBoundReport:
     The general bound compares ||h f (x)|| against
     ||x|| sqrt(k C(m, k-1)) / (k-1) * max_t ||f(t x)|| for k > 1 (and
     ||x|| sqrt(m) * max_t for k = 1); the ray bound ||x|| / sqrt(k) * ||f(x)||
-    applies when all coefficients are constant.  The max over the ray is
-    estimated by dense sampling, which can only under-estimate the right-hand
-    side up to the rounding of the samples, gamma u times sum_e |c_e (t x)^e|
-    with gamma a small multiple of the degree and the monomial count, so a
-    nonnegative margin is conservative up to that rounding.  ``s`` is the
-    largest norm of the points, or 1.0 with none; no bound reads it.
+    applies when all coefficients are constant.  The max over the ray is the
+    largest of ``t_samples`` samples, a lower bound of the true max up to their
+    rounding, so a nonnegative margin is conservative up to that rounding.  A
+    sample is a product of the graded sums with grid powers t^p built along the
+    gaps between the degrees, squared and summed over the indices, and the
+    largest square of a point takes the one square root.  Its rounding is
+    gamma u times sum_e |c_e (t x)^e|, gamma = D + N + 4r + J/2 + O(1) for
+    degree D, N monomials per index, r distinct total degrees and J indices:
+    1 + p roundings for a term of degree p, N - 1 for its sum, at most 3r - 1
+    for its grid power (pow within 1 ulp for the first degree and each gap,
+    and one product per gap), 1 for its product term and r - 1 additions in
+    BLAS's order.  ``s`` is the largest norm of the points, or 1.0 with none;
+    no bound reads it.
     """
 
     m: int
@@ -481,12 +498,14 @@ def h_bound_check(f: PolyForm, points: Sequence[Sequence[float]], hf: Optional[P
         # constant coefficients: ||f(t x)|| is the same at every t and x
         max_beta = f_table.norms(X)
     else:
-        # the rays of as many points at once as fit in 2^20 floats (8 MB), at least one, so
-        # that memory does not grow with the number of points
-        block = max(1, 2**20 // (len(f_table.indices) * T_SAMPLES))
-        max_beta = np.empty(len(X))
+        # the rays of as many points at once as their product's output fits in RAY_FLOATS
+        # (8 MB), at least one, so that memory does not grow with the number of points
+        block = max(1, RAY_FLOATS // (len(f_table.indices) * T_SAMPLES))
+        max_square = np.empty(len(X))
         for i in range(0, len(X), block):
-            max_beta[i:i + block] = np.max(f_table.ray_norms(X[i:i + block], _T_GRID), axis=1)
+            max_square[i:i + block] = np.max(f_table.ray_squares(X[i:i + block], _T_GRID), axis=1)
+        # sqrt is monotone and correctly rounded, so this is the largest root bit for bit, nan and inf too
+        max_beta = np.sqrt(max_square)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = radii * factor * max_beta
     bad = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs)))

@@ -748,15 +748,23 @@ def _h_bound_reference(f, points, tol=1e-9):
 
 def _ray_gamma(f):
     """gamma of the bound gamma u sum_e |c_e (t x)^e| on the rounding of a sample
-    ||f(t x)||, for ``MonomialTable.ray_norms`` and for the reference's sampling.
+    ||f(t x)||, for the root of ``MonomialTable.ray_squares`` and for the
+    reference's sampling.
 
     Let D be the largest total degree of f, N the most monomials of an index,
-    r the number of total degrees that occur and J the number of indices.  In
-    ray_norms a term c_e x^e t^p takes 1 rounding of c_e, p of the powers and
-    their product, N - 1 of its sum per (degree, index), at most r Horner
-    multiplications by t^g (each 1 rounding, plus 2 u for pow within 1 ulp) and
-    r - 1 Horner additions: D + N + 4r - 1 in all.  The reference evaluates at
-    the rounded products t x_i, p more, and sums the index in order: 2D + N.  So
+    r the number of total degrees p_0 < ... < p_(r-1) that occur and J the
+    number of indices.  In ray_squares a term c_e x^e t^p takes 1 rounding of
+    c_e, p of the powers and their product, and N - 1 of its sum S_p per
+    (degree, index).  The grid power of row i runs along the gaps: pow for
+    t^(p_0) and for each of the i gaps (2 u each, pow being within 1 ulp) and i
+    products, at most 3r - 1 in all.  The matrix product takes 1 rounding per
+    term S_p t^p and r - 1 additions in BLAS's order (a fused multiply-add only
+    drops roundings; more degrees than one product takes are split over several,
+    whose sums add up in r - 1 additions still): D + N + 4r - 1 in all, as Horner
+    in t took.  The largest
+    square's root is the largest root, so the maximum adds nothing.  The
+    reference evaluates at the rounded products t x_i, p more, and sums the
+    index in order: 2D + N.  So
     each coefficient vector is within (2D + N + 4r) u sum_e |c_e (t x)^e| of the
     exact one in the 1-norm over the indices, which bounds the change of its
     2-norm.  The J squares, their sum and the square root add (J/2 + 1) u of the
@@ -838,7 +846,7 @@ def test_ray_norms_match_exact_rational_samples():
         checked += 1
         table = pf.MonomialTable(f)
         X = rng.normal(size=(3, f.m)) * rng.uniform(0.2, 2.0)
-        new = table.ray_norms(X, ts)
+        new = np.sqrt(table.ray_squares(X, ts))
         old = np.array([table.norms(ts[:, None] * x) for x in X])  # at fl(t x), as _h_bound_reference samples
         assert new.shape == old.shape == (3, pf.T_SAMPLES)
         gamma = _ray_gamma(f)
@@ -851,6 +859,42 @@ def test_ray_norms_match_exact_rational_samples():
         shapes.add((degrees[0] > 0, max(np.diff(degrees), default=0) > 1, len(f.terms) > 1))
     # forms without a constant term, with a gap of two or more degrees, and of several indices
     assert {s[0] for s in shapes} == {s[1] for s in shapes} == {s[2] for s in shapes} == {False, True}
+
+
+def test_h_bound_rhs_is_the_largest_grid_sample_below_the_true_maximum():
+    # (a t - a^2 t^2) dx1 on the ray of x = (a, b) peaks at 1/4 at t = 1/(2a),
+    # strictly between two of the 1000 samples t = i/999 for these points
+    u = 2.0**-53
+    f = pf.PolyForm(2, 1, {(1,): {(1, 0): 1, (2, 0): -1}})
+    points = np.array([[1.0, 0.0], [0.8, 0.3], [0.625, -1.5]])
+    assert all((999 / (2 * a)) % 1 for a in points[:, 0])
+    report = pf.h_bound_check(f, points)
+    grid = np.linspace(0.0, 1.0, pf.T_SAMPLES)
+    factor = math.sqrt(2)  # sqrt(m) for k = 1
+    for x, rhs in zip(points, report.rhs):
+        scale = _exact_ray(f, x, 1.0)[1]
+        top = max(_exact_ray(f, x, t)[0] for t in grid)
+        radius_factor = Fraction(float(np.linalg.norm(x))) * Fraction(factor)
+        # rhs = radius factor sqrt(the largest sample of ||f(t x)||^2), to the samples' rounding
+        assert _within(Fraction(rhs) / radius_factor, top, _ray_gamma(f) * u * float(scale))
+        # and below radius factor max_t ||f(t x)|| = radius factor / 4 by more than that rounding
+        assert Fraction(rhs) / radius_factor < Fraction(1, 4) - _ray_gamma(f) * u * scale
+    assert report.passed
+
+
+def test_root_of_the_largest_square_is_the_largest_root_bit_for_bit():
+    # h_bound_check takes one square root per point, after the maximum
+    tiny = np.nextafter(0.0, 1.0)
+    a = np.array([
+        [0.0, tiny, 2.5e-310, 1e-300],
+        [0.0, 0.0, 0.0, 0.0],
+        [tiny, 0.0, 4 * tiny, 2.0],
+        [math.inf, 1.0, 0.0, tiny],
+        [math.nan, math.inf, 0.0, 1.0],
+        [0.0, 3.0, math.nan, tiny],
+        [math.inf, math.inf, 1e308, 0.0],
+    ])
+    assert np.array_equal(np.sqrt(a.max(axis=1)).view(np.uint64), np.sqrt(a).max(axis=1).view(np.uint64))
 
 
 def test_h_bound_check_refuses_points_like_the_reference():
@@ -906,6 +950,28 @@ def test_h_bound_check_evaluates_rays_at_their_end_points():
     # |x_i| = 1, so ||f(t x)|| = t^6993 peaks at t = 1, and rhs = sqrt(8) sqrt(8) 1
     assert report.rhs == pytest.approx([8.0] * 8, rel=1e-12)
     assert report.passed
+
+
+def test_ray_powers_take_at_most_ray_floats_at_once(monkeypatch):
+    # a monomial of each total degree 0 ... 2000 on R^2: the powers t^p of all 2001
+    # degrees at the 1000 samples would be 16 MB, those of 1048 at once are 8.4 MB
+    f = pf.PolyForm(2, 1, {(1,): {(min(p, 1000), p - min(p, 1000)): 1 + p % 7 for p in range(2001)}})
+    table = pf.MonomialTable(f)
+    X = np.array([[0.9, 0.8], [-1.0, 0.5]])
+    tracemalloc.start()
+    try:
+        blocked = table.ray_squares(X, pf._T_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+    monkeypatch.setattr(pf, "RAY_FLOATS", 2**22)  # all 2001 degrees in one product
+    whole = table.ray_squares(X, pf._T_GRID)
+    # both are within gamma u scale of the exact norms (see _ray_gamma)
+    u = 2.0**-53
+    for x, a, b in zip(X, blocked, whole):
+        scale = float(np.sum(np.abs(table.coeffs) * np.prod(np.abs(x) ** table.exps, axis=1)))
+        assert np.max(np.abs(np.sqrt(a) - np.sqrt(b))) <= 2 * _ray_gamma(f) * u * scale
 
 
 def test_h_bound_check_memory_does_not_grow_with_the_points():
